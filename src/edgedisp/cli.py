@@ -8,9 +8,7 @@ precedence is defaults < --config JSON file < explicit flags.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import os
 import sys
 from typing import Dict, Optional
 
@@ -22,14 +20,6 @@ from .losses import LossWeights
 from .network import NetworkConfig
 from .tensor import Tensor
 from .trainer import TrainConfig
-
-
-def _worker_cap() -> int:
-    """Honor the DAGM_THREADS cap (this build runs single-threaded anyway)."""
-    try:
-        return max(1, int(os.environ.get("DAGM_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # -- disparity colormap -------------------------------------------------------
@@ -90,7 +80,7 @@ def cmd_gen_gt(args) -> int:
 
 
 _TRAIN_OVERLAY_KEYS = {
-    "seed", "batch_size", "steps", "eval_interval", "phase", "grad_clip",
+    "seed", "batch_size", "steps", "eval_interval", "grad_clip",
     "edge_dilate_radius",
 }
 
@@ -221,7 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    _worker_cap()
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

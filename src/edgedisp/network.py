@@ -10,7 +10,7 @@ running statistics are stored alongside as non-gradient buffers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -101,45 +101,33 @@ class ModelParams:
 # -- initialization -----------------------------------------------------------
 
 
-def _kaiming(rng: np.random.Generator, shape: Tuple[int, ...], fan_in: int) -> Tensor:
-    w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-    # round through float32 so checkpoints reproduce the values bit-exactly
-    return Tensor(w.astype(np.float32).astype(np.float64), requires_grad=True)
-
-
 def _add_conv(p: ModelParams, rng, name: str, cin: int, cout: int, k: int,
-              nd: int = 2, norm: bool = False) -> None:
-    shape = (cout, cin) + (k,) * nd
-    p.add(name + ".w", _kaiming(rng, shape, cin * k ** nd))
+              nd: int = 2, norm: bool = False, transposed: bool = False) -> None:
+    """Weight, then batch-norm parameters and buffers, or else a bias.
+
+    A transposed conv weight is laid out [Cin, Cout, k...]; it never gets a
+    bias, because ``ops.conv3d_transposed`` takes none.
+    """
+    shape = ((cin, cout) if transposed else (cout, cin)) + (k,) * nd
+    p.add(name + ".w", stereo.kaiming(rng, shape, cin * k ** nd))
     if norm:
         p.add(name + ".gamma", Tensor(np.ones(cout), requires_grad=True))
         p.add(name + ".beta", Tensor(np.zeros(cout), requires_grad=True))
         p.add(name + ".rmean", Tensor(np.zeros(cout)))
         p.add(name + ".rvar", Tensor(np.ones(cout)))
-    else:
+    elif not transposed:
         p.add(name + ".b", Tensor(np.zeros(cout), requires_grad=True))
 
 
-def _add_conv_t(p: ModelParams, rng, name: str, cin: int, cout: int, k: int,
-                norm: bool = False) -> None:
-    # transposed 3-D conv weight layout is [Cin, Cout, k, k, k]
-    p.add(name + ".w", _kaiming(rng, (cin, cout) + (k,) * 3, cin * k ** 3))
-    if norm:
-        p.add(name + ".gamma", Tensor(np.ones(cout), requires_grad=True))
-        p.add(name + ".beta", Tensor(np.zeros(cout), requires_grad=True))
-        p.add(name + ".rmean", Tensor(np.zeros(cout)))
-        p.add(name + ".rvar", Tensor(np.ones(cout)))
-
-
 def _add_granular(p: ModelParams, rng, name: str, channels: int, cfg: NetworkConfig,
-                  nd: int = 3) -> None:
-    g = cfg.groups
-    cg = channels // g
-    for i in range(g - 1):
-        p.add(f"{name}.g{i}.w", _kaiming(rng, (cg, cg) + (3,) * nd, cg * 3 ** nd))
-    p.add(name + ".pw.w", _kaiming(rng, (channels, channels) + (1,) * nd, channels))
-    if cfg.pointwise_bias:
-        p.add(name + ".pw.b", Tensor(np.zeros(channels), requires_grad=True))
+                  dilation: int) -> None:
+    gp = stereo.make_granular_params(channels, channels, 3, cfg.groups, 3, dilation, rng,
+                                     pointwise_bias=cfg.pointwise_bias)
+    for i, w in enumerate(gp.group_kernels):
+        p.add(f"{name}.g{i}.w", w)
+    p.add(name + ".pw.w", gp.pointwise)
+    if gp.pointwise_bias is not None:
+        p.add(name + ".pw.b", gp.pointwise_bias)
 
 
 def _add_resblock(p: ModelParams, rng, name: str, cin: int, cout: int,
@@ -192,11 +180,11 @@ def init_params(cfg: NetworkConfig, seed: int) -> ModelParams:
         a = f"disp.agm{i}"
         _add_conv(p, rng, a + ".enc1", c, 2 * c, 3, nd=3, norm=norm)
         _add_conv(p, rng, a + ".enc2", 2 * c, 2 * c, 3, nd=3, norm=norm)
-        for j, _rate in enumerate(cfg.dilation_rates):
-            _add_granular(p, rng, f"{a}.bank{j}", 2 * c, cfg)
+        for j, rate in enumerate(cfg.dilation_rates):
+            _add_granular(p, rng, f"{a}.bank{j}", 2 * c, cfg, rate)
         _add_conv(p, rng, a + ".fuse", 2 * c, 2 * c, 1, nd=3, norm=norm)
-        _add_conv_t(p, rng, a + ".dec1", 2 * c, 2 * c, 3, norm=norm)
-        _add_conv_t(p, rng, a + ".dec2", 2 * c, c, 3, norm=norm)
+        _add_conv(p, rng, a + ".dec1", 2 * c, 2 * c, 3, nd=3, norm=norm, transposed=True)
+        _add_conv(p, rng, a + ".dec2", 2 * c, c, 3, nd=3, norm=norm, transposed=True)
         _add_conv(p, rng, f"disp.out{i}.a", c, c, 3, nd=3, norm=norm)
         _add_conv(p, rng, f"disp.out{i}.b", c, 1, 3, nd=3)
 
@@ -207,24 +195,23 @@ def init_params(cfg: NetworkConfig, seed: int) -> ModelParams:
 
 
 def _conv_block(p: ModelParams, name: str, x: Tensor, mode: str, nd: int = 2,
-                stride: int = 1, dilation: int = 1, relu: bool = True) -> Tensor:
+                stride: int = 1, dilation: int = 1, relu: bool = True,
+                output_size: Optional[Tuple[int, int, int]] = None) -> Tensor:
+    """Conv padded by dilation*(k-1)//2, batch norm when the layer has it,
+    optional ReLU.
+
+    With ``output_size`` the conv is the 3-D transposed conv that upsamples
+    to that extent.
+    """
     w = p[name + ".w"]
     k = w.shape[-1]
     pad = dilation * (k - 1) // 2
     spec = ConvSpec(stride=stride, dilation=dilation, padding=pad)
-    conv = ops.conv2d if nd == 2 else ops.conv3d
-    y = conv(x, w, p.get(name + ".b"), spec=spec)
-    if name + ".gamma" in p:
-        bn_mode = "train" if mode == "train" else "eval"
-        y = ops.batch_norm(y, p[name + ".gamma"], p[name + ".beta"], bn_mode,
-                           p[name + ".rmean"].data, p[name + ".rvar"].data)
-    return y.relu() if relu else y
-
-
-def _conv_t_block(p: ModelParams, name: str, x: Tensor, mode: str,
-                  output_size: Tuple[int, int, int], relu: bool = True) -> Tensor:
-    spec = ConvSpec(stride=2, dilation=1, padding=1)
-    y = ops.conv3d_transposed(x, p[name + ".w"], spec=spec, output_size=output_size)
+    if output_size is not None:
+        y = ops.conv3d_transposed(x, w, spec=spec, output_size=output_size)
+    else:
+        conv = ops.conv2d if nd == 2 else ops.conv3d
+        y = conv(x, w, p.get(name + ".b"), spec=spec)
     if name + ".gamma" in p:
         bn_mode = "train" if mode == "train" else "eval"
         y = ops.batch_norm(y, p[name + ".gamma"], p[name + ".beta"], bn_mode,
@@ -333,11 +320,11 @@ def agm_module(volume: Tensor, p: ModelParams, prefix: str, cfg: NetworkConfig,
         y = stereo.granular_conv(e2, gp)
         bank = y if bank is None else bank + y
     mid = _conv_block(p, prefix + ".fuse", bank, mode, nd=3)
-    d1 = _conv_t_block(p, prefix + ".dec1", mid, mode, output_size=e1.shape[2:],
-                       relu=False)
+    d1 = _conv_block(p, prefix + ".dec1", mid, mode, stride=2, relu=False,
+                     output_size=e1.shape[2:])
     d1 = (d1 + e1).relu()
-    d2 = _conv_t_block(p, prefix + ".dec2", d1, mode, output_size=volume.shape[2:],
-                       relu=False)
+    d2 = _conv_block(p, prefix + ".dec2", d1, mode, stride=2, relu=False,
+                     output_size=volume.shape[2:])
     return d2 + volume, d1
 
 

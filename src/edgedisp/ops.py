@@ -5,6 +5,11 @@ zero-fill padding. Forward passes gather with strided views and contract
 with einsum; input gradients go through the standard zero-stuffed
 transposed formulation, so nothing here relies on slow scatter loops.
 
+Each op computes its result eagerly and returns
+``tensor.make_op(result, parents, backward)``; the ``backward`` closure
+maps the output cotangent to ``accumulate_grad`` calls on the parents
+that ``needs_grad``, and is kept only when some parent needs gradients.
+
 The forward and input-gradient contractions run one sample at a time.
 Folding the batch into one BLAS GEMM lets a sample's rows fall on
 different tile edges, and einsum pick a different path, depending on what
@@ -234,7 +239,6 @@ def pool_avg2d(x: Tensor, window: int | Tuple[int, int],
     view, out = _sliding_view(x.data, win, st, (1, 1))
     y = view.mean(axis=(2, 3))
     inv = 1.0 / (win[0] * win[1])
-    in_hw = x.shape[2:]
 
     def bwd(g):
         gx = np.zeros(x.shape)
@@ -246,7 +250,6 @@ def pool_avg2d(x: Tensor, window: int | Tuple[int, int],
                    j:j + (out[1] - 1) * st[1] + 1:st[1]] += gs
         accumulate_grad(x, gx)
 
-    _ = in_hw
     return make_op(y, (x,), bwd)
 
 

@@ -3,20 +3,21 @@
 Granular convolution (channel groups chained through a hierarchical
 residual), the dual cost volume (feature concatenation stacked with
 per-channel absolute differences), soft-argmin disparity regression,
-shared concatenation of edge features, and the parameter/latency
-bookkeeping that motivates the granular form.
+shared concatenation of edge features, the parameter-count bookkeeping
+that motivates the granular form, and the Kaiming initialiser every
+convolution weight of the network is drawn with.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import ops
 from .ops import ConvSpec, ShapeError
-from .tensor import Tensor
+from .tensor import Tensor, accumulate_grad, make_op, needs_grad
 
 
 # -- granular convolution -----------------------------------------------------
@@ -115,6 +116,14 @@ def standard_param_count(c_in: int, c_out: int, s: int, spatial_rank: int = 2) -
     return c_in * c_out * s ** spatial_rank
 
 
+def kaiming(rng: np.random.Generator, shape: Tuple[int, ...], fan_in: int,
+            requires_grad: bool = True) -> Tensor:
+    """He-normal weights, std sqrt(2 / fan_in)."""
+    w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+    # round through float32 so checkpoints reproduce the values bit-exactly
+    return Tensor(w.astype(np.float32).astype(np.float64), requires_grad=requires_grad)
+
+
 def make_granular_params(c_in: int, c_out: int, s: int, groups: int,
                          spatial_rank: int, dilation: int, rng: np.random.Generator,
                          requires_grad: bool = True,
@@ -124,14 +133,9 @@ def make_granular_params(c_in: int, c_out: int, s: int, groups: int,
         raise ShapeError(f"channels {c_in} not divisible by {groups}")
     cg = c_in // groups
     kshape = (cg, cg) + (s,) * spatial_rank
-    fan = cg * s ** spatial_rank
-
-    def init(shape, fan_in):
-        w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-        return Tensor(w.astype(np.float32).astype(np.float64), requires_grad=requires_grad)
-
-    kernels = [init(kshape, fan) for _ in range(groups - 1)]
-    pw = init((c_out, c_in) + (1,) * spatial_rank, c_in)
+    kernels = [kaiming(rng, kshape, cg * s ** spatial_rank, requires_grad)
+               for _ in range(groups - 1)]
+    pw = kaiming(rng, (c_out, c_in) + (1,) * spatial_rank, c_in, requires_grad)
     bias = None
     if pointwise_bias:
         bias = Tensor(np.zeros(c_out), requires_grad=requires_grad)
@@ -159,56 +163,41 @@ class CostVolume:
                 f"max disparity {self.max_disparity}")
 
 
-def _shift_right_feature(f_right: Tensor, d: int) -> Tensor:
-    """Right features aligned to left coordinates at disparity d (zero fill)."""
-    if d == 0:
-        return f_right
-    w = f_right.shape[-1]
-    if d >= w:
-        return Tensor(np.zeros(f_right.shape))
-    sliced = f_right[..., : w - d]
-    pad = [(0, 0)] * (f_right.ndim - 1) + [(d, 0)]
-    return ops.pad_zero(sliced, pad)
+def build_cost_volume(f_left: Tensor, f_right: Tensor, d_levels: int,
+                      max_disparity: Optional[int] = None,
+                      downsample: int = 1) -> CostVolume:
+    """Dual cost volume [B, 3C, D, H, W], recorded as one op.
 
-
-def _check_pair(f_left: Tensor, f_right: Tensor, d_levels: int) -> None:
+    Channels [:C] hold the left features, [C:2C] the right features
+    shifted right by the level d (zero where x < d), and [2C:] their
+    per-channel absolute difference.
+    """
     if f_left.shape != f_right.shape:
         raise ShapeError(f"feature shapes differ: {f_left.shape} vs {f_right.shape}")
     if f_left.ndim != 4:
         raise ShapeError(f"features must be [B,C,H,W], got rank {f_left.ndim}")
     if d_levels < 1:
         raise ShapeError(f"d_levels must be >= 1, got {d_levels}")
-
-
-def concat_volume(f_left: Tensor, f_right: Tensor, d_levels: int) -> Tensor:
-    """[B,2C,D,H,W]: left features stacked with shifted right features."""
-    _check_pair(f_left, f_right, d_levels)
     b, c, h, w = f_left.shape
-    slices = []
-    for d in range(d_levels):
-        level = ops.concat([f_left, _shift_right_feature(f_right, d)], axis=1)
-        slices.append(level.reshape(b, 2 * c, 1, h, w))
-    return ops.concat(slices, axis=2)
+    shifts = range(min(d_levels, w))   # a shift of w or more leaves only zeros
+    y = np.zeros((b, 3 * c, d_levels, h, w))
+    y[:, :c] = f_left.data[:, :, None]
+    for d in shifts:
+        y[:, c:2 * c, d, :, d:] = f_right.data[..., :w - d]
+    y[:, 2 * c:] = np.abs(y[:, :c] - y[:, c:2 * c])
 
+    def bwd(g):
+        g_dist = g[:, 2 * c:] * np.sign(y[:, :c] - y[:, c:2 * c])
+        if needs_grad(f_left):
+            accumulate_grad(f_left, g[:, :c].sum(axis=2) + g_dist.sum(axis=2))
+        if needs_grad(f_right):
+            g_shift = g[:, c:2 * c] - g_dist
+            gr = np.zeros(f_right.shape)
+            for d in shifts:
+                gr[..., :w - d] += g_shift[:, :, d, :, d:]
+            accumulate_grad(f_right, gr)
 
-def distance_volume(f_left: Tensor, f_right: Tensor, d_levels: int) -> Tensor:
-    """[B,C,D,H,W]: per-channel |left - shifted right| at each level."""
-    _check_pair(f_left, f_right, d_levels)
-    b, c, h, w = f_left.shape
-    slices = []
-    for d in range(d_levels):
-        diff = (f_left - _shift_right_feature(f_right, d)).abs()
-        slices.append(diff.reshape(b, c, 1, h, w))
-    return ops.concat(slices, axis=2)
-
-
-def build_cost_volume(f_left: Tensor, f_right: Tensor, d_levels: int,
-                      max_disparity: Optional[int] = None,
-                      downsample: int = 1) -> CostVolume:
-    """Stack the concatenation and distance volumes: C_v = 3C."""
-    values = ops.concat(
-        [concat_volume(f_left, f_right, d_levels),
-         distance_volume(f_left, f_right, d_levels)], axis=1)
+    values = make_op(y, (f_left, f_right), bwd)
     if max_disparity is None:
         max_disparity = d_levels * downsample
     return CostVolume(values, max_disparity, downsample)
@@ -254,87 +243,3 @@ def shared_concat(f5: Tensor, f1: Tensor, f2: Tensor, f3: Tensor) -> Tensor:
     for i in range(k):
         pieces.extend([f5[:, i:i + 1], f1, f2, f3])
     return ops.concat(pieces, axis=1)
-
-
-# -- structure bookkeeping ----------------------------------------------------
-
-
-@dataclass
-class StructureGraph:
-    """Convolution stages with sequential dependencies (must be acyclic)."""
-
-    nodes: List[str] = field(default_factory=list)
-    edges: List[Tuple[str, str]] = field(default_factory=list)
-
-    def add_node(self, name: str) -> None:
-        if name not in self.nodes:
-            self.nodes.append(name)
-
-    def add_edge(self, src: str, dst: str) -> None:
-        self.add_node(src)
-        self.add_node(dst)
-        self.edges.append((src, dst))
-
-    @staticmethod
-    def cascade(depth: int) -> "StructureGraph":
-        g = StructureGraph()
-        for i in range(depth):
-            g.add_node(f"stage{i}")
-            if i:
-                g.add_edge(f"stage{i - 1}", f"stage{i}")
-        return g
-
-    @staticmethod
-    def parallel(arms: int, depth: int) -> "StructureGraph":
-        g = StructureGraph()
-        g.add_node("in")
-        g.add_node("out")
-        for a in range(arms):
-            prev = "in"
-            for i in range(depth):
-                node = f"arm{a}_{i}"
-                g.add_edge(prev, node)
-                prev = node
-            g.add_edge(prev, "out")
-        return g
-
-
-class CycleError(ValueError):
-    pass
-
-
-def sequential_depth(graph: StructureGraph, junction_nodes: Sequence[str] = ("in", "out")) -> int:
-    """Longest chain of dependent convolution stages.
-
-    Pure junction nodes (fan-in/fan-out points that do no convolution
-    work) are free; a cascade of G stages costs G-1 extra sequential
-    steps, while K parallel arms cost only their own depth.
-    """
-    order: List[str] = []
-    marks = {}
-
-    def visit(n):
-        state = marks.get(n)
-        if state == 1:
-            raise CycleError(f"dependency cycle through node {n!r}")
-        if state == 2:
-            return
-        marks[n] = 1
-        for s, d in graph.edges:
-            if s == n:
-                visit(d)
-        marks[n] = 2
-        order.append(n)
-
-    for n in graph.nodes:
-        visit(n)
-    order.reverse()
-
-    free = set(junction_nodes)
-    longest = {n: 0 for n in graph.nodes}
-    for n in order:
-        for s, d in graph.edges:
-            if s == n:
-                cost = 0 if d in free else 1
-                longest[d] = max(longest[d], longest[n] + cost)
-    return max(longest.values()) if longest else 0

@@ -2,9 +2,12 @@
 
 Everything in this package (feature extraction, cost aggregation, losses)
 is expressed through :class:`Tensor`. Forward results are computed eagerly
-with numpy; when any input of an operation requires gradients, the
-operation is recorded and ``backward()`` on a scalar loss replays the
-records in exact reverse execution order.
+with numpy. Every operation, here and in :mod:`edgedisp.ops`, returns
+``make_op(result, parents, backward)``: when any parent needs gradients
+the result records its parents and the ``backward`` closure, and
+``backward()`` on a scalar loss replays the records in exact reverse
+execution order. Closures add their gradients with ``accumulate_grad``
+and skip parents for which ``needs_grad`` is false.
 
 All arithmetic is float64 with a fixed (row-major) summation order, so
 identical inputs give bit-identical results.
@@ -13,7 +16,7 @@ identical inputs give bit-identical results.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -47,16 +50,6 @@ class Tensor:
         self._parents: tuple = ()
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._id = next(_ids)
-
-    # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def zeros(shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape), requires_grad=requires_grad)
 
     # -- basic introspection --------------------------------------------------
 
@@ -102,25 +95,18 @@ class Tensor:
     # -- elementwise arithmetic ----------------------------------------------
 
     def __add__(self, other):
-        other = _as_tensor(other)
-        out = _make_op(np.add(self.data, other.data), (self, other))
-        if out._parents:
-            a, b = self, other
+        a, b = self, _as_tensor(other)
 
-            def bwd(g):
-                _accum(a, _unbroadcast(g, a.data.shape))
-                _accum(b, _unbroadcast(g, b.data.shape))
+        def bwd(g):
+            accumulate_grad(a, _unbroadcast(g, a.data.shape))
+            accumulate_grad(b, _unbroadcast(g, b.data.shape))
 
-            out._backward = bwd
-        return out
+        return make_op(np.add(a.data, b.data), (a, b), bwd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = _make_op(-self.data, (self,))
-        if out._parents:
-            out._backward = lambda g, a=self: _accum(a, -g)
-        return out
+        return make_op(-self.data, (self,), lambda g: accumulate_grad(self, -g))
 
     def __sub__(self, other):
         return self + (-_as_tensor(other))
@@ -129,96 +115,69 @@ class Tensor:
         return _as_tensor(other) + (-self)
 
     def __mul__(self, other):
-        other = _as_tensor(other)
-        out = _make_op(np.multiply(self.data, other.data), (self, other))
-        if out._parents:
-            a, b = self, other
+        a, b = self, _as_tensor(other)
 
-            def bwd(g):
-                if a.requires_grad or a._backward is not None:
-                    _accum(a, _unbroadcast(g * b.data, a.data.shape))
-                if b.requires_grad or b._backward is not None:
-                    _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        def bwd(g):
+            if needs_grad(a):
+                accumulate_grad(a, _unbroadcast(g * b.data, a.data.shape))
+            if needs_grad(b):
+                accumulate_grad(b, _unbroadcast(g * a.data, b.data.shape))
 
-            out._backward = bwd
-        return out
+        return make_op(np.multiply(a.data, b.data), (a, b), bwd)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _as_tensor(other)
-        out = _make_op(np.divide(self.data, other.data), (self, other))
-        if out._parents:
-            a, b = self, other
+        a, b = self, _as_tensor(other)
 
-            def bwd(g):
-                if a.requires_grad or a._backward is not None:
-                    _accum(a, _unbroadcast(g / b.data, a.data.shape))
-                if b.requires_grad or b._backward is not None:
-                    _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        def bwd(g):
+            if needs_grad(a):
+                accumulate_grad(a, _unbroadcast(g / b.data, a.data.shape))
+            if needs_grad(b):
+                accumulate_grad(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
-            out._backward = bwd
-        return out
+        return make_op(np.divide(a.data, b.data), (a, b), bwd)
 
     # -- nonlinearities -------------------------------------------------------
+    # Masks and signs that only the gradient needs are built inside the
+    # closure, so an untaped forward does not compute them.
 
     def relu(self):
-        out = _make_op(np.maximum(self.data, 0.0), (self,))
-        if out._parents:
-            mask = self.data > 0
-            out._backward = lambda g, a=self, m=mask: _accum(a, g * m)
-        return out
+        return make_op(np.maximum(self.data, 0.0), (self,),
+                       lambda g: accumulate_grad(self, g * (self.data > 0)))
 
     def sigmoid(self):
         y = 1.0 / (1.0 + np.exp(-self.data))
-        out = _make_op(y, (self,))
-        if out._parents:
-            out._backward = lambda g, a=self, yy=y: _accum(a, g * yy * (1.0 - yy))
-        return out
+        return make_op(y, (self,), lambda g: accumulate_grad(self, g * y * (1.0 - y)))
 
     def exp(self):
         y = np.exp(self.data)
-        out = _make_op(y, (self,))
-        if out._parents:
-            out._backward = lambda g, a=self, yy=y: _accum(a, g * yy)
-        return out
+        return make_op(y, (self,), lambda g: accumulate_grad(self, g * y))
 
     def log(self):
-        out = _make_op(np.log(self.data), (self,))
-        if out._parents:
-            out._backward = lambda g, a=self: _accum(a, g / a.data)
-        return out
+        return make_op(np.log(self.data), (self,),
+                       lambda g: accumulate_grad(self, g / self.data))
 
     def abs(self):
-        out = _make_op(np.abs(self.data), (self,))
-        if out._parents:
-            sign = np.sign(self.data)
-            out._backward = lambda g, a=self, s=sign: _accum(a, g * s)
-        return out
+        return make_op(np.abs(self.data), (self,),
+                       lambda g: accumulate_grad(self, g * np.sign(self.data)))
 
     def clamp(self, lo: float, hi: float):
         """Clip values; gradient passes through only inside [lo, hi]."""
-        out = _make_op(np.clip(self.data, lo, hi), (self,))
-        if out._parents:
-            mask = (self.data >= lo) & (self.data <= hi)
-            out._backward = lambda g, a=self, m=mask: _accum(a, g * m)
-        return out
+        def bwd(g):
+            accumulate_grad(self, g * ((self.data >= lo) & (self.data <= hi)))
+
+        return make_op(np.clip(self.data, lo, hi), (self,), bwd)
 
     # -- reductions -----------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
-        out = _make_op(self.data.sum(axis=axis, keepdims=keepdims), (self,))
-        if out._parents:
-            shape = self.data.shape
+        def bwd(g):
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            accumulate_grad(self, np.broadcast_to(g, self.data.shape))
 
-            def bwd(g, a=self):
-                gg = g
-                if axis is not None and not keepdims:
-                    gg = np.expand_dims(gg, axis)
-                _accum(a, np.broadcast_to(gg, shape))
-
-            out._backward = bwd
-        return out
+        return make_op(self.data.sum(axis=axis, keepdims=keepdims), (self,), bwd)
 
     def mean(self, axis=None, keepdims: bool = False):
         n = self.data.size if axis is None else np.prod(
@@ -229,43 +188,31 @@ class Tensor:
     def max(self, axis: int, keepdims: bool = False):
         """Max along one axis; ties send the gradient to the first maximum."""
         y = self.data.max(axis=axis, keepdims=True)
-        out_data = y if keepdims else np.squeeze(y, axis=axis)
-        out = _make_op(out_data, (self,))
-        if out._parents:
+
+        def bwd(g):
             idx = np.expand_dims(self.data.argmax(axis=axis), axis)
+            gg = g if keepdims else np.expand_dims(g, axis)
+            gx = np.zeros_like(self.data)
+            np.put_along_axis(gx, idx, np.take_along_axis(gx, idx, axis) + gg, axis)
+            accumulate_grad(self, gx)
 
-            def bwd(g, a=self):
-                gg = g if keepdims else np.expand_dims(g, axis)
-                gx = np.zeros_like(a.data)
-                np.put_along_axis(gx, idx, np.take_along_axis(gx, idx, axis) + gg, axis)
-                _accum(a, gx)
-
-            out._backward = bwd
-        return out
+        return make_op(y if keepdims else np.squeeze(y, axis=axis), (self,), bwd)
 
     # -- shape manipulation ---------------------------------------------------
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = _make_op(self.data.reshape(shape), (self,))
-        if out._parents:
-            orig = self.data.shape
-            out._backward = lambda g, a=self: _accum(a, g.reshape(orig))
-        return out
+        return make_op(self.data.reshape(shape), (self,),
+                       lambda g: accumulate_grad(self, g.reshape(self.data.shape)))
 
     def __getitem__(self, key):
-        out = _make_op(self.data[key], (self,))
-        if out._parents:
-            shape = self.data.shape
+        def bwd(g):
+            gx = np.zeros(self.data.shape)
+            gx[key] += g
+            accumulate_grad(self, gx)
 
-            def bwd(g, a=self):
-                gx = np.zeros(shape)
-                gx[key] += g
-                _accum(a, gx)
-
-            out._backward = bwd
-        return out
+        return make_op(self.data[key], (self,), bwd)
 
 
 # -- helpers ------------------------------------------------------------------
@@ -275,22 +222,27 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make_op(data: np.ndarray, parents: Sequence[Tensor]) -> Tensor:
-    """Wrap an op result; tracks parents only when some input needs grads."""
+def make_op(data: np.ndarray, parents: Sequence[Tensor],
+            backward: Callable[[np.ndarray], None]) -> Tensor:
+    """Wrap an op result; records ``parents`` and the ``backward`` closure
+    (cotangent of the output -> gradients accumulated into the parents)
+    only when some parent needs gradients."""
     out = Tensor(data)
     if DEBUG_CHECKS and not np.all(np.isfinite(data)):
         raise FloatingPointError("non-finite value produced by a forward op")
-    if any(p.requires_grad or p._backward is not None for p in parents):
+    if any(needs_grad(p) for p in parents):
         out._parents = tuple(parents)
+        out._backward = backward
         out.requires_grad = True
     return out
 
 
-def _needs_grad(t: Tensor) -> bool:
+def needs_grad(t: Tensor) -> bool:
+    """True for a leaf that requires gradients and for any recorded op."""
     return t.requires_grad or t._backward is not None
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
     """Sum gradients across fan-out."""
     if not t.requires_grad:
         return
@@ -323,20 +275,3 @@ def _collect_tape(root: Tensor) -> list:
         tape.append(node)
         stack.extend(node._parents)
     return tape
-
-
-def make_op(data: np.ndarray, parents: Sequence[Tensor],
-            backward: Optional[Callable[[np.ndarray], None]] = None) -> Tensor:
-    """Public hook for modules that define their own primitives."""
-    out = _make_op(data, parents)
-    if out._parents and backward is not None:
-        out._backward = backward
-    return out
-
-
-def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
-    _accum(t, g)
-
-
-def needs_grad(t: Tensor) -> bool:
-    return _needs_grad(t)

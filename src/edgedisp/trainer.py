@@ -196,7 +196,6 @@ class TrainConfig:
         (0, 1e-3), (150, 5e-4), (200, 2.5e-4), (250, 1.25e-4))
     loss_weights: LossWeights = field(default_factory=LossWeights)
     network: NetworkConfig = field(default_factory=NetworkConfig)
-    phase: str = "pretrain"
     data_dir: str = "data/train"
     val_dir: Optional[str] = None
     eval_interval: int = 50
@@ -207,8 +206,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.steps < 0:
             raise ValueError("batch size must be >= 1 and steps >= 0")
-        if self.phase not in ("pretrain", "finetune"):
-            raise ValueError(f"phase must be pretrain or finetune, got {self.phase!r}")
         starts = [s for s, _ in self.lr_schedule]
         if starts != sorted(starts) or (starts and starts[0] != 0):
             raise ValueError("lr schedule breakpoints must start at 0 and increase")

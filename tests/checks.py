@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from edgedisp import ops
 from edgedisp.tensor import Tensor
 
 
@@ -64,3 +65,27 @@ def naive_conv(x, w, stride=1, dilation=1, pad=0):
 
 def rand_tensor(rng, shape, requires_grad=True, scale=1.0):
     return Tensor(rng.normal(0.0, scale, size=shape), requires_grad=requires_grad)
+
+
+def loop_cost_volume(f_left, f_right, d_levels):
+    """Dual cost volume [B,3C,D,H,W] built level by level from tape ops.
+
+    Each level concatenates the left features with the right features
+    shifted by d (zero fill) and appends |left - shifted right|; the levels
+    are stacked along axis 2. About 6*D recorded ops.
+    """
+    b, c, h, w = f_left.shape
+
+    def shifted(d):
+        if d == 0:
+            return f_right
+        if d >= w:
+            return Tensor(np.zeros(f_right.shape))
+        return ops.pad_zero(f_right[..., :w - d], [(0, 0)] * 3 + [(d, 0)])
+
+    concat, dist = [], []
+    for d in range(d_levels):
+        fr = shifted(d)
+        concat.append(ops.concat([f_left, fr], axis=1).reshape(b, 2 * c, 1, h, w))
+        dist.append((f_left - fr).abs().reshape(b, c, 1, h, w))
+    return ops.concat([ops.concat(concat, axis=2), ops.concat(dist, axis=2)], axis=1)

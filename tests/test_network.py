@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,18 @@ class TestParams:
         c, g = 2 * TINY.base_channels, TINY.groups
         assert (granular_param_count(c, c, 3, g, spatial_rank=3)
                 < standard_param_count(c, c, 3, spatial_rank=3))
+
+    def test_default_weights_are_pinned(self):
+        # SHA-256 over (name, float64 bytes) of every weight of the default
+        # network at seed 0, in name order; it pins the initialiser, the
+        # shapes and fans it is called with, and the order of RNG draws.
+        p = init_params(NetworkConfig(), seed=0)
+        h = hashlib.sha256()
+        for name in sorted(n for n in p.tensors if n.endswith(".w")):
+            h.update(name.encode())
+            h.update(np.ascontiguousarray(p[name].data).tobytes())
+        assert h.hexdigest() == (
+            "cd8b494bb7fd2e870ca9f4dc28517d9a1943206e5dae3e6aac24c7d913207eb4")
 
 
 class TestFeatureExtract:

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from checks import fd_check, rand_tensor
-from edgedisp import ops, stereo
+from checks import fd_check, loop_cost_volume, rand_tensor
+from edgedisp import ops
 from edgedisp.ops import ConvSpec, ShapeError
-from edgedisp.stereo import (CostVolume, GranularConvParams, StructureGraph,
-                             build_cost_volume, concat_volume, distance_volume,
+from edgedisp.stereo import (CostVolume, GranularConvParams, build_cost_volume,
                              granular_conv, granular_param_count,
-                             make_granular_params, sequential_depth,
-                             shared_concat, soft_argmin, standard_param_count)
-from edgedisp.tensor import Tensor
+                             make_granular_params, shared_concat, soft_argmin,
+                             standard_param_count)
+from edgedisp.tensor import Tensor, _collect_tape
 
 
 def granular_oracle(x, params):
@@ -161,29 +160,39 @@ class TestParamCounts:
             assert params.element_count() == granular_param_count(c, c, 3, g, rank)
 
 
+def concat_part(fl, fr, d_levels):
+    """Channels [:2C] of the cost volume: left stacked with shifted right."""
+    return build_cost_volume(fl, fr, d_levels).values.data[:, :2 * fl.shape[1]]
+
+
+def distance_part(fl, fr, d_levels):
+    """Channels [2C:] of the cost volume: |left - shifted right|."""
+    return build_cost_volume(fl, fr, d_levels).values.data[:, 2 * fl.shape[1]:]
+
+
 class TestCostVolumes:
     def test_level_zero_is_plain_concat(self):
         rng = np.random.default_rng(5)
         fl = Tensor(rng.normal(size=(1, 3, 4, 6)))
         fr = Tensor(rng.normal(size=(1, 3, 4, 6)))
-        vol = concat_volume(fl, fr, 3)
+        vol = concat_part(fl, fr, 3)
         ref = np.concatenate([fl.data, fr.data], axis=1)
-        np.testing.assert_array_equal(vol.data[:, :, 0], ref)
+        np.testing.assert_array_equal(vol[:, :, 0], ref)
 
     def test_full_shift_zeroes_right_half(self):
         rng = np.random.default_rng(6)
         w = 5
         fl = Tensor(rng.normal(size=(1, 2, 3, w)))
         fr = Tensor(rng.normal(size=(1, 2, 3, w)))
-        vol = concat_volume(fl, fr, w + 1)
-        assert np.all(vol.data[:, 2:, w] == 0.0)
-        np.testing.assert_array_equal(vol.data[:, :2, w], fl.data)
+        vol = concat_part(fl, fr, w + 1)
+        assert np.all(vol[:, 2:, w] == 0.0)
+        np.testing.assert_array_equal(vol[:, :2, w], fl.data)
 
     def test_concat_matches_shift_oracle(self):
         rng = np.random.default_rng(7)
         fl = rng.normal(size=(2, 3, 4, 7))
         fr = rng.normal(size=(2, 3, 4, 7))
-        vol = concat_volume(Tensor(fl), Tensor(fr), 5).data
+        vol = concat_part(Tensor(fl), Tensor(fr), 5)
         for d in range(5):
             shifted = np.zeros_like(fr)
             if d == 0:
@@ -196,13 +205,13 @@ class TestCostVolumes:
     def test_distance_zero_when_identical(self):
         rng = np.random.default_rng(8)
         f = Tensor(rng.normal(size=(1, 2, 3, 5)))
-        vol = distance_volume(f, f, 1)
-        np.testing.assert_array_equal(vol.data[:, :, 0], np.zeros((1, 2, 3, 5)))
+        vol = distance_part(f, f, 1)
+        np.testing.assert_array_equal(vol[:, :, 0], np.zeros((1, 2, 3, 5)))
 
     def test_distance_against_zero_right(self):
         rng = np.random.default_rng(9)
         fl = rng.normal(size=(1, 2, 3, 5))
-        vol = distance_volume(Tensor(fl), Tensor(np.zeros_like(fl)), 4).data
+        vol = distance_part(Tensor(fl), Tensor(np.zeros_like(fl)), 4)
         for d in range(4):
             np.testing.assert_array_equal(vol[:, :, d], np.abs(fl))
 
@@ -210,7 +219,7 @@ class TestCostVolumes:
         rng = np.random.default_rng(10)
         fl = rng.normal(size=(1, 3, 4, 6))
         fr = rng.normal(size=(1, 3, 4, 6))
-        vol = distance_volume(Tensor(fl), Tensor(fr), 4).data
+        vol = distance_part(Tensor(fl), Tensor(fr), 4)
         for d in range(4):
             shifted = np.zeros_like(fr)
             shifted[..., d:] = fr[..., :fr.shape[-1] - d] if d else fr[..., :]
@@ -222,10 +231,9 @@ class TestCostVolumes:
         fr = Tensor(rng.normal(size=(1, 8, 4, 16)))
         cv = build_cost_volume(fl, fr, 12)
         assert cv.values.shape == (1, 24, 12, 4, 16)
-        np.testing.assert_array_equal(cv.values.data[:, :16],
-                                      concat_volume(fl, fr, 12).data)
-        np.testing.assert_array_equal(cv.values.data[:, 16:],
-                                      distance_volume(fl, fr, 12).data)
+        ref = loop_cost_volume(fl, fr, 12).data
+        np.testing.assert_array_equal(cv.values.data[:, :16], ref[:, :16])
+        np.testing.assert_array_equal(cv.values.data[:, 16:], ref[:, 16:])
 
     def test_gradient_reaches_both_feature_maps(self):
         rng = np.random.default_rng(12)
@@ -239,18 +247,18 @@ class TestCostVolumes:
     def test_negative_levels_rejected(self):
         f = Tensor(np.zeros((1, 1, 2, 4)))
         with pytest.raises(ShapeError):
-            concat_volume(f, f, 0)
+            build_cost_volume(f, f, 0)
 
     def test_level_zero_is_pixelwise(self):
         rng = np.random.default_rng(13)
         fl = rng.normal(size=(1, 2, 4, 5))
         fr = rng.normal(size=(1, 2, 4, 5))
-        base_c = concat_volume(Tensor(fl), Tensor(fr), 1).data
-        base_d = distance_volume(Tensor(fl), Tensor(fr), 1).data
+        base_c = concat_part(Tensor(fl), Tensor(fr), 1)
+        base_d = distance_part(Tensor(fl), Tensor(fr), 1)
         fl2 = fl.copy()
         fl2[0, 0, 2, 3] += 1.0
-        pert_c = concat_volume(Tensor(fl2), Tensor(fr), 1).data
-        pert_d = distance_volume(Tensor(fl2), Tensor(fr), 1).data
+        pert_c = concat_part(Tensor(fl2), Tensor(fr), 1)
+        pert_d = distance_part(Tensor(fl2), Tensor(fr), 1)
         diff_c = (pert_c != base_c).any(axis=(0, 1, 2))
         diff_d = (pert_d != base_d).any(axis=(0, 1, 2))
         assert diff_c[2, 3] and diff_c.sum() == 1
@@ -261,6 +269,58 @@ class TestCostVolumes:
         CostVolume(v, max_disparity=16, downsample=4)
         with pytest.raises(ShapeError):
             CostVolume(v, max_disparity=16, downsample=2)
+
+
+# (batch, channels, height, width), levels: batch 2, odd width, D > W, D = W
+LOOP_CASES = [((2, 3, 4, 7), 5), ((1, 2, 3, 5), 8), ((2, 2, 3, 6), 6),
+              ((1, 4, 2, 9), 3)]
+
+
+class TestCostVolumeAgainstLoop:
+    """build_cost_volume against the level-by-level tape-op construction."""
+
+    @pytest.mark.parametrize("shape, d_levels", LOOP_CASES)
+    def test_forward_equal(self, shape, d_levels):
+        rng = np.random.default_rng(20)
+        fl = Tensor(rng.normal(size=shape))
+        fr = Tensor(rng.normal(size=shape))
+        np.testing.assert_array_equal(build_cost_volume(fl, fr, d_levels).values.data,
+                                      loop_cost_volume(fl, fr, d_levels).data)
+
+    @pytest.mark.parametrize("shape, d_levels", LOOP_CASES)
+    def test_gradients_match(self, shape, d_levels):
+        # Only the summation order differs, so the gradients agree to 1e-12
+        # relative to their largest entry.
+        rng = np.random.default_rng(21)
+        fl0 = rng.normal(size=shape)
+        fr0 = rng.normal(size=shape)
+        cot = Tensor(rng.normal(size=(shape[0], 3 * shape[1], d_levels) + shape[2:]))
+        grads = []
+        for build in (lambda a, b: build_cost_volume(a, b, d_levels).values,
+                      lambda a, b: loop_cost_volume(a, b, d_levels)):
+            fl = Tensor(fl0, requires_grad=True)
+            fr = Tensor(fr0, requires_grad=True)
+            (build(fl, fr) * cot).sum().backward()
+            grads.append((fl.grad, fr.grad))
+        for got, want in zip(*grads):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_records_one_node_whatever_the_levels(self):
+        rng = np.random.default_rng(22)
+        fl = rand_tensor(rng, (1, 2, 3, 6))
+        fr = rand_tensor(rng, (1, 2, 3, 6))
+
+        counts = [sum(1 for t in _collect_tape(build_cost_volume(fl, fr, d).values)
+                      if t._parents)
+                  for d in (1, 3, 6, 9)]
+        assert len(set(counts)) == 1, counts
+
+    def test_right_features_without_gradient(self):
+        rng = np.random.default_rng(23)
+        fl = rand_tensor(rng, (1, 2, 3, 6))
+        fr = Tensor(rng.normal(size=(1, 2, 3, 6)))
+        (build_cost_volume(fl, fr, 4).values.sum()).backward()
+        assert fr.grad is None and fl.grad is not None
 
 
 class TestSoftArgmin:
@@ -341,23 +401,3 @@ class TestSharedConcat:
         bad = Tensor(np.zeros((1, 1, 2, 4)))
         with pytest.raises(ShapeError):
             shared_concat(f5, f1, bad, f1)
-
-
-class TestSequentialDepth:
-    def test_cascade_of_four(self):
-        assert sequential_depth(StructureGraph.cascade(4)) == 3
-
-    def test_parallel_arms_depth_one(self):
-        assert sequential_depth(StructureGraph.parallel(4, 1)) == 1
-
-    def test_single_node(self):
-        g = StructureGraph()
-        g.add_node("only")
-        assert sequential_depth(g) == 0
-
-    def test_cycle_detected(self):
-        g = StructureGraph()
-        g.add_edge("a", "b")
-        g.add_edge("b", "a")
-        with pytest.raises(stereo.CycleError):
-            sequential_depth(g)

@@ -1,0 +1,53 @@
+"""The per-layer tracer in perfbench/spans.py patches library attributes by
+name and binds some of their arguments by name; a rename in the library
+would break only traced benchmark runs, so one traced training step runs
+here."""
+
+import os
+import sys
+
+import numpy as np
+
+from edgedisp import network, trainer
+from edgedisp.losses import LossWeights
+from edgedisp.network import NetworkConfig
+from edgedisp.tensor import Tensor
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+import spans  # noqa: E402
+
+
+def test_traced_train_step_restores_every_patch():
+    cfg = NetworkConfig()
+    params = network.init_params(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    left = Tensor(rng.random((2, 3, 32, 32)))
+    right = Tensor(rng.random((2, 3, 32, 32)))
+    disp = rng.uniform(0.0, cfg.d_max - 1, size=(2, 32, 32))
+    valid = np.ones((2, 32, 32), dtype=bool)
+    edges = np.zeros((2, 32, 32))
+
+    tracer = spans.Tracer(run_id="test")
+    tracer.install()
+    patched = list(tracer._patched)
+    try:
+        tracer.mark_loop()
+        outputs = network.forward(left, right, params, cfg, "train")
+        loss = trainer.compute_losses(outputs, disp, valid, edges, LossWeights(), cfg)
+        loss["total"].backward()
+    finally:
+        tracer.uninstall()
+
+    assert patched
+    for owner, attr, orig in patched:
+        assert getattr(owner, attr) is orig, f"{owner.__name__}.{attr} not restored"
+    names = {s[1] for s in tracer.spans}
+    for span in ("ops.conv2d.bwd", "ops.conv3d_transposed.fwd", "network.agm2.bwd",
+                 "network.pre_stem.fwd", "stereo.build_cost_volume.bwd",
+                 "losses.compute.fwd", "tensor.backward"):
+        assert span in names
+    assert len(tracer.loop_samples["stereo.build_cost_volume.tape_nodes"]) == 1
+    metrics = tracer.metrics(units=1)
+    assert metrics["ops.conv.calls"][0] > 0
+    assert metrics["tensor.tape_nodes"][0] > 0
