@@ -90,6 +90,9 @@ def _build_train_config(args) -> TrainConfig:
     if args.config:
         with open(args.config) as f:
             overlay = json.load(f)
+    unknown = set(overlay) - _TRAIN_OVERLAY_KEYS - {"network", "loss_weights", "lr_schedule"}
+    if unknown:
+        raise ValueError(f"unknown keys in training config {args.config!r}: {sorted(unknown)}")
     net_kwargs = overlay.get("network", {})
     loss_kwargs = overlay.get("loss_weights", {})
     kwargs = {k: v for k, v in overlay.items() if k in _TRAIN_OVERLAY_KEYS}
@@ -130,8 +133,7 @@ def cmd_infer(args) -> int:
               file=sys.stderr)
         return 2
     h, w = left.shape
-    to3 = lambda img, mx: Tensor(np.broadcast_to(img / mx, (3, h, w)).copy())
-    sample = ddata.StereoSample(to3(left, lmax), to3(right, rmax),
+    sample = ddata.StereoSample(ddata.grey_to_rgb(left / lmax), ddata.grey_to_rgb(right / rmax),
                                 Tensor(np.zeros((h, w))),
                                 np.zeros((h, w), dtype=np.int64),
                                 np.zeros((h, w), dtype=np.int64),

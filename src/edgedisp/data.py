@@ -93,6 +93,11 @@ class StereoSample:
     valid: np.ndarray       # [H,W] {0,1}
 
 
+def grey_to_rgb(img: np.ndarray) -> Tensor:
+    """[3,H,W] image with the grey [H,W] ``img`` in every channel."""
+    return Tensor(np.broadcast_to(img, (3,) + img.shape).copy())
+
+
 def _surface_texture(rng: np.random.Generator, h: int, w: int) -> np.ndarray:
     """Band-limited random texture quantized to 16-bit levels.
 
@@ -164,8 +169,7 @@ def synth_stereogram(seed: int, cfg: Dict[str, int]) -> StereoSample:
     valid = (in_frame & matches).astype(np.uint8)
 
     semantic = (instance > 0).astype(np.int64)
-    to3 = lambda img: Tensor(np.broadcast_to(img, (3, h, w)).copy())
-    return StereoSample(to3(left), to3(right), Tensor(disparity),
+    return StereoSample(grey_to_rgb(left), grey_to_rgb(right), Tensor(disparity),
                         instance, semantic, valid)
 
 
@@ -253,6 +257,8 @@ def read_pgm(path: str) -> Tuple[np.ndarray, int]:
     if not m:
         raise FormatError("malformed PGM header", 2)
     w, h, maxval = int(m.group(1)), int(m.group(2)), int(m.group(3))
+    if not 1 <= maxval <= 65535:
+        raise FormatError(f"PGM maxval {maxval} outside [1, 65535]", m.start(3))
     pos = m.end()
     dtype = ">u2" if maxval > 255 else "u1"
     expected = w * h * (2 if maxval > 255 else 1)
@@ -302,9 +308,7 @@ def load_sample(directory: str, index: int) -> StereoSample:
     inst, _ = read_pgm(stem + "inst.pgm")
     sem, _ = read_pgm(stem + "sem.pgm")
     valid, _ = read_pgm(stem + "valid.pgm")
-    h, w = left.shape
-    to3 = lambda img, mx: Tensor(np.broadcast_to(img / mx, (3, h, w)).copy())
-    return StereoSample(to3(left, lmax), to3(right, rmax), Tensor(disp),
+    return StereoSample(grey_to_rgb(left / lmax), grey_to_rgb(right / rmax), Tensor(disp),
                         inst, sem, valid.astype(np.uint8))
 
 

@@ -2,13 +2,32 @@
 
 Convolutions are cross-correlations (deep-learning convention) with
 zero-fill padding. Forward passes gather with strided views and contract
-with einsum; input gradients go through the standard zero-stuffed
-transposed formulation, so nothing here relies on slow scatter loops.
+with einsum. No convolution pass multiplies a kernel tap that reads only
+padding, or a zero stuffed between cotangent entries.
+
+Tap cropping: on each spatial axis, the taps whose window reaches at least
+one input position lie in ``[lo, hi)``, from the first such tap to the
+last. The forward pass and the weight gradient slice the weight to that
+range and read the input window that starts at ``lo*dilation - pad``
+(per-side padding, negative where it crops). A dropped tap reads only zero
+padding, so its products are exact zeros and its weight gradient is
+exactly zero; leaving them out removes only zero terms from each sum, and
+changes only the order BLAS adds the rest in.
+
+Per-tap adjoint: the input gradient (which is also the transposed
+convolution) runs one GEMM ``[Cin*K, Cout] x [Cout, N]`` per sample over
+the kept taps, then adds each tap's slice, in a fixed tap order, into the
+input positions ``o*stride + tap*dilation - pad`` that lie inside the
+input. That is the definition of the adjoint term by term; nothing is
+zero-stuffed, flipped or margin-padded, and a tap whose target range is
+empty is skipped.
 
 Each op computes its result eagerly and returns
 ``tensor.make_op(result, parents, backward)``; the ``backward`` closure
 maps the output cotangent to ``accumulate_grad`` calls on the parents
 that ``needs_grad``, and is kept only when some parent needs gradients.
+Closures keep the op's inputs, never padded or cropped copies, which
+backward rebuilds.
 
 The forward and input-gradient contractions run one sample at a time.
 Folding the batch into one BLAS GEMM lets a sample's rows fall on
@@ -67,10 +86,52 @@ def conv_out_extent(n: int, k: int, stride: int, dilation: int, pad: int) -> int
 # -- strided-view machinery ---------------------------------------------------
 
 
-def _pad_spatial(x: np.ndarray, pad: Sequence[int]) -> np.ndarray:
-    if all(p == 0 for p in pad):
-        return x
-    return np.pad(x, ((0, 0), (0, 0)) + tuple((p, p) for p in pad))
+def _tap_slices(n: int, m: int, stride: int, dilation: int, pad: int, tap: int):
+    """Where a tap lands: the input positions ``o*stride + tap*dilation - pad``
+    that lie in [0, n), and the outputs o < m that read them, as a pair of
+    slices; ``None`` when the tap reads only padding."""
+    off = tap * dilation - pad
+    a, b = max(0, -(off // stride)), min(m, (n - 1 - off) // stride + 1)
+    if a >= b:
+        return None
+    first = a * stride + off
+    return slice(first, first + (b - a - 1) * stride + 1, stride), slice(a, b)
+
+
+def _crop_taps(in_spatial, out_spatial, kernel, stride, dilation, pad):
+    """Tap ranges that touch real input, and the input window they read.
+
+    On each axis the taps whose window reaches at least one input position
+    span ``[lo, hi)``; every other tap reads only zero padding. Returns the
+    tap slices and, per axis, the window start ``lo*dilation - pad`` (below
+    zero: padding, above: a crop) and extent, or ``None`` when some axis has
+    no such tap, so that the convolution is identically zero.
+    """
+    taps, start, extent = [], [], []
+    for n, m, k, s, d, p in zip(in_spatial, out_spatial, kernel, stride, dilation, pad):
+        useful = [t for t in range(k) if _tap_slices(n, m, s, d, p, t)]
+        if not useful:
+            return None
+        lo, hi = useful[0], useful[-1] + 1
+        taps.append(slice(lo, hi))
+        start.append(lo * d - p)
+        extent.append((m - 1) * s + (hi - 1 - lo) * d + 1)
+    return tuple(taps), start, extent
+
+
+def _window(x: np.ndarray, start: Sequence[int], extent: Sequence[int]) -> np.ndarray:
+    """``x[:, :, start:start + extent]`` on each spatial axis, zero outside x.
+
+    A view when the window lies inside x; otherwise a zero-filled copy.
+    """
+    sp = x.shape[2:]
+    src = tuple(slice(max(a, 0), min(a + e, n)) for a, e, n in zip(start, extent, sp))
+    if all(a >= 0 and a + e <= n for a, e, n in zip(start, extent, sp)):
+        return x[(slice(None), slice(None)) + src]
+    out = np.zeros(x.shape[:2] + tuple(extent))
+    dst = tuple(slice(s.start - a, s.stop - a) for s, a in zip(src, start))
+    out[(slice(None), slice(None)) + dst] = x[(slice(None), slice(None)) + src]
+    return out
 
 
 def _sliding_view(xp: np.ndarray, kernel: Sequence[int], stride: Sequence[int],
@@ -88,9 +149,15 @@ def _sliding_view(xp: np.ndarray, kernel: Sequence[int], stride: Sequence[int],
     return np.lib.stride_tricks.as_strided(xp, shape, strides), out
 
 
+def _cropped_view(x: np.ndarray, crop, stride, dilation) -> np.ndarray:
+    """[B, C, *kept taps, *out] view over the window the kept taps read."""
+    taps, start, extent = crop
+    kept = tuple(t.stop - t.start for t in taps)
+    return _sliding_view(_window(x, start, extent), kept, stride, dilation)[0]
+
+
 _FWD_EINSUM = {2: "cijhw,ocij->ohw", 3: "cijkdhw,ocijk->odhw"}
 _WGT_EINSUM = {2: "bcijhw,bohw->ocij", 3: "bcijkdhw,bodhw->ocijk"}
-_INP_EINSUM = {2: "oijhw,ocij->chw", 3: "oijkdhw,ocijk->cdhw"}
 
 
 def _per_sample(subscripts: str, view: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -100,42 +167,61 @@ def _per_sample(subscripts: str, view: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _corr_forward(x: np.ndarray, w: np.ndarray, stride, dilation, pad) -> np.ndarray:
     nd = w.ndim - 2
-    view, _ = _sliding_view(_pad_spatial(x, pad), w.shape[2:], stride, dilation)
-    return _per_sample(_FWD_EINSUM[nd], view, w)
+    kernel = w.shape[2:]
+    out = tuple(conv_out_extent(x.shape[2 + i], kernel[i], stride[i], dilation[i], pad[i])
+                for i in range(nd))
+    crop = _crop_taps(x.shape[2:], out, kernel, stride, dilation, pad)
+    if crop is None:
+        return np.zeros((x.shape[0], w.shape[0]) + out)
+    view = _cropped_view(x, crop, stride, dilation)
+    return _per_sample(_FWD_EINSUM[nd], view, w[(slice(None), slice(None)) + crop[0]])
 
 
 def _corr_weight_grad(x: np.ndarray, gy: np.ndarray, kernel, stride, dilation, pad) -> np.ndarray:
     nd = len(kernel)
-    view, _ = _sliding_view(_pad_spatial(x, pad), kernel, stride, dilation)
+    crop = _crop_taps(x.shape[2:], gy.shape[2:], kernel, stride, dilation, pad)
+    gw = np.zeros((gy.shape[1], x.shape[1]) + tuple(kernel))
+    if crop is None:
+        return gw
+    view = _cropped_view(x, crop, stride, dilation)
     # A sum over the batch by definition, so it stays one batched contraction.
-    return np.einsum(_WGT_EINSUM[nd], view, gy, optimize=True)
+    g = np.einsum(_WGT_EINSUM[nd], view, gy, optimize=True)
+    if g.shape == gw.shape:
+        return g
+    gw[(slice(None), slice(None)) + crop[0]] = g
+    return gw
 
 
 def _corr_input_grad(gy: np.ndarray, w: np.ndarray, stride, dilation, pad,
                      in_spatial) -> np.ndarray:
-    """Adjoint of _corr_forward w.r.t. the input (= transposed convolution)."""
-    nd = w.ndim - 2
-    B = gy.shape[0]
-    cout = w.shape[1]
-    kernel = w.shape[2:]
-    # zero-stuff the cotangent by the forward stride
-    up = tuple((gy.shape[2 + i] - 1) * stride[i] + 1 for i in range(nd))
-    gyu = np.zeros(gy.shape[:2] + up)
-    gyu[(slice(None), slice(None))
-        + tuple(slice(None, None, stride[i]) for i in range(nd))] = gy
-    margins = tuple(dilation[i] * (kernel[i] - 1) for i in range(nd))
-    gyp = _pad_spatial(gyu, margins)
-    w_flip = w[(slice(None), slice(None)) + (slice(None, None, -1),) * nd]
-    view, _ = _sliding_view(gyp, kernel, (1,) * nd, dilation)
-    full = _per_sample(_INP_EINSUM[nd], view, w_flip)
-    # full[q] covers padded-input coordinate q; shift by pad and clip to the
-    # requested extent (the forward floor may have ignored trailing columns).
-    gx = np.zeros((B, cout) + tuple(in_spatial))
-    copy = tuple(min(in_spatial[i], full.shape[2 + i] - pad[i]) for i in range(nd))
-    dst = (slice(None), slice(None)) + tuple(slice(0, c) for c in copy)
-    src = (slice(None), slice(None)) + tuple(
-        slice(pad[i], pad[i] + copy[i]) for i in range(nd))
-    gx[dst] = full[src]
+    """Adjoint of _corr_forward w.r.t. the input (= transposed convolution).
+
+    Per sample, one GEMM ``[Cin*K, Cout] x [Cout, N]`` gives every kept
+    tap's contribution at every output position; each tap then adds, in a
+    fixed order, its slice into the input positions ``o*stride +
+    tap*dilation - pad`` that lie inside the input.
+    """
+    B, cout = gy.shape[:2]
+    out = gy.shape[2:]
+    gx = np.zeros((B, w.shape[1]) + tuple(in_spatial))
+    crop = _crop_taps(in_spatial, out, w.shape[2:], stride, dilation, pad)
+    if crop is None:
+        return gx
+    wk = w[(slice(None), slice(None)) + crop[0]]
+    kept = wk.shape[2:]
+    wt = wk.reshape(cout, -1).T
+    lands = [[_tap_slices(n, m, s, d, p, t) for t in range(taps.start, taps.stop)]
+             for n, m, taps, s, d, p in zip(in_spatial, out, crop[0], stride, dilation, pad)]
+    scatter = []
+    for tap in np.ndindex(*kept):
+        pick = [lands[i][t] for i, t in enumerate(tap)]
+        if None not in pick:
+            scatter.append((tuple(dst for dst, _ in pick),
+                            (slice(None),) + tap + tuple(src for _, src in pick)))
+    for g, gxb in zip(gy, gx):
+        cols = (wt @ g.reshape(cout, -1)).reshape((w.shape[1],) + kept + tuple(out))
+        for dst, src in scatter:
+            gxb[(slice(None),) + dst] += cols[src]
     return gx
 
 
@@ -210,6 +296,11 @@ def conv3d_transposed(x: Tensor, w: Tensor, spec: ConvSpec = ConvSpec(),
     for i, n in enumerate(output_size):
         if n < 1:
             raise ShapeError(f"output extent {n} < 1 on spatial axis {i}")
+        back = (n + 2 * pad[i] - dilation[i] * (kernel[i] - 1) - 1) // stride[i] + 1
+        if back != x.shape[2 + i]:
+            raise ShapeError(
+                f"output extent {n} on spatial axis {i} convolves back to {back}, "
+                f"not to the input extent {x.shape[2 + i]}")
     y = _corr_input_grad(x.data, w.data, stride, dilation, pad, output_size)
 
     def bwd(g):

@@ -94,7 +94,10 @@ def _config_entries(cfg: NetworkConfig) -> Dict[str, np.ndarray]:
 def _config_from_entries(entries: Dict[str, np.ndarray]) -> NetworkConfig:
     kwargs = {}
     for f in dataclasses.fields(NetworkConfig):
-        arr = entries[f"__cfg__.{f.name}"]
+        key = f"__cfg__.{f.name}"
+        if key not in entries:
+            raise CheckpointError(f"checkpoint has no config entry {key!r}")
+        arr = entries[key]
         if f.type.startswith("Tuple") or isinstance(getattr(NetworkConfig, f.name, None), tuple):
             kwargs[f.name] = tuple(int(x) for x in np.atleast_1d(arr))
         elif f.type == "bool":
@@ -134,6 +137,25 @@ def _read_exact(raw: bytes, pos: int, n: int, what: str) -> Tuple[bytes, int]:
 
 
 def load_checkpoint(path: str) -> Tuple[ModelParams, Optional[OptimizerState], NetworkConfig]:
+    """Read a checkpoint and check its tensors against ``init_params`` of its config."""
+    params, state, cfg = _read_checkpoint(path)
+    expected = network.init_params(cfg, seed=0).tensors
+    missing = set(expected) - set(params.tensors)
+    extra = set(params.tensors) - set(expected)
+    if missing or extra:
+        raise CheckpointError(
+            f"checkpoint does not match its config: missing {sorted(missing)[:3]}, "
+            f"unexpected {sorted(extra)[:3]}")
+    for name, t in expected.items():
+        if params[name].shape != t.shape:
+            raise CheckpointError(
+                f"checkpoint does not match its config: {name!r} has shape "
+                f"{params[name].shape}, expected {t.shape}")
+    return params, state, cfg
+
+
+def _read_checkpoint(path: str) -> Tuple[ModelParams, Optional[OptimizerState], NetworkConfig]:
+    """Parse a checkpoint file; ``load_checkpoint`` also checks it against its config."""
     with open(path, "rb") as f:
         raw = f.read()
     chunk, pos = _read_exact(raw, 0, 4, "magic")
@@ -380,15 +402,7 @@ def evaluate_params(params: ModelParams, cfg: NetworkConfig,
 
 def evaluate(checkpoint_path: str, dataset_dir: str) -> Dict[str, float]:
     params, _state, cfg = load_checkpoint(checkpoint_path)
-    samples = _load_dataset(dataset_dir)
-    expected = network.init_params(cfg, seed=0)
-    missing = set(expected.tensors) - set(params.tensors)
-    extra = set(params.tensors) - set(expected.tensors)
-    if missing or extra:
-        raise CheckpointError(
-            f"checkpoint does not match its config: missing {sorted(missing)[:3]}, "
-            f"unexpected {sorted(extra)[:3]}")
-    return evaluate_params(params, cfg, samples)
+    return evaluate_params(params, cfg, _load_dataset(dataset_dir))
 
 
 def zero_disparity_baseline(samples: Sequence[ddata.StereoSample]) -> float:

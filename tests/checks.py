@@ -89,3 +89,54 @@ def loop_cost_volume(f_left, f_right, d_levels):
         concat.append(ops.concat([f_left, fr], axis=1).reshape(b, 2 * c, 1, h, w))
         dist.append((f_left - fr).abs().reshape(b, c, 1, h, w))
     return ops.concat([ops.concat(concat, axis=2), ops.concat(dist, axis=2)], axis=1)
+
+
+# -- convolution kernels before tap cropping and the per-tap adjoint ----------
+
+
+def _padded_windows(x, kernel, stride, dilation, pad):
+    """[B, C, *kernel, *out] view over ``x`` zero-padded by ``pad`` per side."""
+    nd = len(kernel)
+    xp = np.pad(x, ((0, 0), (0, 0)) + tuple((p, p) for p in pad))
+    sp = xp.shape[2:]
+    out = tuple((sp[i] - dilation[i] * (kernel[i] - 1) - 1) // stride[i] + 1
+                for i in range(nd))
+    st = xp.strides
+    strides = (st[:2] + tuple(st[2 + i] * dilation[i] for i in range(nd))
+               + tuple(st[2 + i] * stride[i] for i in range(nd)))
+    return np.lib.stride_tricks.as_strided(xp, xp.shape[:2] + tuple(kernel) + out, strides)
+
+
+_FWD = {2: "bcijhw,ocij->bohw", 3: "bcijkdhw,ocijk->bodhw"}
+_WGT = {2: "bcijhw,bohw->ocij", 3: "bcijkdhw,bodhw->ocijk"}
+_INP = {2: "boijhw,ocij->bchw", 3: "boijkdhw,ocijk->bcdhw"}
+
+
+def padded_corr_forward(x, w, stride, dilation, pad):
+    """Cross-correlation that pads the input and reads every tap."""
+    return np.einsum(_FWD[w.ndim - 2], _padded_windows(x, w.shape[2:], stride, dilation, pad), w)
+
+
+def padded_corr_weight_grad(x, gy, kernel, stride, dilation, pad):
+    """Weight gradient of ``padded_corr_forward``, every tap included."""
+    return np.einsum(_WGT[len(kernel)], _padded_windows(x, kernel, stride, dilation, pad), gy)
+
+
+def stuffed_corr_input_grad(gy, w, stride, dilation, pad, in_spatial):
+    """Input gradient of ``padded_corr_forward`` as a correlation of the
+    zero-stuffed, margin-padded cotangent with the flipped kernel."""
+    nd = w.ndim - 2
+    kernel = w.shape[2:]
+    up = tuple((gy.shape[2 + i] - 1) * stride[i] + 1 for i in range(nd))
+    gyu = np.zeros(gy.shape[:2] + up)
+    gyu[(slice(None), slice(None)) + tuple(slice(None, None, s) for s in stride)] = gy
+    margins = tuple(dilation[i] * (kernel[i] - 1) for i in range(nd))
+    view = _padded_windows(gyu, kernel, (1,) * nd, dilation, margins)
+    full = np.einsum(_INP[nd], view, w[(slice(None), slice(None)) + (slice(None, None, -1),) * nd])
+    # full[q] covers padded-input coordinate q; shift by pad and clip to the
+    # requested extent (the forward floor may have ignored trailing columns).
+    gx = np.zeros(gy.shape[:1] + w.shape[1:2] + tuple(in_spatial))
+    copy = tuple(min(in_spatial[i], full.shape[2 + i] - pad[i]) for i in range(nd))
+    gx[(slice(None), slice(None)) + tuple(slice(0, c) for c in copy)] = full[
+        (slice(None), slice(None)) + tuple(slice(pad[i], pad[i] + copy[i]) for i in range(nd))]
+    return gx

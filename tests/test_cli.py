@@ -6,6 +6,8 @@ import pytest
 
 from edgedisp import data as ddata
 from edgedisp.cli import colorize, main
+from edgedisp.network import NetworkConfig, init_params
+from edgedisp.trainer import save_checkpoint
 
 TINY_NET = {"base_channels": 4, "d_max": 8, "groups": 2, "k_top": 2,
             "n_agm": 3, "dilation_rates": [1, 2]}
@@ -182,6 +184,30 @@ class TestPipeline:
             assert code == 0
             outs.append(open(disp_path, "rb").read())
         assert outs[0] == outs[1]
+
+    def test_unknown_overlay_key_rejected(self, tmp_path, capsys):
+        data_dir = str(tmp_path / "d")
+        cfg_path = str(tmp_path / "cfg.json")
+        with open(cfg_path, "w") as f:
+            json.dump({"network": TINY_NET, "stepz": 3}, f)
+        code, stdout, stderr = run(capsys, "train", "--config", cfg_path,
+                                   "--data", data_dir, "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert "stepz" in stderr and stdout == ""
+
+    def test_infer_checkpoint_missing_tensor(self, tmp_path, capsys):
+        net = NetworkConfig(**{**TINY_NET, "dilation_rates": tuple(TINY_NET["dilation_rates"])})
+        params = init_params(net, seed=0)
+        del params.tensors["disp.out0.b.b"]
+        ckpt = str(tmp_path / "m.ckpt")
+        save_checkpoint(params, None, ckpt, net)
+        img = str(tmp_path / "img.pgm")
+        ddata.write_pgm(img, np.zeros((32, 32), dtype=np.int64))
+        code, stdout, stderr = run(capsys, "infer", "--ckpt", ckpt, "--left", img,
+                                   "--right", img, "--out-disp", str(tmp_path / "d.pfm"),
+                                   "--out-vis", str(tmp_path / "d.ppm"))
+        assert code == 2
+        assert "disp.out0.b.b" in stderr and stdout == ""
 
     def test_eval_missing_checkpoint(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "eval", "--ckpt", "/nonexistent.ckpt",

@@ -217,6 +217,13 @@ class TestPgm:
         with pytest.raises(FormatError, match="magic"):
             read_pgm(str(path))
 
+    @pytest.mark.parametrize("maxval", [0, 65536, 99999])
+    def test_bad_maxval(self, tmp_path, maxval):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(f"P5\n2 2\n{maxval}\n".encode() + bytes(8))
+        with pytest.raises(FormatError, match="maxval"):
+            read_pgm(str(path))
+
 
 class TestDatasetLayout:
     def test_save_load_roundtrip(self, tmp_path):

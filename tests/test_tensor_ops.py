@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from checks import fd_check, naive_conv, rand_tensor
+from checks import (fd_check, naive_conv, padded_corr_forward, padded_corr_weight_grad,
+                    rand_tensor, stuffed_corr_input_grad)
 from edgedisp import ops
 from edgedisp.ops import ConvSpec, ShapeError
 from edgedisp.tensor import Tensor
@@ -102,11 +103,137 @@ class TestConv3dTransposed:
         rhs = float((u * back).sum())
         assert abs(lhs - rhs) < 1e-10
 
+    @pytest.mark.parametrize("output_size", [(2, 3, 3), (3, 4, 5), (6, 6, 6)])
+    def test_output_size_must_convolve_back_to_input(self, output_size):
+        # stride 2, pad 1, k 3 over extent 2: only 3 and 4 map back to 2
+        x = Tensor(np.ones((1, 1, 2, 2, 2)), requires_grad=True)
+        w = Tensor(np.ones((1, 1, 3, 3, 3)))
+        with pytest.raises(ShapeError, match="convolves back"):
+            ops.conv3d_transposed(x, w, spec=ConvSpec(stride=2, padding=1),
+                                  output_size=output_size)
+
     def test_zero_input_gives_zero(self):
         x = Tensor(np.zeros((1, 2, 2, 2, 2)))
         w = Tensor(np.ones((2, 3, 3, 3, 3)))
         y = ops.conv3d_transposed(x, w, spec=ConvSpec(stride=2, padding=1))
         assert np.all(y.data == 0.0)
+
+
+def _conv_with_grads(name, x, w, b, spec, output_size, rng):
+    """A random cotangent g, then the op's output and its input, weight and
+    bias gradients for g."""
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    if name == "conv3d_transposed":
+        bt = None
+        y = ops.conv3d_transposed(xt, wt, spec=spec, output_size=output_size)
+    else:
+        bt = Tensor(b, requires_grad=True)
+        y = getattr(ops, name)(xt, wt, bt, spec=spec)
+    g = rng.normal(size=y.shape)
+    (y * Tensor(g)).sum().backward()
+    return g, (y.data, xt.grad, wt.grad, None if bt is None else bt.grad)
+
+
+def _reference_with_grads(name, x, w, b, spec, output_size, g):
+    """The same four arrays from the uncropped, zero-stuffed kernels."""
+    nd = w.ndim - 2
+    s, d, p = spec.resolved(nd)
+    if name == "conv3d_transposed":
+        return (stuffed_corr_input_grad(x, w, s, d, p, output_size),
+                padded_corr_forward(g, w, s, d, p),
+                padded_corr_weight_grad(g, x, w.shape[2:], s, d, p), None)
+    y = padded_corr_forward(x, w, s, d, p) + b.reshape((1, -1) + (1,) * nd)
+    return (y, stuffed_corr_input_grad(g, w, s, d, p, x.shape[2:]),
+            padded_corr_weight_grad(x, g, w.shape[2:], s, d, p),
+            g.sum(axis=(0,) + tuple(range(2, 2 + nd))))
+
+
+class TestConvAgainstReference:
+    """Tap cropping and the per-tap adjoint against the kernels that pad the
+    input, read every tap and zero-stuff the cotangent."""
+
+    @pytest.mark.parametrize("name, x_shape, w_shape, spec, output_size", [
+        # 1x4x4 bottleneck at dilation 16: only the centre tap reads data
+        ("conv3d", (2, 3, 1, 4, 4), (4, 3, 3, 3, 3), ConvSpec(dilation=16, padding=16), None),
+        ("conv2d", (2, 3, 4, 4), (5, 3, 3, 3), ConvSpec(dilation=4, padding=4), None),
+        # stride 2 where the forward floor drops trailing columns
+        ("conv2d", (2, 3, 7, 8), (5, 3, 3, 3), ConvSpec(stride=2, padding=(1, 0)), None),
+        ("conv3d", (2, 2, 5, 6, 7), (3, 2, 3, 3, 3), ConvSpec(stride=2), None),
+        # mixed per-axis stride, dilation and padding
+        ("conv3d", (2, 3, 3, 6, 5), (4, 3, 2, 3, 3),
+         ConvSpec(stride=(1, 2, 3), dilation=(2, 1, 3), padding=(3, 1, 4)), None),
+        # transposed conv with output_size above the minimal extent (3, 5, 5)
+        ("conv3d_transposed", (2, 3, 2, 3, 3), (3, 4, 3, 3, 3),
+         ConvSpec(stride=2, padding=1), (4, 6, 6)),
+        ("conv3d_transposed", (2, 3, 1, 2, 2), (3, 4, 3, 3, 3),
+         ConvSpec(dilation=4, padding=4), None),
+    ])
+    def test_matches_reference(self, name, x_shape, w_shape, spec, output_size):
+        rng = np.random.default_rng(11)
+        x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
+        b = rng.normal(size=w_shape[0])
+        if name == "conv3d_transposed" and output_size is None:
+            s, d, p = spec.resolved(3)
+            output_size = tuple(s[i] * (x_shape[2 + i] - 1) + d[i] * (w_shape[2 + i] - 1)
+                                + 1 - 2 * p[i] for i in range(3))
+        g, got = _conv_with_grads(name, x, w, b, spec, output_size, rng)
+        want = _reference_with_grads(name, x, w, b, spec, output_size, g)
+        for what, a, r in zip(("forward", "input grad", "weight grad", "bias grad"), got, want):
+            if r is None:
+                continue
+            assert a.shape == r.shape, what
+            assert np.abs(a - r).max() <= 1e-12 * np.abs(r).max(), what
+
+    @pytest.mark.parametrize("name, x_shape, w_shape, spec", [
+        # stride 2 from -1 reads -1 and 1 of a 1-wide axis: padding only
+        ("conv2d", (2, 3, 1, 1), (4, 3, 1, 1), ConvSpec(stride=2, padding=1)),
+        ("conv3d", (2, 2, 3, 1, 3), (3, 2, 3, 1, 3), ConvSpec(stride=(1, 2, 1), padding=1)),
+    ])
+    def test_padding_only_conv_is_its_bias(self, name, x_shape, w_shape, spec):
+        rng = np.random.default_rng(12)
+        x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
+        b = rng.normal(size=w_shape[0])
+        nd = len(x_shape) - 2
+        g, (y, gx, gw, gb) = _conv_with_grads(name, x, w, b, spec, None, rng)
+        assert np.array_equal(y, np.broadcast_to(b.reshape((1, -1) + (1,) * nd), y.shape))
+        assert np.all(gx == 0.0) and np.all(gw == 0.0)
+        np.testing.assert_array_equal(gb, g.sum(axis=(0,) + tuple(range(2, 2 + nd))))
+        want = _reference_with_grads(name, x, w, b, spec, None, g)
+        assert np.abs(y - want[0]).max() <= 1e-12 * np.abs(want[0]).max()
+        assert np.all(want[1] == 0.0) and np.all(want[2] == 0.0)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 3),
+           st.lists(st.integers(1, 3), min_size=3, max_size=3),
+           st.lists(st.integers(1, 5), min_size=3, max_size=3),
+           st.lists(st.integers(0, 6), min_size=3, max_size=3),
+           st.lists(st.integers(1, 7), min_size=3, max_size=3),
+           st.lists(st.integers(1, 3), min_size=3, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_adjoint_dot_product(self, seed, nd, stride, dilation, padding, extent, kernel):
+        """<conv(x), g> == <x, adjoint(g)>, the adjoint being the input
+        gradient (2-D) or conv3d_transposed (3-D)."""
+        stride, dilation, padding = stride[:nd], dilation[:nd], padding[:nd]
+        extent, kernel = extent[:nd], kernel[:nd]
+        assume(all(n + 2 * p - d * (k - 1) - 1 >= 0 for n, k, d, p
+                   in zip(extent, kernel, dilation, padding)))
+        rng = np.random.default_rng(seed)
+        spec = ConvSpec(stride=tuple(stride), dilation=tuple(dilation), padding=tuple(padding))
+        x = rng.normal(size=(2, 2) + tuple(extent))
+        w = rng.normal(size=(3, 2) + tuple(kernel))
+        if nd == 3:
+            y = ops.conv3d(Tensor(x), Tensor(w), spec=spec).data
+            g = rng.normal(size=y.shape)
+            adj = ops.conv3d_transposed(Tensor(g), Tensor(w), spec=spec,
+                                        output_size=tuple(extent)).data
+        else:
+            xt = Tensor(x, requires_grad=True)
+            y = ops.conv2d(xt, Tensor(w), spec=spec).data
+            g = rng.normal(size=y.shape)
+            (ops.conv2d(xt, Tensor(w), spec=spec) * Tensor(g)).sum().backward()
+            adj = xt.grad
+        assert adj.shape == x.shape
+        scale = np.abs(y * g).sum() + np.abs(x * adj).sum()
+        assert abs(float((y * g).sum()) - float((x * adj).sum())) <= 1e-12 * max(scale, 1e-300)
 
 
 class TestSoftmax:

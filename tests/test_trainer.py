@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from edgedisp.losses import LossWeights
 from edgedisp.network import NetworkConfig, init_params
 from edgedisp.tensor import Tensor
 from edgedisp.trainer import (CHECKPOINT_MAGIC, CheckpointError, OptimizerState,
-                              TrainConfig, adam_step, evaluate, evaluate_params,
+                              TrainConfig, _read_checkpoint, adam_step, evaluate, evaluate_params,
                               load_checkpoint, predict, save_checkpoint, train,
                               zero_disparity_baseline)
 
@@ -142,11 +143,38 @@ class TestCheckpoint:
             params.add(f"shared.t{i:04d}", Tensor(arr, requires_grad=True))
         path = str(tmp_path / "big.ckpt")
         save_checkpoint(params, None, path, TINY_NET)
-        p2, _, _ = load_checkpoint(path)
+        # the tensors are not those of TINY_NET, so only the reader accepts them
+        p2, _, _ = _read_checkpoint(path)
         assert len(p2.partition("shared")) == 1000
         for n, t in params.tensors.items():
             np.testing.assert_array_equal(p2[n].data, t.data)
             assert p2[n].shape == t.shape
+
+    def test_load_rejects_missing_extra_and_misshapen_tensors(self, tmp_path):
+        path = str(tmp_path / "bad.ckpt")
+        for name, arr, what in (("shared.conv0.w", None, "missing ['shared.conv0.w']"),
+                                ("shared.orphan.w", np.zeros(3),
+                                 "unexpected ['shared.orphan.w']"),
+                                ("shared.conv0.w", np.zeros((1, 3, 3, 3)),
+                                 "'shared.conv0.w' has shape (1, 3, 3, 3)")):
+            params = init_params(TINY_NET, seed=0)
+            if arr is None:
+                del params.tensors[name]
+            else:
+                params.tensors[name] = Tensor(arr, requires_grad=True)
+            save_checkpoint(params, None, path, TINY_NET)
+            with pytest.raises(CheckpointError, match="does not match.*" + re.escape(what)):
+                load_checkpoint(path)
+
+    def test_missing_config_entry_rejected(self, tmp_path, monkeypatch):
+        import edgedisp.trainer as trainer
+        entries = trainer._config_entries
+        monkeypatch.setattr(trainer, "_config_entries", lambda cfg: {
+            k: v for k, v in entries(cfg).items() if k != "__cfg__.groups"})
+        path = str(tmp_path / "nocfg.ckpt")
+        save_checkpoint(init_params(TINY_NET, seed=0), None, path, TINY_NET)
+        with pytest.raises(CheckpointError, match="__cfg__.groups"):
+            load_checkpoint(path)
 
 
 class TestTraining:
