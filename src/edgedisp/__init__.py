@@ -1,12 +1,12 @@
 """Edge-aware stereo disparity estimation on a from-scratch autodiff engine."""
 
-from .tensor import Tensor, set_debug_checks
+from .tensor import Tensor
 from .ops import ConvSpec, ShapeError
 from .network import ModelParams, NetworkConfig
 from .losses import LossWeights
 
 __all__ = [
-    "Tensor", "set_debug_checks", "ConvSpec", "ShapeError",
+    "Tensor", "ConvSpec", "ShapeError",
     "ModelParams", "NetworkConfig", "LossWeights",
 ]
 

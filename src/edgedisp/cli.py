@@ -8,6 +8,7 @@ precedence is defaults < --config JSON file < explicit flags.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Dict, Optional
@@ -95,6 +96,12 @@ def _build_train_config(args) -> TrainConfig:
         raise ValueError(f"unknown keys in training config {args.config!r}: {sorted(unknown)}")
     net_kwargs = overlay.get("network", {})
     loss_kwargs = overlay.get("loss_weights", {})
+    for key, kw, cls in (("network", net_kwargs, NetworkConfig),
+                         ("loss_weights", loss_kwargs, LossWeights)):
+        unknown = set(kw) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ValueError(
+                f"unknown {key} keys in training config {args.config!r}: {sorted(unknown)}")
     kwargs = {k: v for k, v in overlay.items() if k in _TRAIN_OVERLAY_KEYS}
     if "lr_schedule" in overlay:
         kwargs["lr_schedule"] = tuple((int(s), float(l)) for s, l in overlay["lr_schedule"])

@@ -22,12 +22,15 @@ from .tensor import Tensor
 
 PARTITIONS = ("shared", "edge", "disp")
 
+# The extractor's two stride-2 stages: features and the cost volume are at
+# 1/4 of the image resolution, and one disparity level spans 4 pixels.
+DOWNSAMPLE = 4
+
 
 @dataclass
 class NetworkConfig:
     base_channels: int = 8
     d_max: int = 16
-    downsample: int = 4
     groups: int = 4
     dilation_rates: Tuple[int, ...] = (1, 4, 8, 16)
     k_top: int = 4
@@ -35,14 +38,11 @@ class NetworkConfig:
     use_edge_branch: bool = True
     use_dedge_spp: bool = True
     norm_enabled: bool = True
-    pointwise_bias: bool = False  # bias on granular pointwise kernels
 
     def __post_init__(self):
         self.dilation_rates = tuple(self.dilation_rates)
-        if self.d_max % self.downsample != 0:
-            raise ValueError(f"d_max {self.d_max} not divisible by downsample {self.downsample}")
-        if self.downsample != 4:
-            raise ValueError("the extractor downsamples by exactly 4 (two stride-2 stages)")
+        if self.d_max % DOWNSAMPLE != 0:
+            raise ValueError(f"d_max {self.d_max} not divisible by downsample {DOWNSAMPLE}")
         if self.base_channels % self.groups != 0:
             raise ValueError(
                 f"base_channels {self.base_channels} not divisible by groups {self.groups}")
@@ -55,7 +55,7 @@ class NetworkConfig:
 
     @property
     def d_levels(self) -> int:
-        return self.d_max // self.downsample
+        return self.d_max // DOWNSAMPLE
 
     @property
     def fusion_channels(self) -> int:
@@ -121,13 +121,10 @@ def _add_conv(p: ModelParams, rng, name: str, cin: int, cout: int, k: int,
 
 def _add_granular(p: ModelParams, rng, name: str, channels: int, cfg: NetworkConfig,
                   dilation: int) -> None:
-    gp = stereo.make_granular_params(channels, channels, 3, cfg.groups, 3, dilation, rng,
-                                     pointwise_bias=cfg.pointwise_bias)
+    gp = stereo.make_granular_params(channels, channels, 3, cfg.groups, 3, dilation, rng)
     for i, w in enumerate(gp.group_kernels):
         p.add(f"{name}.g{i}.w", w)
     p.add(name + ".pw.w", gp.pointwise)
-    if gp.pointwise_bias is not None:
-        p.add(name + ".pw.b", gp.pointwise_bias)
 
 
 def _add_resblock(p: ModelParams, rng, name: str, cin: int, cout: int,
@@ -232,8 +229,7 @@ def _resblock(p: ModelParams, name: str, x: Tensor, mode: str,
 def _granular_from(p: ModelParams, name: str, cfg: NetworkConfig,
                    dilation: int) -> GranularConvParams:
     kernels = [p[f"{name}.g{i}.w"] for i in range(cfg.groups - 1)]
-    return GranularConvParams(cfg.groups, kernels, p[name + ".pw.w"], dilation,
-                              p.get(name + ".pw.b"))
+    return GranularConvParams(cfg.groups, kernels, p[name + ".pw.w"], dilation)
 
 
 # -- network stages -----------------------------------------------------------
@@ -245,8 +241,8 @@ def feature_extract(image: Tensor, p: ModelParams, mode: str) -> Dict[str, Tenso
     Full-resolution stem, stride-2 at L1 and L2 (total x4), dilated
     resolution-preserving L3/L4.
     """
-    if image.shape[2] % 4 or image.shape[3] % 4:
-        raise ShapeError(f"image extent {image.shape[2:]} not divisible by 4")
+    if image.shape[2] % DOWNSAMPLE or image.shape[3] % DOWNSAMPLE:
+        raise ShapeError(f"image extent {image.shape[2:]} not divisible by {DOWNSAMPLE}")
     t0 = _conv_block(p, "shared.conv0", image, mode)
     t1 = _resblock(p, "shared.l1", t0, mode, stride=2)
     t2 = _resblock(p, "shared.l2", t1, mode, stride=2)
@@ -281,7 +277,7 @@ def dedge_branch(taps: Dict[str, Tensor], p: ModelParams, cfg: NetworkConfig,
     ]
     probs = ops.concat(logits, axis=1).sigmoid()
     prob = probs.max(axis=1, keepdims=True)
-    full = (hw[0] * 4, hw[1] * 4)
+    full = (hw[0] * DOWNSAMPLE, hw[1] * DOWNSAMPLE)
     prob = ops.upsample_bilinear(prob, full)
     b = prob.shape[0]
     return prob.reshape(b, *full), feats
@@ -369,7 +365,7 @@ def forward(left: Tensor, right: Tensor, p: ModelParams, cfg: NetworkConfig,
     fr = dedge_spp(taps_r["F_L2"], taps_r["F_L4"],
                    feats_r if cfg.use_dedge_spp else None, p, cfg, mode)
 
-    cv = stereo.build_cost_volume(fl, fr, cfg.d_levels, cfg.d_max, cfg.downsample)
+    cv = stereo.build_cost_volume(fl, fr, cfg.d_levels, cfg.d_max, DOWNSAMPLE)
     v = _conv_block(p, "disp.pre.a", cv.values, mode, nd=3)
     v = (_conv_block(p, "disp.pre.b", v, mode, nd=3, relu=False) + v).relu()
 

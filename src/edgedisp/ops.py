@@ -315,30 +315,22 @@ def conv3d_transposed(x: Tensor, w: Tensor, spec: ConvSpec = ConvSpec(),
 # -- pooling and resampling ---------------------------------------------------
 
 
-def pool_avg2d(x: Tensor, window: int | Tuple[int, int],
-               stride: Optional[int | Tuple[int, int]] = None) -> Tensor:
-    """Average pooling over [B,C,H,W]; stride defaults to the window."""
-    win = (window, window) if isinstance(window, int) else tuple(window)
-    if stride is None:
-        st = win
-    else:
-        st = (stride, stride) if isinstance(stride, int) else tuple(stride)
+def pool_avg2d(x: Tensor, window: int | Tuple[int, int]) -> Tensor:
+    """Average pooling over [B,C,H,W] with non-overlapping windows.
+
+    Trailing rows and columns that do not fill a window are ignored.
+    """
+    wh, ww = (window, window) if isinstance(window, int) else tuple(window)
     if x.ndim != 4:
         raise ShapeError(f"pool_avg2d expects rank 4, got {x.ndim}")
-    for i in range(2):
-        conv_out_extent(x.shape[2 + i], win[i], st[i], 1, 0)
-    view, out = _sliding_view(x.data, win, st, (1, 1))
-    y = view.mean(axis=(2, 3))
-    inv = 1.0 / (win[0] * win[1])
+    b, c, h, w = x.shape
+    oh = conv_out_extent(h, wh, wh, 1, 0)
+    ow = conv_out_extent(w, ww, ww, 1, 0)
+    y = x.data[:, :, :oh * wh, :ow * ww].reshape(b, c, oh, wh, ow, ww).mean(axis=(3, 5))
 
     def bwd(g):
         gx = np.zeros(x.shape)
-        gs = g * inv
-        for i in range(win[0]):
-            for j in range(win[1]):
-                gx[:, :,
-                   i:i + (out[0] - 1) * st[0] + 1:st[0],
-                   j:j + (out[1] - 1) * st[1] + 1:st[1]] += gs
+        gx[:, :, :oh * wh, :ow * ww] = (g * (1.0 / (wh * ww))).repeat(wh, 2).repeat(ww, 3)
         accumulate_grad(x, gx)
 
     return make_op(y, (x,), bwd)
@@ -417,15 +409,18 @@ def softmax(x: Tensor, axis: int) -> Tensor:
 
 # -- normalization ------------------------------------------------------------
 
+BN_MOMENTUM = 0.1   # weight of the batch statistics in the running buffers
+BN_EPS = 1e-5       # added to the variance before the square root
+
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mode: str,
                running_mean: Optional[np.ndarray] = None,
-               running_var: Optional[np.ndarray] = None,
-               momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+               running_var: Optional[np.ndarray] = None) -> Tensor:
     """Per-channel normalization over axis 1 of [B,C,*spatial].
 
     ``train`` uses batch statistics and, when running buffers are passed,
-    updates them in place. ``eval`` normalizes with the running buffers.
+    updates them in place with momentum ``BN_MOMENTUM``. ``eval``
+    normalizes with the running buffers.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -442,17 +437,17 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mode: str,
         mean = x.data.mean(axis=red_axes)
         var = x.data.var(axis=red_axes)
         if running_mean is not None:
-            running_mean *= 1.0 - momentum
-            running_mean += momentum * mean
+            running_mean *= 1.0 - BN_MOMENTUM
+            running_mean += BN_MOMENTUM * mean
         if running_var is not None:
-            running_var *= 1.0 - momentum
-            running_var += momentum * var
+            running_var *= 1.0 - BN_MOMENTUM
+            running_var += BN_MOMENTUM * var
     else:
         if running_mean is None or running_var is None:
             raise ValueError("eval mode requires running statistics")
         mean, var = running_mean, running_var
 
-    std = np.sqrt(var + eps)
+    std = np.sqrt(var + BN_EPS)
     xhat = (x.data - mean.reshape(bshape)) / std.reshape(bshape)
     y = gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape)
 

@@ -37,7 +37,6 @@ class GranularConvParams:
     group_kernels: List[Tensor]
     pointwise: Tensor
     dilation: int = 1
-    pointwise_bias: Optional[Tensor] = None
 
     def __post_init__(self):
         if self.groups < 2:
@@ -46,21 +45,11 @@ class GranularConvParams:
             raise ShapeError(
                 f"expected {self.groups - 1} group kernels, got {len(self.group_kernels)}")
 
-    @property
-    def spatial_rank(self) -> int:
-        return self.group_kernels[0].ndim - 2
-
     def element_count(self) -> int:
-        n = sum(k.size for k in self.group_kernels) + self.pointwise.size
-        if self.pointwise_bias is not None:
-            n += self.pointwise_bias.size
-        return n
+        return sum(k.size for k in self.group_kernels) + self.pointwise.size
 
     def tensors(self) -> List[Tensor]:
-        out = list(self.group_kernels) + [self.pointwise]
-        if self.pointwise_bias is not None:
-            out.append(self.pointwise_bias)
-        return out
+        return list(self.group_kernels) + [self.pointwise]
 
 
 def granular_conv(x: Tensor, params: GranularConvParams) -> Tensor:
@@ -96,7 +85,7 @@ def granular_conv(x: Tensor, params: GranularConvParams) -> Tensor:
     for i in range(1, g):
         outs.append(conv(groups[i] + outs[-1], params.group_kernels[i - 1], spec=spec))
     merged = ops.concat(outs, axis=1)
-    return conv(merged, params.pointwise, bias=params.pointwise_bias)
+    return conv(merged, params.pointwise)
 
 
 def granular_param_count(c_in: int, c_out: int, s: int, groups: int,
@@ -116,30 +105,24 @@ def standard_param_count(c_in: int, c_out: int, s: int, spatial_rank: int = 2) -
     return c_in * c_out * s ** spatial_rank
 
 
-def kaiming(rng: np.random.Generator, shape: Tuple[int, ...], fan_in: int,
-            requires_grad: bool = True) -> Tensor:
+def kaiming(rng: np.random.Generator, shape: Tuple[int, ...], fan_in: int) -> Tensor:
     """He-normal weights, std sqrt(2 / fan_in)."""
     w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
     # round through float32 so checkpoints reproduce the values bit-exactly
-    return Tensor(w.astype(np.float32).astype(np.float64), requires_grad=requires_grad)
+    return Tensor(w.astype(np.float32).astype(np.float64), requires_grad=True)
 
 
 def make_granular_params(c_in: int, c_out: int, s: int, groups: int,
-                         spatial_rank: int, dilation: int, rng: np.random.Generator,
-                         requires_grad: bool = True,
-                         pointwise_bias: bool = False) -> GranularConvParams:
+                         spatial_rank: int, dilation: int,
+                         rng: np.random.Generator) -> GranularConvParams:
     """Kaiming-initialized granular kernels."""
     if c_in % groups != 0:
         raise ShapeError(f"channels {c_in} not divisible by {groups}")
     cg = c_in // groups
     kshape = (cg, cg) + (s,) * spatial_rank
-    kernels = [kaiming(rng, kshape, cg * s ** spatial_rank, requires_grad)
-               for _ in range(groups - 1)]
-    pw = kaiming(rng, (c_out, c_in) + (1,) * spatial_rank, c_in, requires_grad)
-    bias = None
-    if pointwise_bias:
-        bias = Tensor(np.zeros(c_out), requires_grad=requires_grad)
-    return GranularConvParams(groups, kernels, pw, dilation, bias)
+    kernels = [kaiming(rng, kshape, cg * s ** spatial_rank) for _ in range(groups - 1)]
+    pw = kaiming(rng, (c_out, c_in) + (1,) * spatial_rank, c_in)
+    return GranularConvParams(groups, kernels, pw, dilation)
 
 
 # -- cost volumes -------------------------------------------------------------

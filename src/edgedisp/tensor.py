@@ -20,16 +20,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-# When enabled, every op asserts its output is finite. Cheap insurance
-# while debugging new layers; off by default for speed.
-DEBUG_CHECKS = False
-
-
-def set_debug_checks(enabled: bool) -> None:
-    global DEBUG_CHECKS
-    DEBUG_CHECKS = bool(enabled)
-
-
 _ids = itertools.count()
 
 
@@ -85,12 +75,6 @@ class Tensor:
         for node in sorted(tape, key=lambda t: t._id, reverse=True):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     # -- elementwise arithmetic ----------------------------------------------
 
@@ -228,8 +212,6 @@ def make_op(data: np.ndarray, parents: Sequence[Tensor],
     (cotangent of the output -> gradients accumulated into the parents)
     only when some parent needs gradients."""
     out = Tensor(data)
-    if DEBUG_CHECKS and not np.all(np.isfinite(data)):
-        raise FloatingPointError("non-finite value produced by a forward op")
     if any(needs_grad(p) for p in parents):
         out._parents = tuple(parents)
         out._backward = backward
@@ -243,9 +225,11 @@ def needs_grad(t: Tensor) -> bool:
 
 
 def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
-    """Sum gradients across fan-out."""
+    """Sum gradients across fan-out; ``g`` must have the shape of ``t``."""
     if not t.requires_grad:
         return
+    if np.shape(g) != t.data.shape:
+        raise ValueError(f"gradient shape {np.shape(g)} != tensor shape {t.data.shape}")
     if t.grad is None:
         t.grad = np.array(g, dtype=np.float64, copy=True)
     else:

@@ -23,15 +23,16 @@ CHECKPOINT_VERSION = 1
 
 # -- Adam ---------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9    # decay of the first-moment estimate
+ADAM_BETA2 = 0.999  # decay of the second-moment estimate
+ADAM_EPS = 1e-8     # added to the root of the second moment
+
 
 @dataclass
 class OptimizerState:
     """Bias-corrected Adam accumulators, keyed like the parameter dict."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: Dict[str, np.ndarray] = field(default_factory=dict)
     v: Dict[str, np.ndarray] = field(default_factory=dict)
@@ -42,8 +43,8 @@ def adam_step(params: Dict[str, Tensor], grads: Dict[str, np.ndarray],
     """One in-place update; missing accumulators are created lazily."""
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -53,11 +54,11 @@ def adam_step(params: Dict[str, Tensor], grads: Dict[str, np.ndarray],
                 f"gradient shape {g.shape} != parameter shape {p.data.shape} for {name!r}")
         m = state.m.setdefault(name, np.zeros_like(p.data))
         v = state.v.setdefault(name, np.zeros_like(p.data))
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 # -- checkpoint format --------------------------------------------------------
@@ -65,7 +66,10 @@ def adam_step(params: Dict[str, Tensor], grads: Dict[str, np.ndarray],
 # magic "DAGM", version u32 LE, tensor count u32 LE, then per tensor:
 # name length u16 LE, UTF-8 name, rank u8, extents u32 LE each,
 # payload float32 LE row-major. Config scalars and optimizer state are
-# stored as reserved "__cfg__." / "__opt__." entries.
+# stored as reserved "__cfg__." / "__opt__." entries; the reader ignores
+# reserved entries it does not know, such as the "__cfg__.downsample",
+# "__cfg__.pointwise_bias" and "__opt__.beta1/beta2/eps" of older files.
+# Every value must be finite.
 
 
 class CheckpointError(ValueError):
@@ -116,9 +120,6 @@ def save_checkpoint(params: ModelParams, state: Optional[OptimizerState],
     if state is not None:
         entries["__opt__.step"] = np.asarray(float(state.step))
         entries["__opt__.lr"] = np.asarray(state.lr)
-        entries["__opt__.beta1"] = np.asarray(state.beta1)
-        entries["__opt__.beta2"] = np.asarray(state.beta2)
-        entries["__opt__.eps"] = np.asarray(state.eps)
         for name, arr in state.m.items():
             entries[f"__opt__.m.{name}"] = arr
         for name, arr in state.v.items():
@@ -183,15 +184,15 @@ def _read_checkpoint(path: str) -> Tuple[ModelParams, Optional[OptimizerState], 
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
         chunk, pos = _read_exact(raw, pos, 4 * n, f"payload of {name!r}")
         entries[name] = np.frombuffer(chunk, dtype="<f4").astype(np.float64).reshape(shape)
+        if not np.isfinite(entries[name]).all():
+            raise CheckpointError(f"non-finite value in {name!r}")
 
     cfg = _config_from_entries(entries)
     params = ModelParams()
     state = None
     if "__opt__.step" in entries:
-        state = OptimizerState(
-            lr=float(entries["__opt__.lr"]), beta1=float(entries["__opt__.beta1"]),
-            beta2=float(entries["__opt__.beta2"]), eps=float(entries["__opt__.eps"]),
-            step=int(entries["__opt__.step"]))
+        state = OptimizerState(lr=float(entries["__opt__.lr"]),
+                               step=int(entries["__opt__.step"]))
     for name, arr in entries.items():
         if name.startswith("__cfg__."):
             continue

@@ -195,6 +195,34 @@ class TestPipeline:
         assert code == 2
         assert "stepz" in stderr and stdout == ""
 
+    @pytest.mark.parametrize("overlay, key, bad", [
+        ({"network": {"base_chanels": 8}}, "network", "base_chanels"),
+        ({"loss_weights": {"lamda1": 1}}, "loss_weights", "lamda1"),
+        ({"network": {"downsample": 4}}, "network", "downsample"),
+    ])
+    def test_unknown_nested_overlay_key_rejected(self, tmp_path, capsys, overlay, key, bad):
+        cfg_path = str(tmp_path / "cfg.json")
+        with open(cfg_path, "w") as f:
+            json.dump(overlay, f)
+        code, stdout, stderr = run(capsys, "train", "--config", cfg_path,
+                                   "--data", str(tmp_path / "d"), "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert f"unknown {key} keys" in stderr and bad in stderr and stdout == ""
+
+    def test_infer_checkpoint_non_finite(self, tmp_path, capsys):
+        net = NetworkConfig(**{**TINY_NET, "dilation_rates": tuple(TINY_NET["dilation_rates"])})
+        params = init_params(net, seed=0)
+        params["disp.out2.b.b"].data[0] = np.nan
+        ckpt = str(tmp_path / "nan.ckpt")
+        save_checkpoint(params, None, ckpt, net)
+        img = str(tmp_path / "img.pgm")
+        ddata.write_pgm(img, np.zeros((32, 32), dtype=np.int64))
+        code, stdout, stderr = run(capsys, "infer", "--ckpt", ckpt, "--left", img,
+                                   "--right", img, "--out-disp", str(tmp_path / "d.pfm"),
+                                   "--out-vis", str(tmp_path / "d.ppm"))
+        assert code == 2
+        assert "non-finite" in stderr and "disp.out2.b.b" in stderr and stdout == ""
+
     def test_infer_checkpoint_missing_tensor(self, tmp_path, capsys):
         net = NetworkConfig(**{**TINY_NET, "dilation_rates": tuple(TINY_NET["dilation_rates"])})
         params = init_params(net, seed=0)

@@ -7,7 +7,7 @@ from checks import (fd_check, naive_conv, padded_corr_forward, padded_corr_weigh
                     rand_tensor, stuffed_corr_input_grad)
 from edgedisp import ops
 from edgedisp.ops import ConvSpec, ShapeError
-from edgedisp.tensor import Tensor
+from edgedisp.tensor import Tensor, accumulate_grad, make_op
 
 
 class TestConv2d:
@@ -271,6 +271,29 @@ class TestPoolingAndUpsampling:
         y = ops.pool_avg2d(x, 2)
         assert y.data.reshape(()) == 2.5
 
+    def test_avg_pool_matches_loop_and_ignores_trailing_rows(self):
+        rng = np.random.default_rng(30)
+        x = rng.normal(size=(2, 3, 5, 7))
+        y = ops.pool_avg2d(Tensor(x), (2, 3)).data
+        ref = np.zeros((2, 3, 2, 2))
+        for i in range(2):
+            for j in range(2):
+                ref[:, :, i, j] = x[:, :, 2 * i:2 * i + 2, 3 * j:3 * j + 3].mean(axis=(2, 3))
+        assert np.abs(y - ref).max() < 1e-15
+
+    def test_avg_pool_gradient_is_adjoint(self):
+        rng = np.random.default_rng(31)
+        x = rand_tensor(rng, (2, 3, 5, 7))
+        c = rng.normal(size=(2, 3, 2, 2))
+        y = ops.pool_avg2d(x, (2, 3))
+        (y * Tensor(c)).sum().backward()
+        probe = rng.normal(size=x.shape)
+        lhs = float((ops.pool_avg2d(Tensor(probe), (2, 3)).data * c).sum())
+        assert abs(lhs - float((probe * x.grad).sum())) < 1e-12
+        np.testing.assert_array_equal(x.grad[:, :, 4], 0.0)   # trailing row
+        np.testing.assert_array_equal(x.grad[:, :, :, 6], 0.0)  # trailing column
+        fd_check(lambda t: (ops.pool_avg2d(t, (2, 3)) * Tensor(c)).sum(), [x], rng)
+
     def test_constant_volume_upsamples_to_constant(self):
         x = Tensor(np.full((1, 2, 2, 3, 3), 4.25))
         y = ops.upsample_trilinear(x, (4, 6, 6))
@@ -413,6 +436,13 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ValueError, match="scalar"):
             Tensor(np.ones(3), requires_grad=True).backward()
+
+    def test_misshapen_gradient_rejected(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        y = make_op(x.data.sum(axis=0), (x,), lambda g: accumulate_grad(x, g))
+        with pytest.raises(ValueError, match=r"gradient shape \(3,\) != tensor shape \(2, 3\)"):
+            y.sum().backward()
+        assert x.grad is None
 
     def test_fanout_gradients_accumulate(self):
         w = Tensor([2.0], requires_grad=True)

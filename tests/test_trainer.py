@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from edgedisp import data as ddata
 from edgedisp.losses import LossWeights
 from edgedisp.network import NetworkConfig, init_params
 from edgedisp.tensor import Tensor
-from edgedisp.trainer import (CHECKPOINT_MAGIC, CheckpointError, OptimizerState,
-                              TrainConfig, _read_checkpoint, adam_step, evaluate, evaluate_params,
+from edgedisp.trainer import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError,
+                              OptimizerState, TrainConfig, _config_entries, _pack_tensor,
+                              _read_checkpoint, adam_step, evaluate, evaluate_params,
                               load_checkpoint, predict, save_checkpoint, train,
                               zero_disparity_baseline)
 
@@ -31,6 +33,30 @@ def reference_adam(p0, grads, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
         vhat = v / (1 - b2 ** t)
         p = p - lr * mhat / (np.sqrt(vhat) + eps)
     return p
+
+
+def save_older_checkpoint(path, params, state, cfg, pointwise_bias=0):
+    """Write a checkpoint as the format did when the config still carried
+    ``downsample`` and ``pointwise_bias`` and the optimizer state its Adam
+    constants, in the entry order of that writer."""
+    entries = {}
+    for k, v in _config_entries(cfg).items():
+        entries[k] = v
+        if k == "__cfg__.d_max":
+            entries["__cfg__.downsample"] = np.asarray(4.0)
+    entries["__cfg__.pointwise_bias"] = np.asarray(float(pointwise_bias))
+    entries.update((n, t.data) for n, t in params.tensors.items())
+    entries["__opt__.step"] = np.asarray(float(state.step))
+    entries["__opt__.lr"] = np.asarray(state.lr)
+    entries["__opt__.beta1"] = np.asarray(0.9)
+    entries["__opt__.beta2"] = np.asarray(0.999)
+    entries["__opt__.eps"] = np.asarray(1e-8)
+    entries.update((f"__opt__.m.{n}", a) for n, a in state.m.items())
+    entries.update((f"__opt__.v.{n}", a) for n, a in state.v.items())
+    blob = CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(entries))
+    blob += b"".join(_pack_tensor(n, a) for n, a in entries.items())
+    with open(path, "wb") as f:
+        f.write(blob)
 
 
 def make_dataset(directory, count, seed0=0, h=16, w=32, d_max=8, objects=2):
@@ -174,6 +200,62 @@ class TestCheckpoint:
         path = str(tmp_path / "nocfg.ckpt")
         save_checkpoint(init_params(TINY_NET, seed=0), None, path, TINY_NET)
         with pytest.raises(CheckpointError, match="__cfg__.groups"):
+            load_checkpoint(path)
+
+
+    def _trained_state(self, params):
+        state = OptimizerState(lr=2.5e-4, step=5)
+        rng = np.random.default_rng(4)
+        for n, t in params.trainable().items():
+            state.m[n] = rng.normal(size=t.shape).astype(np.float32).astype(np.float64)
+            state.v[n] = np.abs(rng.normal(size=t.shape)).astype(np.float32).astype(np.float64)
+        return state
+
+    def test_older_format_loads_and_predicts_identically(self, tmp_path):
+        params = init_params(TINY_NET, seed=3)
+        state = self._trained_state(params)
+        new, old = str(tmp_path / "new.ckpt"), str(tmp_path / "old.ckpt")
+        save_checkpoint(params, state, new, TINY_NET)
+        save_older_checkpoint(old, params, state, TINY_NET)
+        p_new, s_new, cfg_new = load_checkpoint(new)
+        p_old, s_old, cfg_old = load_checkpoint(old)
+        assert cfg_old == cfg_new == TINY_NET
+        assert set(p_old.tensors) == set(p_new.tensors)
+        assert (s_old.lr, s_old.step) == (s_new.lr, s_new.step)
+        assert set(s_old.m) == set(s_new.m) and set(s_old.v) == set(s_new.v)
+        for n in s_new.m:
+            np.testing.assert_array_equal(s_old.m[n], s_new.m[n])
+            np.testing.assert_array_equal(s_old.v[n], s_new.v[n])
+        s = ddata.synth_stereogram(2, {"H": 16, "W": 32, "D_max": 8, "n_objects": 2})
+        np.testing.assert_array_equal(predict(p_old, cfg_old, s), predict(p_new, cfg_new, s))
+
+    def test_adam_constants_no_longer_written(self, tmp_path):
+        params = init_params(TINY_NET, seed=0)
+        path = str(tmp_path / "s.ckpt")
+        save_checkpoint(params, self._trained_state(params), path, TINY_NET)
+        raw = open(path, "rb").read()
+        for name in (b"__opt__.beta1", b"__opt__.beta2", b"__opt__.eps",
+                     b"__cfg__.downsample", b"__cfg__.pointwise_bias"):
+            assert name not in raw
+
+    def test_pointwise_bias_checkpoint_rejected(self, tmp_path):
+        params = init_params(TINY_NET, seed=0)
+        for name in [n for n in params.tensors if n.endswith(".pw.w")]:
+            c = params[name].shape[0]
+            params.add(name[:-2] + ".b", Tensor(np.zeros(c), requires_grad=True))
+        path = str(tmp_path / "pwb.ckpt")
+        save_older_checkpoint(path, params, self._trained_state(params), TINY_NET,
+                              pointwise_bias=1)
+        with pytest.raises(CheckpointError, match=r"unexpected \['disp\.agm0\.bank0\.pw\.b'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        params = init_params(TINY_NET, seed=0)
+        params["disp.out2.b.b"].data[0] = value
+        path = str(tmp_path / "nan.ckpt")
+        save_checkpoint(params, None, path, TINY_NET)
+        with pytest.raises(CheckpointError, match="non-finite value in 'disp.out2.b.b'"):
             load_checkpoint(path)
 
 
