@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from typing import Dict, Optional
 
 import numpy as np
@@ -86,6 +87,36 @@ _TRAIN_OVERLAY_KEYS = {
 }
 
 
+def _matches(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation of the config classes."""
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            return False
+        if len(args) == 2 and args[1] is Ellipsis:
+            return all(_matches(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(_matches, value, args))
+    if typing.get_origin(hint) is typing.Union:
+        return any(value is None if a is type(None) else _matches(value, a) for a in args)
+    return isinstance(value, hint)
+
+
+def _check_types(section: str, values: Dict, cls) -> None:
+    """Raise ValueError naming the first value whose type does not fit its
+    field of ``cls``; every key must be a field."""
+    hints = typing.get_type_hints(cls)
+    for key, value in values.items():
+        hint = hints[key]
+        if not _matches(value, hint):
+            name = hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
+            raise ValueError(
+                f"training config value {section}{key} must be {name}, got {value!r}")
+
+
 def _build_train_config(args) -> TrainConfig:
     overlay: Dict = {}
     if args.config:
@@ -102,9 +133,11 @@ def _build_train_config(args) -> TrainConfig:
         if unknown:
             raise ValueError(
                 f"unknown {key} keys in training config {args.config!r}: {sorted(unknown)}")
-    kwargs = {k: v for k, v in overlay.items() if k in _TRAIN_OVERLAY_KEYS}
-    if "lr_schedule" in overlay:
-        kwargs["lr_schedule"] = tuple((int(s), float(l)) for s, l in overlay["lr_schedule"])
+        _check_types(key + ".", kw, cls)
+    kwargs = {k: v for k, v in overlay.items() if k in _TRAIN_OVERLAY_KEYS | {"lr_schedule"}}
+    _check_types("", kwargs, TrainConfig)
+    if "lr_schedule" in kwargs:
+        kwargs["lr_schedule"] = tuple((s, float(l)) for s, l in kwargs["lr_schedule"])
     for name in ("seed", "batch_size", "steps", "eval_interval"):
         v = getattr(args, name)
         if v is not None:

@@ -11,7 +11,7 @@ running statistics are stored alongside as non-gradient buffers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -21,6 +21,11 @@ from .stereo import GranularConvParams
 from .tensor import Tensor
 
 PARTITIONS = ("shared", "edge", "disp")
+
+# Forward modes: "train" and "stats" normalise with batch statistics,
+# "infer" (and any other mode a building block is called with) with the
+# running buffers.
+MODES = ("train", "stats", "infer")
 
 # The extractor's two stride-2 stages: features and the cost volume are at
 # 1/4 of the image resolution, and one disparity level spans 4 pixels.
@@ -41,6 +46,11 @@ class NetworkConfig:
 
     def __post_init__(self):
         self.dilation_rates = tuple(self.dilation_rates)
+        for name in ("base_channels", "d_max", "groups", "n_agm"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.dilation_rates or min(self.dilation_rates) < 1:
+            raise ValueError(f"dilation rates must be >= 1, got {self.dilation_rates}")
         if self.d_max % DOWNSAMPLE != 0:
             raise ValueError(f"d_max {self.d_max} not divisible by downsample {DOWNSAMPLE}")
         if self.base_channels % self.groups != 0:
@@ -101,90 +111,104 @@ class ModelParams:
 # -- initialization -----------------------------------------------------------
 
 
-def _add_conv(p: ModelParams, rng, name: str, cin: int, cout: int, k: int,
-              nd: int = 2, norm: bool = False, transposed: bool = False) -> None:
+ParamSpec = Tuple[str, Tuple[int, ...], int]   # name, shape, Kaiming fan-in (0: fixed)
+
+# Initial value of each tensor that is not drawn, by name suffix.
+_FIXED_INIT = {"gamma": 1.0, "beta": 0.0, "rmean": 0.0, "rvar": 1.0, "b": 0.0}
+BUFFER_SUFFIXES = ("rmean", "rvar")
+
+
+def _conv_specs(name: str, cin: int, cout: int, k: int, nd: int = 2, norm: bool = False,
+                transposed: bool = False) -> Iterator[ParamSpec]:
     """Weight, then batch-norm parameters and buffers, or else a bias.
 
     A transposed conv weight is laid out [Cin, Cout, k...]; it never gets a
     bias, because ``ops.conv3d_transposed`` takes none.
     """
-    shape = ((cin, cout) if transposed else (cout, cin)) + (k,) * nd
-    p.add(name + ".w", stereo.kaiming(rng, shape, cin * k ** nd))
+    yield name + ".w", ((cin, cout) if transposed else (cout, cin)) + (k,) * nd, cin * k ** nd
     if norm:
-        p.add(name + ".gamma", Tensor(np.ones(cout), requires_grad=True))
-        p.add(name + ".beta", Tensor(np.zeros(cout), requires_grad=True))
-        p.add(name + ".rmean", Tensor(np.zeros(cout)))
-        p.add(name + ".rvar", Tensor(np.ones(cout)))
+        for suffix in ("gamma", "beta") + BUFFER_SUFFIXES:
+            yield f"{name}.{suffix}", (cout,), 0
     elif not transposed:
-        p.add(name + ".b", Tensor(np.zeros(cout), requires_grad=True))
+        yield name + ".b", (cout,), 0
 
 
-def _add_granular(p: ModelParams, rng, name: str, channels: int, cfg: NetworkConfig,
-                  dilation: int) -> None:
-    gp = stereo.make_granular_params(channels, channels, 3, cfg.groups, 3, dilation, rng)
-    for i, w in enumerate(gp.group_kernels):
-        p.add(f"{name}.g{i}.w", w)
-    p.add(name + ".pw.w", gp.pointwise)
+def _granular_specs(name: str, channels: int, groups: int) -> Iterator[ParamSpec]:
+    """A 3x3x3 granular bank: group kernels ``.g{i}.w``, then ``.pw.w``."""
+    specs = stereo.granular_kernel_specs(channels, channels, 3, groups, 3)
+    for i, (shape, fan_in) in enumerate(specs):
+        yield (f"{name}.g{i}.w" if i < groups - 1 else name + ".pw.w"), shape, fan_in
 
 
-def _add_resblock(p: ModelParams, rng, name: str, cin: int, cout: int,
-                  stride: int, cfg: NetworkConfig) -> None:
-    norm = cfg.norm_enabled
-    _add_conv(p, rng, name + ".a", cin, cout, 3, norm=norm)
-    _add_conv(p, rng, name + ".b", cout, cout, 3, norm=norm)
+def _resblock_specs(name: str, cin: int, cout: int, stride: int,
+                    norm: bool) -> Iterator[ParamSpec]:
+    yield from _conv_specs(name + ".a", cin, cout, 3, norm=norm)
+    yield from _conv_specs(name + ".b", cout, cout, 3, norm=norm)
     if stride != 1 or cin != cout:
-        _add_conv(p, rng, name + ".proj", cin, cout, 1, norm=norm)
+        yield from _conv_specs(name + ".proj", cin, cout, 1, norm=norm)
+
+
+def param_specs(cfg: NetworkConfig) -> Iterator[ParamSpec]:
+    """Every parameter and buffer of the network, in creation order.
+
+    A generator, so a caller that checks a file against a config stops
+    reading it as soon as the two disagree, however large the config.
+    """
+    c = cfg.base_channels
+    norm = cfg.norm_enabled
+
+    # shared extractor
+    yield from _conv_specs("shared.conv0", 3, c, 3, norm=norm)
+    for i, stride in enumerate((2, 2, 1, 1), start=1):
+        yield from _resblock_specs(f"shared.l{i}", c, c, stride, norm)
+
+    # edge branch
+    if cfg.use_edge_branch:
+        for i in (1, 2, 3):
+            yield from _conv_specs(f"edge.a{i}", c, 1, 1)
+        yield from _resblock_specs("edge.l5", c, c, 1, norm)
+        yield from _conv_specs("edge.l5_top", c, cfg.k_top, 1)
+        for k in range(cfg.k_top):
+            yield from _conv_specs(f"edge.cls{k}", 4, 1, 1)
+
+    # pyramid fusion
+    spp_in = c + (4 * cfg.k_top if cfg.use_dedge_spp else 0)
+    branch_c = max(1, c // 2)
+    for i in range(4):
+        yield from _conv_specs(f"disp.spp.branch{i}", spp_in, branch_c, 1, norm=norm)
+    fuse_in = c + spp_in + 4 * branch_c  # L2 skip + pooled input + branches
+    yield from _conv_specs("disp.spp.fuse_a", fuse_in, 2 * cfg.fusion_channels, 3, norm=norm)
+    yield from _conv_specs("disp.spp.fuse_b", 2 * cfg.fusion_channels, cfg.fusion_channels, 1)
+
+    # pre-hourglass 3-D stem over the dual cost volume (3 * C_f channels)
+    yield from _conv_specs("disp.pre.a", 3 * cfg.fusion_channels, c, 3, nd=3, norm=norm)
+    yield from _conv_specs("disp.pre.b", c, c, 3, nd=3, norm=norm)
+
+    # stacked aggregation modules and their regression heads
+    for i in range(cfg.n_agm):
+        a = f"disp.agm{i}"
+        yield from _conv_specs(a + ".enc1", c, 2 * c, 3, nd=3, norm=norm)
+        yield from _conv_specs(a + ".enc2", 2 * c, 2 * c, 3, nd=3, norm=norm)
+        for j in range(len(cfg.dilation_rates)):
+            yield from _granular_specs(f"{a}.bank{j}", 2 * c, cfg.groups)
+        yield from _conv_specs(a + ".fuse", 2 * c, 2 * c, 1, nd=3, norm=norm)
+        yield from _conv_specs(a + ".dec1", 2 * c, 2 * c, 3, nd=3, norm=norm, transposed=True)
+        yield from _conv_specs(a + ".dec2", 2 * c, c, 3, nd=3, norm=norm, transposed=True)
+        yield from _conv_specs(f"disp.out{i}.a", c, c, 3, nd=3, norm=norm)
+        yield from _conv_specs(f"disp.out{i}.b", c, 1, 3, nd=3)
 
 
 def init_params(cfg: NetworkConfig, seed: int) -> ModelParams:
     """Deterministic Kaiming-style initialization of every parameter."""
     rng = np.random.default_rng(seed)
     p = ModelParams()
-    c = cfg.base_channels
-    norm = cfg.norm_enabled
-
-    # shared extractor
-    _add_conv(p, rng, "shared.conv0", 3, c, 3, norm=norm)
-    _add_resblock(p, rng, "shared.l1", c, c, 2, cfg)
-    _add_resblock(p, rng, "shared.l2", c, c, 2, cfg)
-    _add_resblock(p, rng, "shared.l3", c, c, 1, cfg)
-    _add_resblock(p, rng, "shared.l4", c, c, 1, cfg)
-
-    # edge branch
-    if cfg.use_edge_branch:
-        for i in (1, 2, 3):
-            _add_conv(p, rng, f"edge.a{i}", c, 1, 1)
-        _add_resblock(p, rng, "edge.l5", c, c, 1, cfg)
-        _add_conv(p, rng, "edge.l5_top", c, cfg.k_top, 1)
-        for k in range(cfg.k_top):
-            _add_conv(p, rng, f"edge.cls{k}", 4, 1, 1)
-
-    # pyramid fusion
-    spp_in = c + (4 * cfg.k_top if cfg.use_dedge_spp else 0)
-    branch_c = max(1, c // 2)
-    for i in range(4):
-        _add_conv(p, rng, f"disp.spp.branch{i}", spp_in, branch_c, 1, norm=norm)
-    fuse_in = c + spp_in + 4 * branch_c  # L2 skip + pooled input + branches
-    _add_conv(p, rng, "disp.spp.fuse_a", fuse_in, 2 * cfg.fusion_channels, 3, norm=norm)
-    _add_conv(p, rng, "disp.spp.fuse_b", 2 * cfg.fusion_channels, cfg.fusion_channels, 1)
-
-    # pre-hourglass 3-D stem over the dual cost volume (3 * C_f channels)
-    _add_conv(p, rng, "disp.pre.a", 3 * cfg.fusion_channels, c, 3, nd=3, norm=norm)
-    _add_conv(p, rng, "disp.pre.b", c, c, 3, nd=3, norm=norm)
-
-    # stacked aggregation modules and their regression heads
-    for i in range(cfg.n_agm):
-        a = f"disp.agm{i}"
-        _add_conv(p, rng, a + ".enc1", c, 2 * c, 3, nd=3, norm=norm)
-        _add_conv(p, rng, a + ".enc2", 2 * c, 2 * c, 3, nd=3, norm=norm)
-        for j, rate in enumerate(cfg.dilation_rates):
-            _add_granular(p, rng, f"{a}.bank{j}", 2 * c, cfg, rate)
-        _add_conv(p, rng, a + ".fuse", 2 * c, 2 * c, 1, nd=3, norm=norm)
-        _add_conv(p, rng, a + ".dec1", 2 * c, 2 * c, 3, nd=3, norm=norm, transposed=True)
-        _add_conv(p, rng, a + ".dec2", 2 * c, c, 3, nd=3, norm=norm, transposed=True)
-        _add_conv(p, rng, f"disp.out{i}.a", c, c, 3, nd=3, norm=norm)
-        _add_conv(p, rng, f"disp.out{i}.b", c, 1, 3, nd=3)
-
+    for name, shape, fan_in in param_specs(cfg):
+        suffix = name.rsplit(".", 1)[1]
+        if fan_in:
+            p.add(name, stereo.kaiming(rng, shape, fan_in))
+        else:
+            p.add(name, Tensor(np.full(shape, _FIXED_INIT[suffix]),
+                               requires_grad=suffix not in BUFFER_SUFFIXES))
     return p
 
 
@@ -210,7 +234,7 @@ def _conv_block(p: ModelParams, name: str, x: Tensor, mode: str, nd: int = 2,
         conv = ops.conv2d if nd == 2 else ops.conv3d
         y = conv(x, w, p.get(name + ".b"), spec=spec)
     if name + ".gamma" in p:
-        bn_mode = "train" if mode == "train" else "eval"
+        bn_mode = "train" if mode in ("train", "stats") else "eval"
         y = ops.batch_norm(y, p[name + ".gamma"], p[name + ".beta"], bn_mode,
                            p[name + ".rmean"].data, p[name + ".rvar"].data)
     return y.relu() if relu else y
@@ -337,24 +361,37 @@ def forward(left: Tensor, right: Tensor, p: ModelParams, cfg: NetworkConfig,
             mode: str) -> Dict[str, Tensor]:
     """Run the whole pipeline on a rectified pair.
 
-    Training returns three disparity maps (one per aggregation stage)
-    plus the edge probability; inference returns the last disparity only.
+    ``"train"`` returns three disparity maps (one per aggregation stage)
+    plus the edge probability, with batch-norm on batch statistics.
+    ``"infer"`` returns the last disparity only, with batch-norm on the
+    running buffers; the two views go through the extractor as one batch.
+    ``"stats"`` updates the batch-norm running buffers exactly as
+    ``"train"`` does and returns nothing: it stops after the last
+    batch-norm on each path, so the edge classifier head and everything
+    after ``disp.out{i}.a`` in the regression heads are skipped.
     """
-    if mode not in ("train", "infer"):
-        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if left.shape != right.shape:
         raise ShapeError(f"pair shapes differ: {left.shape} vs {right.shape}")
     out_hw = left.shape[2:]
 
-    taps_l = feature_extract(left, p, mode)
-    taps_r = feature_extract(right, p, mode)
+    if mode == "infer":
+        # Exact only because eval-mode batch-norm and every contraction
+        # are per sample; batch statistics would mix the two views.
+        b = left.shape[0]
+        taps = feature_extract(ops.concat([left, right], axis=0), p, mode)
+        taps_l = {k: t[:b] for k, t in taps.items()}
+        taps_r = {k: t[b:] for k, t in taps.items()}
+    else:
+        taps_l = feature_extract(left, p, mode)
+        taps_r = feature_extract(right, p, mode)
 
     edge_prob = None
     feats_l = feats_r = None
-    need_edge = cfg.use_edge_branch and (mode == "train" or cfg.use_dedge_spp)
+    need_edge = cfg.use_edge_branch and (mode != "infer" or cfg.use_dedge_spp)
     if need_edge:
-        with_head = mode == "train"
-        edge_prob, feats_l = dedge_branch(taps_l, p, cfg, mode, with_head)
+        edge_prob, feats_l = dedge_branch(taps_l, p, cfg, mode, with_head=mode == "train")
         if cfg.use_dedge_spp:
             _, feats_r = dedge_branch(taps_r, p, cfg, mode, with_head=False)
         else:
@@ -370,10 +407,12 @@ def forward(left: Tensor, right: Tensor, p: ModelParams, cfg: NetworkConfig,
     v = (_conv_block(p, "disp.pre.b", v, mode, nd=3, relu=False) + v).relu()
 
     disparities: List[Tensor] = []
-    stages = range(cfg.n_agm) if mode == "train" else [cfg.n_agm - 1]
+    stages = [cfg.n_agm - 1] if mode == "infer" else range(cfg.n_agm)
     for i in range(cfg.n_agm):
         v, _skip = agm_module(v, p, f"disp.agm{i}", cfg, mode)
-        if i in stages:
+        if mode == "stats":
+            _conv_block(p, f"disp.out{i}.a", v, mode, nd=3)
+        elif i in stages:
             disparities.append(
                 output_module(v, p, f"disp.out{i}", out_hw, cfg.d_max, mode))
 
@@ -383,6 +422,6 @@ def forward(left: Tensor, right: Tensor, p: ModelParams, cfg: NetworkConfig,
             out[f"d{i}"] = d
         if edge_prob is not None:
             out["edge_prob"] = edge_prob
-    else:
+    elif mode == "infer":
         out[f"d{cfg.n_agm}"] = disparities[-1]
     return out

@@ -1,9 +1,12 @@
 """Structured array operations: convolutions, pooling, resampling, softmax.
 
 Convolutions are cross-correlations (deep-learning convention) with
-zero-fill padding. Forward passes gather with strided views and contract
-with einsum. No convolution pass multiplies a kernel tap that reads only
-padding, or a zero stuffed between cotangent entries.
+zero-fill padding. The forward pass gathers each sample's kept taps with
+a strided view into a ``[Cin*K, N]`` column matrix (K kept taps, N output
+positions) and contracts it with one GEMM ``[Cout, Cin*K] x [Cin*K, N]``;
+the weight gradient is one einsum over the batch. No convolution pass
+multiplies a kernel tap that reads only padding, or a zero stuffed
+between cotangent entries.
 
 Tap cropping: on each spatial axis, the taps whose window reaches at least
 one input position lie in ``[lo, hi)``, from the first such tap to the
@@ -25,16 +28,17 @@ empty is skipped.
 Each op computes its result eagerly and returns
 ``tensor.make_op(result, parents, backward)``; the ``backward`` closure
 maps the output cotangent to ``accumulate_grad`` calls on the parents
-that ``needs_grad``, and is kept only when some parent needs gradients.
-Closures keep the op's inputs, never padded or cropped copies, which
+that ``needs_grad``, and is kept only when some parent needs gradients
+(and no ``tensor.no_grad`` is open). Closures keep the op's inputs, never padded or cropped copies, which
 backward rebuilds.
 
-The forward and input-gradient contractions run one sample at a time.
+The forward and input-gradient contractions run one GEMM per sample.
 Folding the batch into one BLAS GEMM lets a sample's rows fall on
-different tile edges, and einsum pick a different path, depending on what
-else is in the batch; both change the summation order and so the last bits
-of the result. One sample at a time, every sample gets the same GEMM
-shape, so its output does not depend on its batch-mates.
+different tile edges depending on what else is in the batch, which changes
+the summation order and so the last bits of the result; it would also
+build the whole batch's column matrix at once. One sample at a time,
+every sample gets the same GEMM shape, so its output does not depend on
+its batch-mates.
 """
 
 from __future__ import annotations
@@ -156,16 +160,11 @@ def _cropped_view(x: np.ndarray, crop, stride, dilation) -> np.ndarray:
     return _sliding_view(_window(x, start, extent), kept, stride, dilation)[0]
 
 
-_FWD_EINSUM = {2: "cijhw,ocij->ohw", 3: "cijkdhw,ocijk->odhw"}
 _WGT_EINSUM = {2: "bcijhw,bohw->ocij", 3: "bcijkdhw,bodhw->ocijk"}
 
 
-def _per_sample(subscripts: str, view: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Contract each sample's [C, *kernel, *out] view with ``w``; stack over B."""
-    return np.stack([np.einsum(subscripts, v, w, optimize=True) for v in view])
-
-
 def _corr_forward(x: np.ndarray, w: np.ndarray, stride, dilation, pad) -> np.ndarray:
+    """Per sample, one GEMM ``[Cout, Cin*K] x [Cin*K, N]`` over the kept taps."""
     nd = w.ndim - 2
     kernel = w.shape[2:]
     out = tuple(conv_out_extent(x.shape[2 + i], kernel[i], stride[i], dilation[i], pad[i])
@@ -174,7 +173,10 @@ def _corr_forward(x: np.ndarray, w: np.ndarray, stride, dilation, pad) -> np.nda
     if crop is None:
         return np.zeros((x.shape[0], w.shape[0]) + out)
     view = _cropped_view(x, crop, stride, dilation)
-    return _per_sample(_FWD_EINSUM[nd], view, w[(slice(None), slice(None)) + crop[0]])
+    wk = w[(slice(None), slice(None)) + crop[0]].reshape(w.shape[0], -1)
+    n = int(np.prod(out))
+    y = np.stack([wk @ v.reshape(-1, n) for v in view])
+    return y.reshape((x.shape[0], w.shape[0]) + out)
 
 
 def _corr_weight_grad(x: np.ndarray, gy: np.ndarray, kernel, stride, dilation, pad) -> np.ndarray:
@@ -490,20 +492,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
             accumulate_grad(t, piece)
 
     return make_op(y, tuple(tensors), bwd)
-
-
-def pad_zero(x: Tensor, pad_width: Sequence[Tuple[int, int]]) -> Tensor:
-    """Zero-pad with explicit (before, after) per axis."""
-    pw = tuple((int(a), int(b)) for a, b in pad_width)
-    if len(pw) != x.ndim:
-        raise ShapeError(f"pad_width needs {x.ndim} pairs, got {len(pw)}")
-    y = np.pad(x.data, pw)
-    crop = tuple(slice(a, a + n) for (a, _), n in zip(pw, x.shape))
-
-    def bwd(g):
-        accumulate_grad(x, g[crop])
-
-    return make_op(y, (x,), bwd)
 
 
 def smooth_l1(x: Tensor) -> Tensor:

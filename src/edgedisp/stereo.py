@@ -11,7 +11,7 @@ convolution weight of the network is drawn with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -112,16 +112,24 @@ def kaiming(rng: np.random.Generator, shape: Tuple[int, ...], fan_in: int) -> Te
     return Tensor(w.astype(np.float32).astype(np.float64), requires_grad=True)
 
 
+def granular_kernel_specs(c_in: int, c_out: int, s: int, groups: int,
+                          spatial_rank: int) -> Iterator[Tuple[Tuple[int, ...], int]]:
+    """Shape and Kaiming fan-in of each group kernel, then of the pointwise
+    kernel, in the order ``make_granular_params`` draws them."""
+    cg = c_in // groups
+    for _ in range(groups - 1):
+        yield (cg, cg) + (s,) * spatial_rank, cg * s ** spatial_rank
+    yield (c_out, c_in) + (1,) * spatial_rank, c_in
+
+
 def make_granular_params(c_in: int, c_out: int, s: int, groups: int,
                          spatial_rank: int, dilation: int,
                          rng: np.random.Generator) -> GranularConvParams:
     """Kaiming-initialized granular kernels."""
     if c_in % groups != 0:
         raise ShapeError(f"channels {c_in} not divisible by {groups}")
-    cg = c_in // groups
-    kshape = (cg, cg) + (s,) * spatial_rank
-    kernels = [kaiming(rng, kshape, cg * s ** spatial_rank) for _ in range(groups - 1)]
-    pw = kaiming(rng, (c_out, c_in) + (1,) * spatial_rank, c_in)
+    *kernels, pw = [kaiming(rng, shape, fan_in) for shape, fan_in
+                    in granular_kernel_specs(c_in, c_out, s, groups, spatial_rank)]
     return GranularConvParams(groups, kernels, pw, dilation)
 
 

@@ -9,18 +9,26 @@ the result records its parents and the ``backward`` closure, and
 execution order. Closures add their gradients with ``accumulate_grad``
 and skip parents for which ``needs_grad`` is false.
 
+Inside ``with no_grad():`` ``make_op`` records nothing, whatever the
+parents: results are plain values with no parents and no closure, so a
+pass with frozen weights (inference, validation, batch-norm
+recalibration) keeps no tape alive. The context nests and restores the
+previous state on exit, also when the body raises.
+
 All arithmetic is float64 with a fixed (row-major) summation order, so
 identical inputs give bit-identical results.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 _ids = itertools.count()
+_recording = True   # False inside no_grad()
 
 
 class Tensor:
@@ -206,13 +214,24 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Record no op in the body: every result is an untracked value."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def make_op(data: np.ndarray, parents: Sequence[Tensor],
             backward: Callable[[np.ndarray], None]) -> Tensor:
     """Wrap an op result; records ``parents`` and the ``backward`` closure
     (cotangent of the output -> gradients accumulated into the parents)
-    only when some parent needs gradients."""
+    only when some parent needs gradients and no ``no_grad`` is open."""
     out = Tensor(data)
-    if any(needs_grad(p) for p in parents):
+    if _recording and any(needs_grad(p) for p in parents):
         out._parents = tuple(parents)
         out._backward = backward
         out.requires_grad = True

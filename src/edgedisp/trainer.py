@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -15,7 +17,7 @@ from . import data as ddata
 from . import losses, network
 from .losses import LossWeights
 from .network import ModelParams, NetworkConfig
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 CHECKPOINT_MAGIC = b"DAGM"
 CHECKPOINT_VERSION = 1
@@ -102,13 +104,20 @@ def _config_from_entries(entries: Dict[str, np.ndarray]) -> NetworkConfig:
         if key not in entries:
             raise CheckpointError(f"checkpoint has no config entry {key!r}")
         arr = entries[key]
-        if f.type.startswith("Tuple") or isinstance(getattr(NetworkConfig, f.name, None), tuple):
-            kwargs[f.name] = tuple(int(x) for x in np.atleast_1d(arr))
+        is_tuple = isinstance(getattr(NetworkConfig, f.name, None), tuple)
+        if arr.ndim != (1 if is_tuple else 0) or not (arr == np.trunc(arr)).all():
+            raise CheckpointError(f"config entry {key!r} is not an integer "
+                                  f"{'list' if is_tuple else 'scalar'}: {arr}")
+        if is_tuple:
+            kwargs[f.name] = tuple(int(x) for x in arr)
         elif f.type == "bool":
             kwargs[f.name] = bool(arr)
         else:
             kwargs[f.name] = int(arr)
-    return NetworkConfig(**kwargs)
+    try:
+        return NetworkConfig(**kwargs)
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint config is invalid: {exc}") from None
 
 
 def save_checkpoint(params: ModelParams, state: Optional[OptimizerState],
@@ -138,20 +147,22 @@ def _read_exact(raw: bytes, pos: int, n: int, what: str) -> Tuple[bytes, int]:
 
 
 def load_checkpoint(path: str) -> Tuple[ModelParams, Optional[OptimizerState], NetworkConfig]:
-    """Read a checkpoint and check its tensors against ``init_params`` of its config."""
+    """Read a checkpoint and check its tensor names and shapes against its config."""
     params, state, cfg = _read_checkpoint(path)
-    expected = network.init_params(cfg, seed=0).tensors
+    # A config that asks for more tensors than the file holds stops here.
+    limit = len(params.tensors) + 1
+    expected = {n: shape for n, shape, _ in itertools.islice(network.param_specs(cfg), limit)}
     missing = set(expected) - set(params.tensors)
-    extra = set(params.tensors) - set(expected)
+    extra = set() if len(expected) == limit else set(params.tensors) - set(expected)
     if missing or extra:
         raise CheckpointError(
             f"checkpoint does not match its config: missing {sorted(missing)[:3]}, "
             f"unexpected {sorted(extra)[:3]}")
-    for name, t in expected.items():
-        if params[name].shape != t.shape:
+    for name, shape in expected.items():
+        if params[name].shape != shape:
             raise CheckpointError(
                 f"checkpoint does not match its config: {name!r} has shape "
-                f"{params[name].shape}, expected {t.shape}")
+                f"{params[name].shape}, expected {shape}")
     return params, state, cfg
 
 
@@ -172,7 +183,10 @@ def _read_checkpoint(path: str) -> Tuple[ModelParams, Optional[OptimizerState], 
         chunk, pos = _read_exact(raw, pos, 2, "name length")
         (nlen,) = struct.unpack("<H", chunk)
         chunk, pos = _read_exact(raw, pos, nlen, "name")
-        name = chunk.decode("utf-8")
+        try:
+            name = chunk.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"tensor name {chunk!r} is not UTF-8") from None
         if name in entries:
             raise CheckpointError(f"duplicate tensor name {name!r}")
         chunk, pos = _read_exact(raw, pos, 1, "rank")
@@ -181,9 +195,12 @@ def _read_checkpoint(path: str) -> Tuple[ModelParams, Optional[OptimizerState], 
         for _ in range(rank):
             chunk, pos = _read_exact(raw, pos, 4, "extent")
             shape.append(struct.unpack("<I", chunk)[0])
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        n = math.prod(shape)
         chunk, pos = _read_exact(raw, pos, 4 * n, f"payload of {name!r}")
-        entries[name] = np.frombuffer(chunk, dtype="<f4").astype(np.float64).reshape(shape)
+        try:
+            entries[name] = np.frombuffer(chunk, dtype="<f4").astype(np.float64).reshape(shape)
+        except ValueError as exc:    # more axes than numpy supports
+            raise CheckpointError(f"tensor {name!r} of rank {rank}: {exc}") from None
         if not np.isfinite(entries[name]).all():
             raise CheckpointError(f"non-finite value in {name!r}")
 
@@ -191,8 +208,11 @@ def _read_checkpoint(path: str) -> Tuple[ModelParams, Optional[OptimizerState], 
     params = ModelParams()
     state = None
     if "__opt__.step" in entries:
-        state = OptimizerState(lr=float(entries["__opt__.lr"]),
-                               step=int(entries["__opt__.step"]))
+        lr, step = entries.get("__opt__.lr"), entries["__opt__.step"]
+        if lr is None or lr.ndim or step.ndim or step != np.trunc(step):
+            raise CheckpointError("optimizer state needs a scalar __opt__.lr and an "
+                                  "integer __opt__.step")
+        state = OptimizerState(lr=float(lr), step=int(step))
     for name, arr in entries.items():
         if name.startswith("__cfg__."):
             continue
@@ -202,8 +222,11 @@ def _read_checkpoint(path: str) -> Tuple[ModelParams, Optional[OptimizerState], 
             elif state is not None and name.startswith("__opt__.v."):
                 state.v[name[len("__opt__.v."):]] = arr.copy()
             continue
-        buffer = name.endswith(".rmean") or name.endswith(".rvar")
-        params.add(name, Tensor(arr.copy(), requires_grad=not buffer))
+        buffer = name.rsplit(".", 1)[-1] in network.BUFFER_SUFFIXES
+        try:
+            params.add(name, Tensor(arr.copy(), requires_grad=not buffer))
+        except ValueError as exc:
+            raise CheckpointError(str(exc)) from None
     return params, state, cfg
 
 
@@ -292,16 +315,18 @@ def recalibrate_norm_stats(params: ModelParams, net: NetworkConfig,
     """Refresh batch-norm running buffers by streaming training batches.
 
     The exponential running estimates lag the weights after aggressive
-    updates; forwarding a few frozen-weight batches in training mode pulls
-    the buffers onto the current activation statistics before evaluation.
+    updates; forwarding a few frozen-weight batches with batch statistics
+    pulls the buffers onto the current activation statistics before
+    evaluation. The ``"stats"`` forward records no tape and leaves the
+    buffers as the full training forward would.
     """
     rng = np.random.default_rng(seed)
     n = min(batch_size, len(samples))
-    for _ in range(batches):
-        idx = rng.choice(len(samples), size=n, replace=False)
-        left, right, *_ = _batch_arrays(samples, idx, 0)
-        network.forward(left, right, params, net, "train")
-    params.zero_grad()
+    with no_grad():
+        for _ in range(batches):
+            idx = rng.choice(len(samples), size=n, replace=False)
+            left, right, *_ = _batch_arrays(samples, idx, 0)
+            network.forward(left, right, params, net, "stats")
 
 
 def train(cfg: TrainConfig) -> Dict[str, object]:
@@ -380,25 +405,45 @@ def train(cfg: TrainConfig) -> Dict[str, object]:
 # -- evaluation ---------------------------------------------------------------
 
 
+# Validation pairs per inference forward: larger batches save little
+# per-call overhead and hold more activations at once.
+EVAL_BATCH = 8
+
+
+def predict_batch(params: ModelParams, cfg: NetworkConfig,
+                  samples: Sequence[ddata.StereoSample]) -> List[np.ndarray]:
+    """Inference-mode disparities for samples of one image size, in one
+    untaped forward. Each equals ``predict`` of its sample bit for bit:
+    eval-mode batch-norm and every contraction act per sample."""
+    left = Tensor(np.stack([s.left.data for s in samples]))
+    right = Tensor(np.stack([s.right.data for s in samples]))
+    with no_grad():
+        out = network.forward(left, right, params, cfg, "infer")
+    return list(out[f"d{cfg.n_agm}"].data)
+
+
 def predict(params: ModelParams, cfg: NetworkConfig,
             sample: ddata.StereoSample) -> np.ndarray:
     """Inference-mode disparity for one sample."""
-    left = Tensor(sample.left.data[None])
-    right = Tensor(sample.right.data[None])
-    out = network.forward(left, right, params, cfg, "infer")
-    return out[f"d{cfg.n_agm}"].data[0]
+    return predict_batch(params, cfg, [sample])[0]
 
 
 def evaluate_params(params: ModelParams, cfg: NetworkConfig,
                     samples: Sequence[ddata.StereoSample]) -> Dict[str, float]:
-    """Aggregate metrics with all valid pixels pooled across the set."""
-    preds, gts, valids = [], [], []
-    for s in samples:
-        preds.append(predict(params, cfg, s).ravel())
-        gts.append(s.disparity.data.ravel())
-        valids.append(s.valid.ravel())
+    """Aggregate metrics with all valid pixels pooled across the set.
+
+    Consecutive samples of one image size are predicted together, up to
+    ``EVAL_BATCH`` per forward.
+    """
+    preds = []
+    for _shape, group in itertools.groupby(samples, key=lambda s: s.left.shape):
+        group = list(group)
+        for i in range(0, len(group), EVAL_BATCH):
+            preds.extend(d.ravel() for d in predict_batch(params, cfg, group[i:i + EVAL_BATCH]))
     return losses.metrics_report(
-        np.concatenate(preds), np.concatenate(gts), np.concatenate(valids))
+        np.concatenate(preds),
+        np.concatenate([s.disparity.data.ravel() for s in samples]),
+        np.concatenate([s.valid.ravel() for s in samples]))
 
 
 def evaluate(checkpoint_path: str, dataset_dir: str) -> Dict[str, float]:

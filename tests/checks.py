@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from edgedisp import ops
-from edgedisp.tensor import Tensor
+from edgedisp import network, ops, stereo
+from edgedisp.tensor import Tensor, accumulate_grad, make_op
 
 
 def fd_check(build, tensors, rng, n_probe=6, h=1e-5, rel_tol=1e-4, abs_tol=1e-6):
@@ -67,6 +67,15 @@ def rand_tensor(rng, shape, requires_grad=True, scale=1.0):
     return Tensor(rng.normal(0.0, scale, size=shape), requires_grad=requires_grad)
 
 
+def pad_zero(x, pad_width):
+    """Zero-pad a Tensor with explicit (before, after) per axis; the
+    gradient is the crop of the cotangent."""
+    pw = tuple((int(a), int(b)) for a, b in pad_width)
+    assert len(pw) == x.ndim, f"pad_width needs {x.ndim} pairs, got {len(pw)}"
+    crop = tuple(slice(a, a + n) for (a, _), n in zip(pw, x.shape))
+    return make_op(np.pad(x.data, pw), (x,), lambda g: accumulate_grad(x, g[crop]))
+
+
 def loop_cost_volume(f_left, f_right, d_levels):
     """Dual cost volume [B,3C,D,H,W] built level by level from tape ops.
 
@@ -81,7 +90,7 @@ def loop_cost_volume(f_left, f_right, d_levels):
             return f_right
         if d >= w:
             return Tensor(np.zeros(f_right.shape))
-        return ops.pad_zero(f_right[..., :w - d], [(0, 0)] * 3 + [(d, 0)])
+        return pad_zero(f_right[..., :w - d], [(0, 0)] * 3 + [(d, 0)])
 
     concat, dist = [], []
     for d in range(d_levels):
@@ -140,3 +149,27 @@ def stuffed_corr_input_grad(gy, w, stride, dilation, pad, in_spatial):
     gx[(slice(None), slice(None)) + tuple(slice(0, c) for c in copy)] = full[
         (slice(None), slice(None)) + tuple(slice(pad[i], pad[i] + copy[i]) for i in range(nd))]
     return gx
+
+
+# -- inference with the two views extracted one at a time -----------------
+
+
+def infer_views_apart(left, right, p, cfg):
+    """Last-stage disparity of ``network.forward(..., "infer")``, with the
+    left and right views through the feature extractor as separate calls."""
+    mode = "infer"
+    taps_l = network.feature_extract(left, p, mode)
+    taps_r = network.feature_extract(right, p, mode)
+    feats_l = feats_r = None
+    if cfg.use_dedge_spp:
+        _, feats_l = network.dedge_branch(taps_l, p, cfg, mode, with_head=False)
+        _, feats_r = network.dedge_branch(taps_r, p, cfg, mode, with_head=False)
+    fl = network.dedge_spp(taps_l["F_L2"], taps_l["F_L4"], feats_l, p, cfg, mode)
+    fr = network.dedge_spp(taps_r["F_L2"], taps_r["F_L4"], feats_r, p, cfg, mode)
+    cv = stereo.build_cost_volume(fl, fr, cfg.d_levels, cfg.d_max, network.DOWNSAMPLE)
+    v = network._conv_block(p, "disp.pre.a", cv.values, mode, nd=3)
+    v = (network._conv_block(p, "disp.pre.b", v, mode, nd=3, relu=False) + v).relu()
+    for i in range(cfg.n_agm):
+        v, _ = network.agm_module(v, p, f"disp.agm{i}", cfg, mode)
+    return network.output_module(v, p, f"disp.out{cfg.n_agm - 1}", left.shape[2:],
+                                 cfg.d_max, mode)

@@ -209,6 +209,25 @@ class TestPipeline:
         assert code == 2
         assert f"unknown {key} keys" in stderr and bad in stderr and stdout == ""
 
+    @pytest.mark.parametrize("overlay, message", [
+        ({"network": {"d_max": "16"}}, "network.d_max must be int, got '16'"),
+        ({"network": {"use_edge_branch": 1}}, "network.use_edge_branch must be bool"),
+        ({"network": {"dilation_rates": [1, 2.5]}}, "network.dilation_rates must be Tuple[int, ...]"),
+        ({"loss_weights": {"a": "0.5"}}, "loss_weights.a must be float"),
+        ({"steps": 2.5}, "steps must be int, got 2.5"),
+        ({"grad_clip": "1"}, "grad_clip must be Optional[float]"),
+        ({"lr_schedule": [["0", 1e-3]]}, "lr_schedule must be Tuple[Tuple[int, float], ...]"),
+        ({"network": {"groups": 0}}, "groups must be >= 1, got 0"),
+    ])
+    def test_overlay_value_type_checked(self, tmp_path, capsys, overlay, message):
+        cfg_path = str(tmp_path / "cfg.json")
+        with open(cfg_path, "w") as f:
+            json.dump(overlay, f)
+        code, stdout, stderr = run(capsys, "train", "--config", cfg_path,
+                                   "--data", str(tmp_path / "d"), "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert message in stderr and "Traceback" not in stderr and stdout == ""
+
     def test_infer_checkpoint_non_finite(self, tmp_path, capsys):
         net = NetworkConfig(**{**TINY_NET, "dilation_rates": tuple(TINY_NET["dilation_rates"])})
         params = init_params(net, seed=0)

@@ -10,7 +10,7 @@ from edgedisp.ops import ShapeError
 from edgedisp.stereo import granular_param_count, standard_param_count
 from edgedisp.tensor import Tensor
 
-from checks import fd_check
+from checks import fd_check, infer_views_apart
 
 TINY = NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=2, n_agm=2,
                      dilation_rates=(1, 2))
@@ -292,6 +292,32 @@ class TestForward:
             single = forward(Tensor(left[i:i + 1]), Tensor(right[i:i + 1]),
                              p, cfg, "infer")["d3"].data
             assert np.array_equal(batched[i:i + 1], single), f"pair {i}"
+
+    @pytest.mark.parametrize("cfg, hw", [
+        (NetworkConfig(), 64),
+        (TINY, 32),
+        (NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=2, n_agm=2,
+                       dilation_rates=(1, 2), use_dedge_spp=False), 32),
+        (NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=2, n_agm=2,
+                       dilation_rates=(1, 2), use_dedge_spp=False,
+                       use_edge_branch=False), 32),
+    ])
+    def test_infer_equals_views_extracted_apart(self, cfg, hw):
+        # the two views share one extractor batch in "infer" mode
+        rng = np.random.default_rng(16)
+        p = init_params(cfg, seed=0)
+        left, right = tiny_pair(rng, h=hw, w=hw, batch=2)
+        got = forward(left, right, p, cfg, "infer")[f"d{cfg.n_agm}"].data
+        np.testing.assert_array_equal(got, infer_views_apart(left, right, p, cfg).data)
+
+    def test_stats_mode_returns_nothing_and_records_like_train(self):
+        rng = np.random.default_rng(17)
+        left, right = tiny_pair(rng, h=32, w=32, batch=2)
+        a, b = init_params(TINY, seed=0), init_params(TINY, seed=0)
+        assert forward(left, right, a, TINY, "stats") == {}
+        forward(left, right, b, TINY, "train")
+        for name, t in b.tensors.items():
+            np.testing.assert_array_equal(a[name].data, t.data, err_msg=name)
 
     def test_shape_mismatch_rejected(self):
         p = init_params(TINY, seed=0)

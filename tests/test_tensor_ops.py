@@ -3,11 +3,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from checks import (fd_check, naive_conv, padded_corr_forward, padded_corr_weight_grad,
-                    rand_tensor, stuffed_corr_input_grad)
+from checks import (fd_check, naive_conv, pad_zero, padded_corr_forward,
+                    padded_corr_weight_grad, rand_tensor, stuffed_corr_input_grad)
 from edgedisp import ops
 from edgedisp.ops import ConvSpec, ShapeError
-from edgedisp.tensor import Tensor, accumulate_grad, make_op
+from edgedisp.tensor import Tensor, accumulate_grad, make_op, no_grad
 
 
 class TestConv2d:
@@ -356,7 +356,7 @@ class TestElementwise:
 
     def test_pad_zero_roundtrip(self):
         x = Tensor(np.ones((2, 3)))
-        y = ops.pad_zero(x, [(1, 0), (0, 2)])
+        y = pad_zero(x, [(1, 0), (0, 2)])
         assert y.shape == (3, 5)
         assert y.data.sum() == 6.0
 
@@ -471,6 +471,37 @@ class TestBackward:
         fd_check(lambda t, gg, bb: ((ops.batch_norm(t, gg, bb, "train") - tgt)
                                     * (ops.batch_norm(t, gg, bb, "train") - tgt)).sum(),
                  [xb, g, b], rng)
+
+
+class TestNoGrad:
+    @staticmethod
+    def recorded(t):
+        return t._parents != () or t._backward is not None
+
+    def test_records_nothing_inside(self):
+        w = Tensor(np.ones((1, 1, 3, 3)), requires_grad=True)
+        x = Tensor(np.ones((1, 1, 4, 4)))
+        with no_grad():
+            y = (ops.conv2d(x, w) * w.sum()).relu()
+        assert not self.recorded(y) and not y.requires_grad
+        assert self.recorded(ops.conv2d(x, w))
+
+    def test_nests(self):
+        w = Tensor(np.ones(2), requires_grad=True)
+        with no_grad():
+            with no_grad():
+                assert not self.recorded(w * 2.0)
+            assert not self.recorded(w * 2.0)
+        assert self.recorded(w * 2.0)
+
+    def test_restores_recording_after_an_exception(self):
+        w = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(ShapeError):
+            with no_grad():
+                ops.concat([], axis=0)
+        y = (w * 3.0).sum()
+        y.backward()
+        np.testing.assert_array_equal(w.grad, [3.0, 3.0])
 
 
 class TestDeterminism:

@@ -1,14 +1,14 @@
 """The per-layer tracer in perfbench/spans.py patches library attributes by
 name and binds some of their arguments by name; a rename in the library
-would break only traced benchmark runs, so one traced training step runs
-here."""
+would break only traced benchmark runs, so one traced training step and
+the untaped recalibration and validation passes run here."""
 
 import os
 import sys
 
 import numpy as np
 
-from edgedisp import network, trainer
+from edgedisp import data, network, trainer
 from edgedisp.losses import LossWeights
 from edgedisp.network import NetworkConfig
 from edgedisp.tensor import Tensor
@@ -51,3 +51,33 @@ def test_traced_train_step_restores_every_patch():
     metrics = tracer.metrics(units=1)
     assert metrics["ops.conv.calls"][0] > 0
     assert metrics["tensor.tape_nodes"][0] > 0
+
+
+def test_traced_frozen_weight_passes_restore_every_patch():
+    cfg = NetworkConfig()
+    params = network.init_params(cfg, seed=0)
+    samples = [data.synth_stereogram(i, {"H": 32, "W": 64, "D_max": 16, "n_objects": 2})
+               for i in range(3)]
+
+    tracer = spans.Tracer(run_id="test")
+    tracer.install()
+    patched = list(tracer._patched)
+    try:
+        tracer.mark_loop()
+        trainer.recalibrate_norm_stats(params, cfg, samples, batch_size=2, seed=0, batches=2)
+        report = trainer.evaluate_params(params, cfg, samples)
+    finally:
+        tracer.uninstall()
+
+    assert np.isfinite(report["epe"])
+    for owner, attr, orig in patched:
+        assert getattr(owner, attr) is orig, f"{owner.__name__}.{attr} not restored"
+    names = [s[1] for s in tracer.spans]
+    assert names.count("trainer.recalibrate_norm_stats") == 1
+    assert names.count("trainer.evaluate_params") == 1
+    # two batch-statistics forwards, then one batch of three validation pairs
+    assert names.count("network.forward") == 3
+    metrics = tracer.metrics(units=1)
+    assert metrics["trainer.recalibrate_s"][0] > 0
+    assert metrics["trainer.evaluate_s"][0] > 0
+    assert metrics["tensor.tape_nodes"][0] == 0

@@ -9,12 +9,14 @@ import pytest
 
 from edgedisp import data as ddata
 from edgedisp.losses import LossWeights
+from edgedisp import network
 from edgedisp.network import NetworkConfig, init_params
 from edgedisp.tensor import Tensor
-from edgedisp.trainer import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError,
-                              OptimizerState, TrainConfig, _config_entries, _pack_tensor,
-                              _read_checkpoint, adam_step, evaluate, evaluate_params,
-                              load_checkpoint, predict, save_checkpoint, train,
+from edgedisp.trainer import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, EVAL_BATCH,
+                              CheckpointError, OptimizerState, TrainConfig, _batch_arrays,
+                              _config_entries, _pack_tensor, _read_checkpoint, adam_step,
+                              evaluate, evaluate_params, load_checkpoint, predict,
+                              predict_batch, recalibrate_norm_stats, save_checkpoint, train,
                               zero_disparity_baseline)
 
 TINY_NET = NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=2, n_agm=3,
@@ -202,6 +204,46 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="__cfg__.groups"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("changes, what", [
+        # far more tensors, and far larger ones, than the file holds: the
+        # check stops at the first missing names without building them
+        ({"__cfg__.base_channels": 2.0 ** 40, "__cfg__.n_agm": 1e9},
+         r"does not match its config: missing \['disp\.agm3\.enc1\.w'\]"),
+        ({"__cfg__.base_channels": 2.0 ** 40},
+         r"'shared\.conv0\.w' has shape \(4, 3, 3, 3\), expected \(1099511627776, 3, 3, 3\)"),
+        ({"__cfg__.groups": 0.0}, "config is invalid: groups must be >= 1"),
+        ({"__cfg__.d_max": 8.5}, "'__cfg__.d_max' is not an integer scalar"),
+        ({"__cfg__.dilation_rates": np.ones((2, 2))},
+         "'__cfg__.dilation_rates' is not an integer list"),
+    ])
+    def test_implausible_config_rejected(self, tmp_path, monkeypatch, changes, what):
+        import edgedisp.trainer as trainer
+        entries = trainer._config_entries
+        monkeypatch.setattr(trainer, "_config_entries",
+                            lambda cfg: {**entries(cfg), **{k: np.asarray(v)
+                                                            for k, v in changes.items()}})
+        path = str(tmp_path / "cfg.ckpt")
+        save_checkpoint(init_params(TINY_NET, seed=0), None, path, TINY_NET)
+        with pytest.raises(CheckpointError, match=what):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name, shape, what", [
+        (b"shared.\xff.w", (2,), "is not UTF-8"),
+        (b"other.conv0.w", (2,), "outside the known partitions"),
+        (b"shared.conv0.w", (1,) * 70, "of rank 70"),
+        (b"__opt__.step", (), "scalar __opt__.lr"),
+    ])
+    def test_malformed_entry_rejected(self, tmp_path, name, shape, what):
+        entries = dict(_config_entries(TINY_NET))
+        blob = b"".join(_pack_tensor(n, a) for n, a in entries.items())
+        blob += struct.pack("<H", len(name)) + name + struct.pack("B", len(shape))
+        blob += b"".join(struct.pack("<I", n) for n in shape)
+        blob += np.ones(math.prod(shape), dtype="<f4").tobytes()
+        path = tmp_path / "entry.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION,
+                                                        len(entries) + 1) + blob)
+        with pytest.raises(CheckpointError, match=what):
+            load_checkpoint(str(path))
 
     def _trained_state(self, params):
         state = OptimizerState(lr=2.5e-4, step=5)
@@ -358,6 +400,72 @@ class TestEvaluation:
         save_checkpoint(params, None, path, TINY_NET)
         with pytest.raises(CheckpointError, match="match"):
             evaluate(path, data_dir)
+
+
+def synth(seed, h=16, w=32):
+    return ddata.synth_stereogram(seed, {"H": h, "W": w, "D_max": 8, "n_objects": 2})
+
+
+class TestFrozenWeightPasses:
+    def test_predict_records_no_tape(self, monkeypatch):
+        outputs, forward = [], network.forward
+
+        def spy(*args):
+            out = forward(*args)
+            outputs.append(out)
+            return out
+        monkeypatch.setattr(network, "forward", spy)
+        predict(init_params(TINY_NET, seed=0), TINY_NET, synth(1))
+        (d,) = outputs[0].values()
+        assert d._parents == () and d._backward is None and not d.requires_grad
+
+    @pytest.mark.parametrize("cfg", [
+        TINY_NET,
+        NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=2, n_agm=2,
+                      dilation_rates=(1, 2), use_dedge_spp=False),
+        NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=2, n_agm=2,
+                      dilation_rates=(1, 2), use_dedge_spp=False, use_edge_branch=False),
+    ])
+    def test_recalibration_equals_taped_train_forward(self, cfg):
+        samples = [synth(i) for i in range(6)]
+        got, want = init_params(cfg, seed=0), init_params(cfg, seed=0)
+        recalibrate_norm_stats(got, cfg, samples, batch_size=4, seed=5, batches=3)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            idx = rng.choice(len(samples), size=4, replace=False)
+            left, right, *_ = _batch_arrays(samples, idx, 0)
+            out = network.forward(left, right, want, cfg, "train")
+            assert out[f"d{cfg.n_agm}"]._backward is not None
+        buffers = [n for n in want.tensors if n.endswith((".rmean", ".rvar"))]
+        assert buffers
+        for name in buffers:
+            assert not np.array_equal(want[name].data, init_params(cfg, 0)[name].data), name
+            np.testing.assert_array_equal(got[name].data, want[name].data, err_msg=name)
+
+    def test_predict_batch_equals_per_sample(self):
+        params = init_params(TINY_NET, seed=0)
+        samples = [synth(10 + i) for i in range(EVAL_BATCH + 2)]
+        for s, d in zip(samples, predict_batch(params, TINY_NET, samples)):
+            np.testing.assert_array_equal(d, predict(params, TINY_NET, s))
+
+    def test_evaluate_batches_runs_of_one_size(self, monkeypatch):
+        # a run longer than EVAL_BATCH, another size, then the first size again
+        samples = ([synth(20 + i) for i in range(EVAL_BATCH + 2)]
+                   + [synth(40 + i, h=32) for i in range(2)] + [synth(50)])
+        params = init_params(TINY_NET, seed=0)
+        preds = [predict(params, TINY_NET, s) for s in samples]
+        from edgedisp.losses import metrics_report
+        want = metrics_report(np.concatenate([d.ravel() for d in preds]),
+                              np.concatenate([s.disparity.data.ravel() for s in samples]),
+                              np.concatenate([s.valid.ravel() for s in samples]))
+        batches, forward = [], network.forward
+
+        def spy(left, *args):
+            batches.append(left.shape[0])
+            return forward(left, *args)
+        monkeypatch.setattr(network, "forward", spy)
+        assert evaluate_params(params, TINY_NET, samples) == want
+        assert batches == [EVAL_BATCH, 2, 2, 1]
 
 
 class TestMultiTaskFlow:
