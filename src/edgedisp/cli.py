@@ -179,6 +179,10 @@ def cmd_infer(args) -> int:
                                 np.zeros((h, w), dtype=np.int64),
                                 np.ones((h, w), dtype=np.uint8))
     disp = trainer.predict(params, cfg, sample)
+    bad = int(np.count_nonzero(~np.isfinite(disp)))
+    if bad:
+        raise ValueError(f"non-finite disparity at {bad} of {disp.size} pixels "
+                         f"from checkpoint {args.ckpt!r}; nothing written")
     ddata.write_pfm(args.out_disp, disp)
     ddata.write_ppm(args.out_vis, colorize(disp, cfg.d_max - 1))
     report = {"out_disp": args.out_disp, "out_vis": args.out_vis,

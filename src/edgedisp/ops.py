@@ -1,50 +1,53 @@
 """Structured array operations: convolutions, pooling, resampling, softmax.
 
 Convolutions are cross-correlations (deep-learning convention) with
-zero-fill padding. The forward pass gathers each sample's kept taps with
-a strided view into a ``[Cin*K, N]`` column matrix (K kept taps, N output
-positions) and contracts it with one GEMM ``[Cout, Cin*K] x [Cin*K, N]``;
-the weight gradient is one einsum over the batch. No convolution pass
-multiplies a kernel tap that reads only padding, or a zero stuffed
-between cotangent entries.
+zero-fill padding. All three convolution passes run over one tap plan,
+``_tap_plan``, cached per input extents, kernel, stride, dilation and
+padding. On each spatial axis, tap ``t`` reads the input positions
+``o*stride + t*dilation - pad`` that lie inside the input; the plan keeps
+the taps from the first to the last that read any, and lists, for each
+kept tap that reads input on every axis, the input slices it reads and
+the output slices that read them. A tap outside the kept range reads only
+zero padding: its products are exact zeros and its weight gradient is
+exactly zero, so leaving it out removes only zero terms from each sum.
 
-Tap cropping: on each spatial axis, the taps whose window reaches at least
-one input position lie in ``[lo, hi)``, from the first such tap to the
-last. The forward pass and the weight gradient slice the weight to that
-range and read the input window that starts at ``lo*dilation - pad``
-(per-side padding, negative where it crops). A dropped tap reads only zero
-padding, so its products are exact zeros and its weight gradient is
-exactly zero; leaving them out removes only zero terms from each sum, and
-changes only the order BLAS adds the rest in.
+Gather (forward and weight gradient): each sample's kept taps are copied
+from the input into one ``[Cin*K, N]`` column matrix (K kept taps, N
+output positions). One zeroed buffer per call is refilled for every
+sample; all samples fill the same positions, so the columns of taps that
+read padding stay zero. The forward pass runs one GEMM
+``[Cout, Cin*K] x [Cin*K, N]`` per sample; the weight gradient adds
+``gy_b [Cout, N] x cols_bᵀ`` over the batch in batch order.
 
-Per-tap adjoint: the input gradient (which is also the transposed
-convolution) runs one GEMM ``[Cin*K, Cout] x [Cout, N]`` per sample over
-the kept taps, then adds each tap's slice, in a fixed tap order, into the
-input positions ``o*stride + tap*dilation - pad`` that lie inside the
-input. That is the definition of the adjoint term by term; nothing is
-zero-stuffed, flipped or margin-padded, and a tap whose target range is
-empty is skipped.
+Scatter (input gradient, which is also the transposed convolution): per
+sample, one GEMM ``[Cin*K, Cout] x [Cout, N]`` gives every kept tap's
+columns, and each tap of the plan adds its columns, in a fixed tap order,
+back into the input positions it reads. Scatter is the exact adjoint of
+gather over the same moves; nothing is zero-stuffed, flipped or
+margin-padded.
 
 Each op computes its result eagerly and returns
 ``tensor.make_op(result, parents, backward)``; the ``backward`` closure
 maps the output cotangent to ``accumulate_grad`` calls on the parents
 that ``needs_grad``, and is kept only when some parent needs gradients
-(and no ``tensor.no_grad`` is open). Closures keep the op's inputs, never padded or cropped copies, which
-backward rebuilds.
+(and no ``tensor.no_grad`` is open). Closures keep the op's inputs, never
+column matrices, which backward rebuilds.
 
-The forward and input-gradient contractions run one GEMM per sample.
-Folding the batch into one BLAS GEMM lets a sample's rows fall on
-different tile edges depending on what else is in the batch, which changes
-the summation order and so the last bits of the result; it would also
-build the whole batch's column matrix at once. One sample at a time,
-every sample gets the same GEMM shape, so its output does not depend on
-its batch-mates.
+Every contraction runs one GEMM per sample. Folding the batch into one
+BLAS GEMM lets a sample's rows fall on different tile edges depending on
+what else is in the batch, which changes the summation order and so the
+last bits of the result; it would also build the whole batch's column
+matrix at once. One sample at a time, every sample gets the same GEMM
+shape, so its output does not depend on its batch-mates.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -87,110 +90,87 @@ def conv_out_extent(n: int, k: int, stride: int, dilation: int, pad: int) -> int
     return out
 
 
-# -- strided-view machinery ---------------------------------------------------
+# -- tap plan, gather and scatter ---------------------------------------------
 
 
-def _tap_slices(n: int, m: int, stride: int, dilation: int, pad: int, tap: int):
-    """Where a tap lands: the input positions ``o*stride + tap*dilation - pad``
-    that lie in [0, n), and the outputs o < m that read them, as a pair of
-    slices; ``None`` when the tap reads only padding."""
-    off = tap * dilation - pad
-    a, b = max(0, -(off // stride)), min(m, (n - 1 - off) // stride + 1)
-    if a >= b:
-        return None
-    first = a * stride + off
-    return slice(first, first + (b - a - 1) * stride + 1, stride), slice(a, b)
+class _TapPlan(NamedTuple):
+    out: Tuple[int, ...]       # output extent per spatial axis
+    taps: Tuple[slice, ...]    # kept tap range per spatial axis
+    kept: Tuple[int, ...]      # number of kept taps per spatial axis
+    moves: tuple               # (input index, column index) per landing tap
 
 
-def _crop_taps(in_spatial, out_spatial, kernel, stride, dilation, pad):
-    """Tap ranges that touch real input, and the input window they read.
+# A network at one image size needs a few dozen plans (23 for the default
+# configuration); the bound keeps a service fed many image sizes finite.
+@functools.lru_cache(maxsize=256)
+def _tap_plan(in_spatial, kernel, stride, dilation, pad) -> _TapPlan:
+    """The geometry every convolution pass runs over, computed once per shape.
 
-    On each axis the taps whose window reaches at least one input position
-    span ``[lo, hi)``; every other tap reads only zero padding. Returns the
-    tap slices and, per axis, the window start ``lo*dilation - pad`` (below
-    zero: padding, above: a crop) and extent, or ``None`` when some axis has
-    no such tap, so that the convolution is identically zero.
+    On each axis, tap ``t`` reads the input positions ``o*stride +
+    t*dilation - pad`` that lie in [0, n); the kept range spans the first to
+    the last tap that reads any. For each kept tap that reads input on every
+    axis, in row-major tap order, a move pairs the index of what it reads in
+    one sample ``[Cin, *in_spatial]`` with the index of its columns in
+    ``[Cin, *kept, *out]`` (tap, then the outputs that read there).
     """
-    taps, start, extent = [], [], []
-    for n, m, k, s, d, p in zip(in_spatial, out_spatial, kernel, stride, dilation, pad):
-        useful = [t for t in range(k) if _tap_slices(n, m, s, d, p, t)]
-        if not useful:
-            return None
-        lo, hi = useful[0], useful[-1] + 1
-        taps.append(slice(lo, hi))
-        start.append(lo * d - p)
-        extent.append((m - 1) * s + (hi - 1 - lo) * d + 1)
-    return tuple(taps), start, extent
+    out = tuple(conv_out_extent(*a) for a in zip(in_spatial, kernel, stride, dilation, pad))
+    lands = []
+    for n, m, k, s, d, p in zip(in_spatial, out, kernel, stride, dilation, pad):
+        axis = {}
+        for t in range(k):
+            off = t * d - p
+            a, b = max(0, -(off // s)), min(m, (n - 1 - off) // s + 1)
+            if a < b:
+                first = a * s + off
+                axis[t] = (slice(first, first + (b - a - 1) * s + 1, s), slice(a, b))
+        lands.append(axis)
+    taps = tuple(slice(min(a), max(a) + 1) if a else slice(0, 0) for a in lands)
+    moves = []
+    for tap in itertools.product(*(range(t.start, t.stop) for t in taps)):
+        pick = [a.get(t) for a, t in zip(lands, tap)]
+        if None not in pick:
+            kept = tuple(t - r.start for t, r in zip(tap, taps))
+            moves.append(((slice(None),) + tuple(i for i, _ in pick),
+                          (slice(None),) + kept + tuple(o for _, o in pick)))
+    return _TapPlan(out, taps, tuple(t.stop - t.start for t in taps), tuple(moves))
 
 
-def _window(x: np.ndarray, start: Sequence[int], extent: Sequence[int]) -> np.ndarray:
-    """``x[:, :, start:start + extent]`` on each spatial axis, zero outside x.
+def _kept_weight(w: np.ndarray, plan: _TapPlan) -> np.ndarray:
+    """The kept taps of w, flattened to [w.shape[0], w.shape[1]*K]."""
+    kept = w[(slice(None), slice(None)) + plan.taps]
+    return kept.reshape(w.shape[0], w.shape[1] * math.prod(plan.kept))
 
-    A view when the window lies inside x; otherwise a zero-filled copy.
+
+def _gather(x: np.ndarray, plan: _TapPlan):
+    """Each sample's ``[Cin*K, N]`` column matrix, in batch order.
+
+    One zeroed buffer serves every sample: all samples fill the same
+    positions, so the columns of taps that read padding stay zero. Each
+    yielded matrix is overwritten by the next.
     """
-    sp = x.shape[2:]
-    src = tuple(slice(max(a, 0), min(a + e, n)) for a, e, n in zip(start, extent, sp))
-    if all(a >= 0 and a + e <= n for a, e, n in zip(start, extent, sp)):
-        return x[(slice(None), slice(None)) + src]
-    out = np.zeros(x.shape[:2] + tuple(extent))
-    dst = tuple(slice(s.start - a, s.stop - a) for s, a in zip(src, start))
-    out[(slice(None), slice(None)) + dst] = x[(slice(None), slice(None)) + src]
-    return out
-
-
-def _sliding_view(xp: np.ndarray, kernel: Sequence[int], stride: Sequence[int],
-                  dilation: Sequence[int]):
-    """View of shape [B, C, *kernel, *out] over the padded input."""
-    nd = len(kernel)
-    sp = xp.shape[2:]
-    out = tuple((sp[i] - dilation[i] * (kernel[i] - 1) - 1) // stride[i] + 1
-                for i in range(nd))
-    shape = xp.shape[:2] + tuple(kernel) + out
-    st = xp.strides
-    strides = (st[:2]
-               + tuple(st[2 + i] * dilation[i] for i in range(nd))
-               + tuple(st[2 + i] * stride[i] for i in range(nd)))
-    return np.lib.stride_tricks.as_strided(xp, shape, strides), out
-
-
-def _cropped_view(x: np.ndarray, crop, stride, dilation) -> np.ndarray:
-    """[B, C, *kept taps, *out] view over the window the kept taps read."""
-    taps, start, extent = crop
-    kept = tuple(t.stop - t.start for t in taps)
-    return _sliding_view(_window(x, start, extent), kept, stride, dilation)[0]
-
-
-_WGT_EINSUM = {2: "bcijhw,bohw->ocij", 3: "bcijkdhw,bodhw->ocijk"}
+    cols = np.zeros((x.shape[1],) + plan.kept + plan.out)
+    flat = cols.reshape(x.shape[1] * math.prod(plan.kept), math.prod(plan.out))
+    for xb in x:
+        for src, dst in plan.moves:
+            cols[dst] = xb[src]
+        yield flat
 
 
 def _corr_forward(x: np.ndarray, w: np.ndarray, stride, dilation, pad) -> np.ndarray:
     """Per sample, one GEMM ``[Cout, Cin*K] x [Cin*K, N]`` over the kept taps."""
-    nd = w.ndim - 2
-    kernel = w.shape[2:]
-    out = tuple(conv_out_extent(x.shape[2 + i], kernel[i], stride[i], dilation[i], pad[i])
-                for i in range(nd))
-    crop = _crop_taps(x.shape[2:], out, kernel, stride, dilation, pad)
-    if crop is None:
-        return np.zeros((x.shape[0], w.shape[0]) + out)
-    view = _cropped_view(x, crop, stride, dilation)
-    wk = w[(slice(None), slice(None)) + crop[0]].reshape(w.shape[0], -1)
-    n = int(np.prod(out))
-    y = np.stack([wk @ v.reshape(-1, n) for v in view])
-    return y.reshape((x.shape[0], w.shape[0]) + out)
+    plan = _tap_plan(x.shape[2:], w.shape[2:], stride, dilation, pad)
+    wk = _kept_weight(w, plan)
+    y = np.stack([wk @ cols for cols in _gather(x, plan)])
+    return y.reshape((x.shape[0], w.shape[0]) + plan.out)
 
 
 def _corr_weight_grad(x: np.ndarray, gy: np.ndarray, kernel, stride, dilation, pad) -> np.ndarray:
-    nd = len(kernel)
-    crop = _crop_taps(x.shape[2:], gy.shape[2:], kernel, stride, dilation, pad)
-    gw = np.zeros((gy.shape[1], x.shape[1]) + tuple(kernel))
-    if crop is None:
-        return gw
-    view = _cropped_view(x, crop, stride, dilation)
-    # A sum over the batch by definition, so it stays one batched contraction.
-    g = np.einsum(_WGT_EINSUM[nd], view, gy, optimize=True)
-    if g.shape == gw.shape:
-        return g
-    gw[(slice(None), slice(None)) + crop[0]] = g
+    """Sum over the batch, in batch order, of ``gy_b [Cout, N] x cols_bᵀ``."""
+    plan = _tap_plan(x.shape[2:], kernel, stride, dilation, pad)
+    cout, cin = gy.shape[1], x.shape[1]
+    gk = sum(g.reshape(cout, -1) @ cols.T for g, cols in zip(gy, _gather(x, plan)))
+    gw = np.zeros((cout, cin) + kernel)
+    gw[(slice(None), slice(None)) + plan.taps] = gk.reshape((cout, cin) + plan.kept)
     return gw
 
 
@@ -199,31 +179,17 @@ def _corr_input_grad(gy: np.ndarray, w: np.ndarray, stride, dilation, pad,
     """Adjoint of _corr_forward w.r.t. the input (= transposed convolution).
 
     Per sample, one GEMM ``[Cin*K, Cout] x [Cout, N]`` gives every kept
-    tap's contribution at every output position; each tap then adds, in a
-    fixed order, its slice into the input positions ``o*stride +
-    tap*dilation - pad`` that lie inside the input.
+    tap's columns; each move of the plan then adds, in tap order, its
+    columns back into the input positions its tap reads.
     """
-    B, cout = gy.shape[:2]
-    out = gy.shape[2:]
-    gx = np.zeros((B, w.shape[1]) + tuple(in_spatial))
-    crop = _crop_taps(in_spatial, out, w.shape[2:], stride, dilation, pad)
-    if crop is None:
-        return gx
-    wk = w[(slice(None), slice(None)) + crop[0]]
-    kept = wk.shape[2:]
-    wt = wk.reshape(cout, -1).T
-    lands = [[_tap_slices(n, m, s, d, p, t) for t in range(taps.start, taps.stop)]
-             for n, m, taps, s, d, p in zip(in_spatial, out, crop[0], stride, dilation, pad)]
-    scatter = []
-    for tap in np.ndindex(*kept):
-        pick = [lands[i][t] for i, t in enumerate(tap)]
-        if None not in pick:
-            scatter.append((tuple(dst for dst, _ in pick),
-                            (slice(None),) + tap + tuple(src for _, src in pick)))
+    plan = _tap_plan(in_spatial, w.shape[2:], stride, dilation, pad)
+    cin = w.shape[1]
+    wt = _kept_weight(w, plan).T
+    gx = np.zeros((gy.shape[0], cin) + in_spatial)
     for g, gxb in zip(gy, gx):
-        cols = (wt @ g.reshape(cout, -1)).reshape((w.shape[1],) + kept + tuple(out))
-        for dst, src in scatter:
-            gxb[(slice(None),) + dst] += cols[src]
+        cols = (wt @ g.reshape(gy.shape[1], -1)).reshape((cin,) + plan.kept + plan.out)
+        for src, dst in plan.moves:
+            gxb[src] += cols[dst]
     return gx
 
 
@@ -236,8 +202,7 @@ def _check_conv_shapes(x: Tensor, w: Tensor, nd: int, stride, dilation, pad) -> 
         raise ShapeError(
             f"channel axis mismatch: input has {x.shape[1]} channels, "
             f"weight expects {w.shape[1]}")
-    for i in range(nd):
-        conv_out_extent(x.shape[2 + i], w.shape[2 + i], stride[i], dilation[i], pad[i])
+    _tap_plan(x.shape[2:], w.shape[2:], stride, dilation, pad)
 
 
 def _convnd(x: Tensor, w: Tensor, bias: Optional[Tensor], spec: ConvSpec, nd: int) -> Tensor:
@@ -295,14 +260,13 @@ def conv3d_transposed(x: Tensor, w: Tensor, spec: ConvSpec = ConvSpec(),
         output_size = tuple(
             stride[i] * (x.shape[2 + i] - 1) + dilation[i] * (kernel[i] - 1) + 1 - 2 * pad[i]
             for i in range(nd))
-    for i, n in enumerate(output_size):
-        if n < 1:
-            raise ShapeError(f"output extent {n} < 1 on spatial axis {i}")
-        back = (n + 2 * pad[i] - dilation[i] * (kernel[i] - 1) - 1) // stride[i] + 1
-        if back != x.shape[2 + i]:
-            raise ShapeError(
-                f"output extent {n} on spatial axis {i} convolves back to {back}, "
-                f"not to the input extent {x.shape[2 + i]}")
+    output_size = tuple(output_size)
+    if min(output_size) < 1:
+        raise ShapeError(f"output_size {output_size} has an extent below 1")
+    back = _tap_plan(output_size, kernel, stride, dilation, pad).out
+    if back != x.shape[2:]:
+        raise ShapeError(f"output_size {output_size} convolves back to {back}, "
+                         f"not to the input extents {x.shape[2:]}")
     y = _corr_input_grad(x.data, w.data, stride, dilation, pad, output_size)
 
     def bwd(g):

@@ -255,6 +255,10 @@ class TrainConfig:
         starts = [s for s, _ in self.lr_schedule]
         if starts != sorted(starts) or (starts and starts[0] != 0):
             raise ValueError("lr schedule breakpoints must start at 0 and increase")
+        if self.network.n_agm != 3:
+            raise ValueError(
+                f"network.n_agm must be 3 for training (the loss weighs the three "
+                f"stage disparities d1, d2, d3), got {self.network.n_agm}")
 
 
 def _lr_at(schedule, step: int) -> float:

@@ -228,6 +228,16 @@ class TestPipeline:
         assert code == 2
         assert message in stderr and "Traceback" not in stderr and stdout == ""
 
+    @pytest.mark.parametrize("n_agm", [2, 4])
+    def test_train_rejects_n_agm_other_than_three(self, tmp_path, capsys, n_agm):
+        cfg_path = str(tmp_path / "cfg.json")
+        with open(cfg_path, "w") as f:
+            json.dump({"network": {**TINY_NET, "n_agm": n_agm}}, f)
+        code, stdout, stderr = run(capsys, "train", "--config", cfg_path,
+                                   "--data", str(tmp_path / "d"), "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert "network.n_agm" in stderr and "Traceback" not in stderr and stdout == ""
+
     def test_infer_checkpoint_non_finite(self, tmp_path, capsys):
         net = NetworkConfig(**{**TINY_NET, "dilation_rates": tuple(TINY_NET["dilation_rates"])})
         params = init_params(net, seed=0)
@@ -241,6 +251,26 @@ class TestPipeline:
                                    "--out-vis", str(tmp_path / "d.ppm"))
         assert code == 2
         assert "non-finite" in stderr and "disp.out2.b.b" in stderr and stdout == ""
+
+    def test_infer_non_finite_disparity_rejected(self, tmp_path, capsys):
+        # Finite weights scaled by 1e30 pass the load-time check but overflow
+        # the forward pass to NaN.
+        net = NetworkConfig(**{**TINY_NET, "dilation_rates": tuple(TINY_NET["dilation_rates"])})
+        params = init_params(net, seed=0)
+        for name, t in params.tensors.items():
+            if name.endswith(".w"):
+                t.data *= 1e30
+        ckpt = str(tmp_path / "huge.ckpt")
+        save_checkpoint(params, None, ckpt, net)
+        img = str(tmp_path / "img.pgm")
+        ddata.write_pgm(img, np.arange(32 * 32).reshape(32, 32) % 256)
+        out_disp, out_vis = str(tmp_path / "d.pfm"), str(tmp_path / "d.ppm")
+        code, stdout, stderr = run(capsys, "infer", "--ckpt", ckpt, "--left", img,
+                                   "--right", img, "--out-disp", out_disp,
+                                   "--out-vis", out_vis)
+        assert code == 2
+        assert "non-finite disparity" in stderr and "Traceback" not in stderr and stdout == ""
+        assert not os.path.exists(out_disp) and not os.path.exists(out_vis)
 
     def test_infer_checkpoint_missing_tensor(self, tmp_path, capsys):
         net = NetworkConfig(**{**TINY_NET, "dilation_rates": tuple(TINY_NET["dilation_rates"])})

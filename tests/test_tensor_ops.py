@@ -167,6 +167,8 @@ class TestConvAgainstReference:
          ConvSpec(stride=2, padding=1), (4, 6, 6)),
         ("conv3d_transposed", (2, 3, 1, 2, 2), (3, 4, 3, 3, 3),
          ConvSpec(dilation=4, padding=4), None),
+        # taps 0 and 2 of the first axis read data, tap 1 between them only padding
+        ("conv2d", (2, 3, 1, 5), (4, 3, 3, 3), ConvSpec(stride=(2, 1), padding=(2, 1)), None),
     ])
     def test_matches_reference(self, name, x_shape, w_shape, spec, output_size):
         rng = np.random.default_rng(11)
@@ -234,6 +236,53 @@ class TestConvAgainstReference:
         assert adj.shape == x.shape
         scale = np.abs(y * g).sum() + np.abs(x * adj).sum()
         assert abs(float((y * g).sum()) - float((x * adj).sum())) <= 1e-12 * max(scale, 1e-300)
+
+
+# One case per convolution op: (name, x shape, w shape, spec, output_size).
+_CONV_CASES = [
+    ("conv2d", (2, 3, 5, 6), (4, 3, 3, 3), ConvSpec(stride=2, padding=1), None),
+    ("conv3d", (2, 2, 1, 4, 4), (3, 2, 3, 3, 3), ConvSpec(dilation=4, padding=4), None),
+    ("conv3d_transposed", (2, 3, 2, 3, 3), (3, 2, 3, 3, 3), ConvSpec(stride=2, padding=1),
+     (4, 6, 6)),
+]
+
+
+class TestTapPlan:
+    """Every pass runs over one cached geometry, and the weight gradient of
+    every convolution op goes through ``ops._corr_weight_grad``, which the
+    benchmark self-test perturbs."""
+
+    def test_repeat_pass_adds_no_plan(self):
+        def passes():
+            for i, (name, xs, ws, spec, size) in enumerate(_CONV_CASES):
+                rng = np.random.default_rng(i)
+                x, w, b = rng.normal(size=xs), rng.normal(size=ws), rng.normal(size=ws[0])
+                _conv_with_grads(name, x, w, b, spec, size, rng)
+
+        passes()
+        misses = ops._tap_plan.cache_info().misses
+        passes()
+        assert ops._tap_plan.cache_info().misses == misses
+
+    @pytest.mark.parametrize("name, x_shape, w_shape, spec, output_size", _CONV_CASES)
+    def test_weight_grad_goes_through_corr_weight_grad(self, monkeypatch, name, x_shape,
+                                                       w_shape, spec, output_size):
+        rng = np.random.default_rng(14)
+        x, w, b = rng.normal(size=x_shape), rng.normal(size=w_shape), rng.normal(size=w_shape[0])
+        _, (_, _, gw, _) = _conv_with_grads(name, x, w, b, spec, output_size,
+                                            np.random.default_rng(15))
+        calls = []
+        plain = ops._corr_weight_grad
+
+        def shifted(*args):
+            calls.append(args)
+            return plain(*args) + 1.0
+
+        monkeypatch.setattr(ops, "_corr_weight_grad", shifted)
+        _, (_, _, gw_shifted, _) = _conv_with_grads(name, x, w, b, spec, output_size,
+                                                    np.random.default_rng(15))
+        assert len(calls) == 1
+        np.testing.assert_array_equal(gw_shifted, gw + 1.0)
 
 
 class TestSoftmax:

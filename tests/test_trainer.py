@@ -319,6 +319,14 @@ class TestTraining:
         for n, t in init.tensors.items():
             np.testing.assert_array_equal(p2[n].data, t.data)
 
+    @pytest.mark.parametrize("n_agm", [2, 4])
+    def test_config_rejects_n_agm_other_than_three(self, tmp_path, n_agm):
+        # The loss weighs exactly d1, d2, d3; inference-only configs may differ.
+        net = NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=2, n_agm=n_agm,
+                            dilation_rates=(1, 2))
+        with pytest.raises(ValueError, match="network.n_agm"):
+            TrainConfig(network=net, data_dir=str(tmp_path))
+
     def test_deterministic_given_seed(self, tmp_path):
         cfg_a = self._cfg(tmp_path, steps=2)
         train(cfg_a)
