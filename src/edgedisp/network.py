@@ -11,13 +11,12 @@ running statistics are stored alongside as non-gradient buffers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from . import ops, stereo
 from .ops import ConvSpec, ShapeError
-from .stereo import GranularConvParams
 from .tensor import Tensor
 
 PARTITIONS = ("shared", "edge", "disp")
@@ -31,6 +30,10 @@ MODES = ("train", "stats", "infer")
 # 1/4 of the image resolution, and one disparity level spans 4 pixels.
 DOWNSAMPLE = 4
 
+# Stacked hourglass aggregation modules, each with its regression head; the
+# loss weighs the three stage disparities d1, d2, d3.
+STAGES = 3
+
 
 @dataclass
 class NetworkConfig:
@@ -39,16 +42,17 @@ class NetworkConfig:
     groups: int = 4
     dilation_rates: Tuple[int, ...] = (1, 4, 8, 16)
     k_top: int = 4
-    n_agm: int = 3
     use_edge_branch: bool = True
     use_dedge_spp: bool = True
     norm_enabled: bool = True
 
     def __post_init__(self):
         self.dilation_rates = tuple(self.dilation_rates)
-        for name in ("base_channels", "d_max", "groups", "n_agm"):
+        for name in ("base_channels", "d_max", "groups"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.groups < 2:
+            raise ValueError(f"granular convolution needs >= 2 groups, got {self.groups}")
         if not self.dilation_rates or min(self.dilation_rates) < 1:
             raise ValueError(f"dilation rates must be >= 1, got {self.dilation_rates}")
         if self.d_max % DOWNSAMPLE != 0:
@@ -66,10 +70,6 @@ class NetworkConfig:
     @property
     def d_levels(self) -> int:
         return self.d_max // DOWNSAMPLE
-
-    @property
-    def fusion_channels(self) -> int:
-        return self.base_channels
 
 
 class ModelParams:
@@ -177,15 +177,15 @@ def param_specs(cfg: NetworkConfig) -> Iterator[ParamSpec]:
     for i in range(4):
         yield from _conv_specs(f"disp.spp.branch{i}", spp_in, branch_c, 1, norm=norm)
     fuse_in = c + spp_in + 4 * branch_c  # L2 skip + pooled input + branches
-    yield from _conv_specs("disp.spp.fuse_a", fuse_in, 2 * cfg.fusion_channels, 3, norm=norm)
-    yield from _conv_specs("disp.spp.fuse_b", 2 * cfg.fusion_channels, cfg.fusion_channels, 1)
+    yield from _conv_specs("disp.spp.fuse_a", fuse_in, 2 * c, 3, norm=norm)
+    yield from _conv_specs("disp.spp.fuse_b", 2 * c, c, 1)
 
-    # pre-hourglass 3-D stem over the dual cost volume (3 * C_f channels)
-    yield from _conv_specs("disp.pre.a", 3 * cfg.fusion_channels, c, 3, nd=3, norm=norm)
+    # pre-hourglass 3-D stem over the dual cost volume (3 * C channels)
+    yield from _conv_specs("disp.pre.a", 3 * c, c, 3, nd=3, norm=norm)
     yield from _conv_specs("disp.pre.b", c, c, 3, nd=3, norm=norm)
 
     # stacked aggregation modules and their regression heads
-    for i in range(cfg.n_agm):
+    for i in range(STAGES):
         a = f"disp.agm{i}"
         yield from _conv_specs(a + ".enc1", c, 2 * c, 3, nd=3, norm=norm)
         yield from _conv_specs(a + ".enc2", 2 * c, 2 * c, 3, nd=3, norm=norm)
@@ -248,12 +248,6 @@ def _resblock(p: ModelParams, name: str, x: Tensor, mode: str,
     if name + ".proj.w" in p:
         skip = _conv_block(p, name + ".proj", x, mode, stride=stride, relu=False)
     return (y + skip).relu()
-
-
-def _granular_from(p: ModelParams, name: str, cfg: NetworkConfig,
-                   dilation: int) -> GranularConvParams:
-    kernels = [p[f"{name}.g{i}.w"] for i in range(cfg.groups - 1)]
-    return GranularConvParams(cfg.groups, kernels, p[name + ".pw.w"], dilation)
 
 
 # -- network stages -----------------------------------------------------------
@@ -336,8 +330,9 @@ def agm_module(volume: Tensor, p: ModelParams, prefix: str, cfg: NetworkConfig,
     e2 = _conv_block(p, prefix + ".enc2", e1, mode, nd=3, stride=2)
     bank = None
     for j, rate in enumerate(cfg.dilation_rates):
-        gp = _granular_from(p, f"{prefix}.bank{j}", cfg, rate)
-        y = stereo.granular_conv(e2, gp)
+        name = f"{prefix}.bank{j}"
+        kernels = [p[f"{name}.g{i}.w"] for i in range(cfg.groups - 1)]
+        y = stereo.granular_conv(e2, kernels, p[name + ".pw.w"], rate)
         bank = y if bank is None else bank + y
     mid = _conv_block(p, prefix + ".fuse", bank, mode, nd=3)
     d1 = _conv_block(p, prefix + ".dec1", mid, mode, stride=2, relu=False,
@@ -361,9 +356,9 @@ def forward(left: Tensor, right: Tensor, p: ModelParams, cfg: NetworkConfig,
             mode: str) -> Dict[str, Tensor]:
     """Run the whole pipeline on a rectified pair.
 
-    ``"train"`` returns three disparity maps (one per aggregation stage)
-    plus the edge probability, with batch-norm on batch statistics.
-    ``"infer"`` returns the last disparity only, with batch-norm on the
+    ``"train"`` returns the disparity maps ``d1``-``d3`` (one per
+    aggregation stage) plus the edge probability, with batch-norm on batch
+    statistics. ``"infer"`` returns ``d3`` only, with batch-norm on the
     running buffers; the two views go through the extractor as one batch.
     ``"stats"`` updates the batch-norm running buffers exactly as
     ``"train"`` does and returns nothing: it stops after the last
@@ -402,26 +397,17 @@ def forward(left: Tensor, right: Tensor, p: ModelParams, cfg: NetworkConfig,
     fr = dedge_spp(taps_r["F_L2"], taps_r["F_L4"],
                    feats_r if cfg.use_dedge_spp else None, p, cfg, mode)
 
-    cv = stereo.build_cost_volume(fl, fr, cfg.d_levels, cfg.d_max, DOWNSAMPLE)
-    v = _conv_block(p, "disp.pre.a", cv.values, mode, nd=3)
+    cv = stereo.build_cost_volume(fl, fr, cfg.d_levels)
+    v = _conv_block(p, "disp.pre.a", cv, mode, nd=3)
     v = (_conv_block(p, "disp.pre.b", v, mode, nd=3, relu=False) + v).relu()
 
-    disparities: List[Tensor] = []
-    stages = [cfg.n_agm - 1] if mode == "infer" else range(cfg.n_agm)
-    for i in range(cfg.n_agm):
+    out: Dict[str, Tensor] = {}
+    for i in range(STAGES):
         v, _skip = agm_module(v, p, f"disp.agm{i}", cfg, mode)
         if mode == "stats":
             _conv_block(p, f"disp.out{i}.a", v, mode, nd=3)
-        elif i in stages:
-            disparities.append(
-                output_module(v, p, f"disp.out{i}", out_hw, cfg.d_max, mode))
-
-    out: Dict[str, Tensor] = {}
-    if mode == "train":
-        for i, d in enumerate(disparities, start=1):
-            out[f"d{i}"] = d
-        if edge_prob is not None:
-            out["edge_prob"] = edge_prob
-    elif mode == "infer":
-        out[f"d{cfg.n_agm}"] = disparities[-1]
+        elif mode == "train" or i == STAGES - 1:
+            out[f"d{i + 1}"] = output_module(v, p, f"disp.out{i}", out_hw, cfg.d_max, mode)
+    if mode == "train" and edge_prob is not None:
+        out["edge_prob"] = edge_prob
     return out

@@ -10,8 +10,7 @@ convolution weight of the network is drawn with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -23,69 +22,43 @@ from .tensor import Tensor, accumulate_grad, make_op, needs_grad
 # -- granular convolution -----------------------------------------------------
 
 
-@dataclass
-class GranularConvParams:
-    """Weights of one granular convolution.
-
-    ``group_kernels`` holds G-1 kernels (the first channel group passes
-    through untouched); ``pointwise`` mixes the concatenated groups back
-    to the output width. Kernels are [C/G, C/G, s(,s),s]; pointwise is
-    [Cout, C, 1(,1),1].
-    """
-
-    groups: int
-    group_kernels: List[Tensor]
-    pointwise: Tensor
-    dilation: int = 1
-
-    def __post_init__(self):
-        if self.groups < 2:
-            raise ShapeError(f"granular convolution needs >= 2 groups, got {self.groups}")
-        if len(self.group_kernels) != self.groups - 1:
-            raise ShapeError(
-                f"expected {self.groups - 1} group kernels, got {len(self.group_kernels)}")
-
-    def element_count(self) -> int:
-        return sum(k.size for k in self.group_kernels) + self.pointwise.size
-
-    def tensors(self) -> List[Tensor]:
-        return list(self.group_kernels) + [self.pointwise]
-
-
-def granular_conv(x: Tensor, params: GranularConvParams) -> Tensor:
+def granular_conv(x: Tensor, kernels: Sequence[Tensor], pointwise: Tensor,
+                  dilation: int) -> Tensor:
     """Hierarchical grouped convolution over 2 or 3 spatial axes.
 
-    The input channels split into G groups; group 1 passes through, each
-    later group is convolved together with the previous group's output
-    (same-padded, dilated), and a pointwise convolution fuses the
-    concatenation.
+    The input channels split into G = len(kernels) + 1 groups; group 1
+    passes through, each later group is convolved together with the
+    previous group's output (same-padded, dilated), and a pointwise
+    convolution fuses the concatenation. Group kernels are
+    [C/G, C/G, s(,s),s]; the pointwise kernel is [Cout, C, 1(,1),1].
     """
     nd = x.ndim - 2
     if nd not in (2, 3):
         raise ShapeError(f"granular_conv supports 2 or 3 spatial axes, got {nd}")
+    g = len(kernels) + 1
+    if g < 2:
+        raise ShapeError(f"granular convolution needs >= 2 groups, got {g}")
     c = x.shape[1]
-    g = params.groups
     if c % g != 0:
         raise ShapeError(f"channel count {c} not divisible by {g} groups")
     cg = c // g
     conv = ops.conv2d if nd == 2 else ops.conv3d
-    for i, w in enumerate(params.group_kernels):
+    for i, w in enumerate(kernels):
         if w.ndim != nd + 2 or w.shape[0] != cg or w.shape[1] != cg:
             raise ShapeError(
                 f"group kernel {i} has shape {w.shape}, expected "
                 f"[{cg}, {cg}, ...] with {nd} spatial axes")
-    s = params.group_kernels[0].shape[2]
+    s = kernels[0].shape[2]
     if s % 2 != 1:
         raise ShapeError(f"same padding needs odd kernel size, got {s}")
-    pad = params.dilation * (s - 1) // 2
-    spec = ConvSpec(stride=1, dilation=params.dilation, padding=pad)
+    spec = ConvSpec(stride=1, dilation=dilation, padding=dilation * (s - 1) // 2)
 
     groups = [x[:, i * cg:(i + 1) * cg] for i in range(g)]
     outs = [groups[0]]
     for i in range(1, g):
-        outs.append(conv(groups[i] + outs[-1], params.group_kernels[i - 1], spec=spec))
+        outs.append(conv(groups[i] + outs[-1], kernels[i - 1], spec=spec))
     merged = ops.concat(outs, axis=1)
-    return conv(merged, params.pointwise)
+    return conv(merged, pointwise)
 
 
 def granular_param_count(c_in: int, c_out: int, s: int, groups: int,
@@ -115,48 +88,17 @@ def kaiming(rng: np.random.Generator, shape: Tuple[int, ...], fan_in: int) -> Te
 def granular_kernel_specs(c_in: int, c_out: int, s: int, groups: int,
                           spatial_rank: int) -> Iterator[Tuple[Tuple[int, ...], int]]:
     """Shape and Kaiming fan-in of each group kernel, then of the pointwise
-    kernel, in the order ``make_granular_params`` draws them."""
+    kernel: the order ``granular_conv`` takes them and the network draws them."""
     cg = c_in // groups
     for _ in range(groups - 1):
         yield (cg, cg) + (s,) * spatial_rank, cg * s ** spatial_rank
     yield (c_out, c_in) + (1,) * spatial_rank, c_in
 
 
-def make_granular_params(c_in: int, c_out: int, s: int, groups: int,
-                         spatial_rank: int, dilation: int,
-                         rng: np.random.Generator) -> GranularConvParams:
-    """Kaiming-initialized granular kernels."""
-    if c_in % groups != 0:
-        raise ShapeError(f"channels {c_in} not divisible by {groups}")
-    *kernels, pw = [kaiming(rng, shape, fan_in) for shape, fan_in
-                    in granular_kernel_specs(c_in, c_out, s, groups, spatial_rank)]
-    return GranularConvParams(groups, kernels, pw, dilation)
-
-
 # -- cost volumes -------------------------------------------------------------
 
 
-@dataclass
-class CostVolume:
-    """5-axis matching volume [B, C_v, D_levels, H', W']."""
-
-    values: Tensor
-    max_disparity: int
-    downsample: int
-
-    def __post_init__(self):
-        if self.values.ndim != 5:
-            raise ShapeError(f"cost volume must be rank 5, got {self.values.ndim}")
-        levels = self.values.shape[2]
-        if levels * self.downsample != self.max_disparity:
-            raise ShapeError(
-                f"{levels} levels * downsample {self.downsample} != "
-                f"max disparity {self.max_disparity}")
-
-
-def build_cost_volume(f_left: Tensor, f_right: Tensor, d_levels: int,
-                      max_disparity: Optional[int] = None,
-                      downsample: int = 1) -> CostVolume:
+def build_cost_volume(f_left: Tensor, f_right: Tensor, d_levels: int) -> Tensor:
     """Dual cost volume [B, 3C, D, H, W], recorded as one op.
 
     Channels [:C] hold the left features, [C:2C] the right features
@@ -188,10 +130,7 @@ def build_cost_volume(f_left: Tensor, f_right: Tensor, d_levels: int,
                 gr[..., :w - d] += g_shift[:, :, d, :, d:]
             accumulate_grad(f_right, gr)
 
-    values = make_op(y, (f_left, f_right), bwd)
-    if max_disparity is None:
-        max_disparity = d_levels * downsample
-    return CostVolume(values, max_disparity, downsample)
+    return make_op(y, (f_left, f_right), bwd)
 
 
 # -- disparity regression -----------------------------------------------------

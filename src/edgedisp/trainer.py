@@ -70,7 +70,8 @@ def adam_step(params: Dict[str, Tensor], grads: Dict[str, np.ndarray],
 # payload float32 LE row-major. Config scalars and optimizer state are
 # stored as reserved "__cfg__." / "__opt__." entries; the reader ignores
 # reserved entries it does not know, such as the "__cfg__.downsample",
-# "__cfg__.pointwise_bias" and "__opt__.beta1/beta2/eps" of older files.
+# "__cfg__.pointwise_bias", "__cfg__.n_agm" and "__opt__.beta1/beta2/eps"
+# of older files.
 # Every value must be finite.
 
 
@@ -255,10 +256,6 @@ class TrainConfig:
         starts = [s for s, _ in self.lr_schedule]
         if starts != sorted(starts) or (starts and starts[0] != 0):
             raise ValueError("lr schedule breakpoints must start at 0 and increase")
-        if self.network.n_agm != 3:
-            raise ValueError(
-                f"network.n_agm must be 3 for training (the loss weighs the three "
-                f"stage disparities d1, d2, d3), got {self.network.n_agm}")
 
 
 def _lr_at(schedule, step: int) -> float:
@@ -418,12 +415,17 @@ def predict_batch(params: ModelParams, cfg: NetworkConfig,
                   samples: Sequence[ddata.StereoSample]) -> List[np.ndarray]:
     """Inference-mode disparities for samples of one image size, in one
     untaped forward. Each equals ``predict`` of its sample bit for bit:
-    eval-mode batch-norm and every contraction act per sample."""
+    eval-mode batch-norm and every contraction act per sample. Raises
+    ValueError when weights that overflow the forward pass leave a
+    non-finite disparity."""
     left = Tensor(np.stack([s.left.data for s in samples]))
     right = Tensor(np.stack([s.right.data for s in samples]))
     with no_grad():
-        out = network.forward(left, right, params, cfg, "infer")
-    return list(out[f"d{cfg.n_agm}"].data)
+        disp = network.forward(left, right, params, cfg, "infer")["d3"].data
+    bad = int(np.count_nonzero(~np.isfinite(disp)))
+    if bad:
+        raise ValueError(f"non-finite disparity at {bad} of {disp.size} pixels")
+    return list(disp)
 
 
 def predict(params: ModelParams, cfg: NetworkConfig,

@@ -67,6 +67,15 @@ def rand_tensor(rng, shape, requires_grad=True, scale=1.0):
     return Tensor(rng.normal(0.0, scale, size=shape), requires_grad=requires_grad)
 
 
+def granular_kernels(rng, channels, s, groups, spatial_rank):
+    """Kaiming group kernels and pointwise kernel of a channel-preserving
+    granular convolution, drawn in the network's order."""
+    *kernels, pointwise = [
+        stereo.kaiming(rng, shape, fan_in) for shape, fan_in
+        in stereo.granular_kernel_specs(channels, channels, s, groups, spatial_rank)]
+    return kernels, pointwise
+
+
 def pad_zero(x, pad_width):
     """Zero-pad a Tensor with explicit (before, after) per axis; the
     gradient is the crop of the cotangent."""
@@ -166,10 +175,10 @@ def infer_views_apart(left, right, p, cfg):
         _, feats_r = network.dedge_branch(taps_r, p, cfg, mode, with_head=False)
     fl = network.dedge_spp(taps_l["F_L2"], taps_l["F_L4"], feats_l, p, cfg, mode)
     fr = network.dedge_spp(taps_r["F_L2"], taps_r["F_L4"], feats_r, p, cfg, mode)
-    cv = stereo.build_cost_volume(fl, fr, cfg.d_levels, cfg.d_max, network.DOWNSAMPLE)
-    v = network._conv_block(p, "disp.pre.a", cv.values, mode, nd=3)
+    cv = stereo.build_cost_volume(fl, fr, cfg.d_levels)
+    v = network._conv_block(p, "disp.pre.a", cv, mode, nd=3)
     v = (network._conv_block(p, "disp.pre.b", v, mode, nd=3, relu=False) + v).relu()
-    for i in range(cfg.n_agm):
+    for i in range(network.STAGES):
         v, _ = network.agm_module(v, p, f"disp.agm{i}", cfg, mode)
-    return network.output_module(v, p, f"disp.out{cfg.n_agm - 1}", left.shape[2:],
+    return network.output_module(v, p, f"disp.out{network.STAGES - 1}", left.shape[2:],
                                  cfg.d_max, mode)

@@ -19,12 +19,11 @@ from edgedisp import losses, network, ops, stereo, trainer
 from edgedisp.losses import LossWeights
 from edgedisp.network import NetworkConfig, init_params
 from edgedisp.ops import ConvSpec
-from edgedisp.stereo import GranularConvParams, make_granular_params
 from edgedisp.tensor import Tensor
 
-from checks import naive_conv
+from checks import granular_kernels, naive_conv
 
-TINY_NET = NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=2, n_agm=3,
+TINY_NET = NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=2,
                          dilation_rates=(1, 2))
 
 
@@ -104,17 +103,17 @@ def test_criterion_1_gradient_suite():
         worst["conv3d_transposed"] = max(
             worst.get("conv3d_transposed", 0), _fd_max_rel(build_t, [x, w], rng))
 
-        gp = make_granular_params(4, 4, 3, 2, spatial_rank=2, dilation=2, rng=rng)
+        ks, pw = granular_kernels(rng, 4, 3, 2, spatial_rank=2)
         x = T(rng, (1, 4, 6, 6))
         worst["granular2d"] = max(worst.get("granular2d", 0), _fd_max_rel(
-            lambda a: (stereo.granular_conv(a, gp)
-                       * stereo.granular_conv(a, gp)).sum(), [x], rng))
+            lambda a: (stereo.granular_conv(a, ks, pw, 2)
+                       * stereo.granular_conv(a, ks, pw, 2)).sum(), [x], rng))
 
-        gp3 = make_granular_params(4, 4, 3, 2, spatial_rank=3, dilation=1, rng=rng)
+        ks3, pw3 = granular_kernels(rng, 4, 3, 2, spatial_rank=3)
         x = T(rng, (1, 4, 3, 4, 4))
         worst["granular3d"] = max(worst.get("granular3d", 0), _fd_max_rel(
-            lambda a: (stereo.granular_conv(a, gp3)
-                       * stereo.granular_conv(a, gp3)).sum(), [x], rng))
+            lambda a: (stereo.granular_conv(a, ks3, pw3, 1)
+                       * stereo.granular_conv(a, ks3, pw3, 1)).sum(), [x], rng))
 
         x = T(rng, (2, 5, 4))
         coeff = Tensor(rng.normal(size=x.shape))
@@ -179,7 +178,7 @@ def test_criterion_1_gradient_suite():
     for seed in range(10):
         rng = np.random.default_rng(1000 + seed)
         cfg = NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=2,
-                            n_agm=3, dilation_rates=(1, 2), norm_enabled=False)
+                            dilation_rates=(1, 2), norm_enabled=False)
         params = init_params(cfg, seed=seed)
         gt = rng.uniform(0, 6, size=(2, 16, 16))
         valid = np.ones_like(gt)
@@ -215,10 +214,10 @@ def test_criterion_2_param_count_identity():
             if c % g:
                 continue
             want = stereo.granular_param_count(c, c, 3, g, spatial_rank=2)
-            built = make_granular_params(c, c, 3, g, spatial_rank=2,
-                                         dilation=1, rng=rng)
-            if built.element_count() != want:
-                mismatches.append((c, g, built.element_count(), want))
+            kernels, pw = granular_kernels(rng, c, 3, g, spatial_rank=2)
+            built = sum(k.size for k in kernels) + pw.size
+            if built != want:
+                mismatches.append((c, g, built, want))
     ratio = Fraction(stereo.granular_param_count(64, 64, 3, 4, spatial_rank=2),
                      stereo.standard_param_count(64, 64, 3, spatial_rank=2))
     exact = ratio == Fraction(11008, 36864)
@@ -264,9 +263,9 @@ def test_criterion_3_oracle_equivalence():
     for _ in range(20):  # cost volume shift structure
         fl = rng.normal(size=(1, 3, 4, 8))
         fr = rng.normal(size=(1, 3, 4, 8))
-        cv = stereo.build_cost_volume(Tensor(fl), Tensor(fr), 3, 12, 4)
+        cv = stereo.build_cost_volume(Tensor(fl), Tensor(fr), 3)
         for d in range(3):
-            got = cv.values.data[0, :, d]
+            got = cv.data[0, :, d]
             np.testing.assert_array_equal(got[:3], fl[0])
             want_r = np.zeros_like(fr[0])
             want_r[:, :, d:] = fr[0][:, :, :fr.shape[3] - d]
@@ -386,7 +385,7 @@ def test_criterion_6_multitask_gradient_flow():
 def test_criterion_7_ablation_path(tmp_path):
     base = TINY_NET
     ablated = NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=2,
-                            n_agm=3, dilation_rates=(1, 2),
+                            dilation_rates=(1, 2),
                             use_edge_branch=False, use_dedge_spp=False)
     p_full = init_params(base, seed=0)
     p_abl = init_params(ablated, seed=0)
@@ -462,8 +461,7 @@ def test_criterion_9_format_and_pipeline(tmp_path, capsys):
     cfg_path = str(tmp_path / "net.json")
     with open(cfg_path, "w") as f:
         json.dump({"network": {"base_channels": 4, "d_max": 8, "groups": 2,
-                               "k_top": 2, "n_agm": 3,
-                               "dilation_rates": [1, 2]}}, f)
+                               "k_top": 2, "dilation_rates": [1, 2]}}, f)
     codes = []
     codes.append(cli.main(["gen-data", "--out", data_dir, "--count", "4",
                            "--height", "16", "--width", "32", "--dmax", "8"]))

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from edgedisp import data as ddata
+from edgedisp import trainer
 from edgedisp.cli import colorize, main
 from edgedisp.network import NetworkConfig, init_params
 from edgedisp.trainer import save_checkpoint
 
 TINY_NET = {"base_channels": 4, "d_max": 8, "groups": 2, "k_top": 2,
-            "n_agm": 3, "dilation_rates": [1, 2]}
+            "dilation_rates": [1, 2]}
 
 
 def run(capsys, *argv):
@@ -199,6 +200,7 @@ class TestPipeline:
         ({"network": {"base_chanels": 8}}, "network", "base_chanels"),
         ({"loss_weights": {"lamda1": 1}}, "loss_weights", "lamda1"),
         ({"network": {"downsample": 4}}, "network", "downsample"),
+        ({"network": {"n_agm": 3}}, "network", "n_agm"),
     ])
     def test_unknown_nested_overlay_key_rejected(self, tmp_path, capsys, overlay, key, bad):
         cfg_path = str(tmp_path / "cfg.json")
@@ -218,6 +220,7 @@ class TestPipeline:
         ({"grad_clip": "1"}, "grad_clip must be Optional[float]"),
         ({"lr_schedule": [["0", 1e-3]]}, "lr_schedule must be Tuple[Tuple[int, float], ...]"),
         ({"network": {"groups": 0}}, "groups must be >= 1, got 0"),
+        ({"network": {"groups": 1}}, "needs >= 2 groups, got 1"),
     ])
     def test_overlay_value_type_checked(self, tmp_path, capsys, overlay, message):
         cfg_path = str(tmp_path / "cfg.json")
@@ -228,15 +231,14 @@ class TestPipeline:
         assert code == 2
         assert message in stderr and "Traceback" not in stderr and stdout == ""
 
-    @pytest.mark.parametrize("n_agm", [2, 4])
-    def test_train_rejects_n_agm_other_than_three(self, tmp_path, capsys, n_agm):
-        cfg_path = str(tmp_path / "cfg.json")
-        with open(cfg_path, "w") as f:
-            json.dump({"network": {**TINY_NET, "n_agm": n_agm}}, f)
-        code, stdout, stderr = run(capsys, "train", "--config", cfg_path,
-                                   "--data", str(tmp_path / "d"), "--out", str(tmp_path / "r"))
+    def test_train_runtime_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        def fail(cfg):
+            raise RuntimeError("non-finite loss at step 1")
+        monkeypatch.setattr(trainer, "train", fail)
+        code, stdout, stderr = run(capsys, "train", "--data", str(tmp_path / "d"),
+                                   "--out", str(tmp_path / "r"))
         assert code == 2
-        assert "network.n_agm" in stderr and "Traceback" not in stderr and stdout == ""
+        assert "non-finite loss" in stderr and "Traceback" not in stderr and stdout == ""
 
     def test_infer_checkpoint_non_finite(self, tmp_path, capsys):
         net = NetworkConfig(**{**TINY_NET, "dilation_rates": tuple(TINY_NET["dilation_rates"])})
@@ -271,6 +273,24 @@ class TestPipeline:
         assert code == 2
         assert "non-finite disparity" in stderr and "Traceback" not in stderr and stdout == ""
         assert not os.path.exists(out_disp) and not os.path.exists(out_vis)
+
+    def test_eval_non_finite_disparity_rejected(self, tmp_path, capsys):
+        # the same overflowing checkpoint as above: a NaN error fails every
+        # threshold comparison, so metrics over it would read as perfect
+        net = NetworkConfig(**{**TINY_NET, "dilation_rates": tuple(TINY_NET["dilation_rates"])})
+        params = init_params(net, seed=0)
+        for name, t in params.tensors.items():
+            if name.endswith(".w"):
+                t.data *= 1e30
+        ckpt = str(tmp_path / "huge.ckpt")
+        save_checkpoint(params, None, ckpt, net)
+        data_dir = str(tmp_path / "d")
+        code, _, _ = run(capsys, "gen-data", "--out", data_dir, "--count", "2",
+                         "--height", "32", "--width", "32", "--dmax", "8")
+        assert code == 0
+        code, stdout, stderr = run(capsys, "eval", "--ckpt", ckpt, "--data", data_dir)
+        assert code == 2
+        assert "non-finite disparity" in stderr and "Traceback" not in stderr and stdout == ""
 
     def test_infer_checkpoint_missing_tensor(self, tmp_path, capsys):
         net = NetworkConfig(**{**TINY_NET, "dilation_rates": tuple(TINY_NET["dilation_rates"])})

@@ -29,8 +29,7 @@ def _file_bytes(write) -> bytes:
 
 
 def _checkpoint(path):
-    cfg = NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=1, n_agm=1,
-                        dilation_rates=(1,))
+    cfg = NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=1, dilation_rates=(1,))
     params = init_params(cfg, seed=0)
     names = list(params.trainable())[:2]
     state = OptimizerState(lr=1e-3, step=3,

@@ -12,7 +12,7 @@ from edgedisp.tensor import Tensor
 
 from checks import fd_check, infer_views_apart
 
-TINY = NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=2, n_agm=2,
+TINY = NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=2,
                      dilation_rates=(1, 2))
 
 
@@ -26,7 +26,6 @@ class TestConfig:
     def test_derived_quantities(self):
         cfg = NetworkConfig(base_channels=8, d_max=16)
         assert cfg.d_levels == 4
-        assert cfg.fusion_channels == 8
 
     def test_indivisible_dmax(self):
         with pytest.raises(ValueError, match="divisible"):
@@ -35,6 +34,11 @@ class TestConfig:
     def test_groups_must_divide(self):
         with pytest.raises(ValueError, match="divisible"):
             NetworkConfig(base_channels=6, groups=4)
+
+    def test_single_group_rejected(self):
+        # the granular bottleneck needs a pass-through group and one more
+        with pytest.raises(ValueError, match="needs >= 2 groups, got 1"):
+            NetworkConfig(groups=1)
 
     def test_spp_requires_edge_branch(self):
         with pytest.raises(ValueError, match="edge branch"):
@@ -64,7 +68,7 @@ class TestParams:
 
     def test_no_edge_params_when_disabled(self):
         cfg = NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=2,
-                            n_agm=2, dilation_rates=(1, 2),
+                            dilation_rates=(1, 2),
                             use_edge_branch=False, use_dedge_spp=False)
         p = init_params(cfg, seed=0)
         assert not p.partition("edge")
@@ -175,18 +179,18 @@ class TestSpp:
         taps = feature_extract(left, p, "eval")
         _, feats = dedge_branch(taps, p, TINY, "eval", with_head=False)
         out = dedge_spp(taps["F_L2"], taps["F_L4"], feats, p, TINY, "eval")
-        assert out.shape == (1, TINY.fusion_channels, 4, 4)
+        assert out.shape == (1, TINY.base_channels, 4, 4)
 
     def test_without_edge_features(self):
         cfg = NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=2,
-                            n_agm=2, dilation_rates=(1, 2),
+                            dilation_rates=(1, 2),
                             use_edge_branch=False, use_dedge_spp=False)
         rng = np.random.default_rng(3)
         p = init_params(cfg, seed=0)
         left, _ = tiny_pair(rng)
         taps = feature_extract(left, p, "eval")
         out = dedge_spp(taps["F_L2"], taps["F_L4"], None, p, cfg, "eval")
-        assert out.shape == (1, cfg.fusion_channels, 4, 4)
+        assert out.shape == (1, cfg.base_channels, 4, 4)
 
 
 class TestAgm:
@@ -240,8 +244,8 @@ class TestForward:
         p = init_params(TINY, seed=0)
         left, right = tiny_pair(rng, h=32, w=32, batch=2)
         out = forward(left, right, p, TINY, "train")
-        assert set(out) == {"d1", "d2", "edge_prob"}
-        for key in ("d1", "d2"):
+        assert set(out) == {"d1", "d2", "d3", "edge_prob"}
+        for key in ("d1", "d2", "d3"):
             assert out[key].shape == (2, 32, 32)
             assert out[key].data.min() >= 0.0
             assert out[key].data.max() <= TINY.d_max - 1
@@ -252,21 +256,21 @@ class TestForward:
         p = init_params(TINY, seed=0)
         left, right = tiny_pair(rng)
         out = forward(left, right, p, TINY, "infer")
-        assert set(out) == {"d2"}
+        assert set(out) == {"d3"}
 
     def test_train_and_infer_agree_on_last_stage(self):
         rng = np.random.default_rng(10)
         p = init_params(TINY, seed=0)
         left, right = tiny_pair(rng, h=32, w=32, batch=2)
-        d_train = forward(left, right, p, TINY, "train")["d2"].data
+        d_train = forward(left, right, p, TINY, "train")["d3"].data
         p.zero_grad()
-        d_infer = forward(left, right, p, TINY, "infer")["d2"].data
+        d_infer = forward(left, right, p, TINY, "infer")["d3"].data
         # only batch-norm statistics differ between the modes
         cfg = NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=2,
-                            n_agm=2, dilation_rates=(1, 2), norm_enabled=False)
+                            dilation_rates=(1, 2), norm_enabled=False)
         q = init_params(cfg, seed=0)
-        a = forward(left, right, q, cfg, "train")["d2"].data
-        b = forward(left, right, q, cfg, "infer")["d2"].data
+        a = forward(left, right, q, cfg, "train")["d3"].data
+        b = forward(left, right, q, cfg, "infer")["d3"].data
         np.testing.assert_array_equal(a, b)
         assert d_train.shape == d_infer.shape
 
@@ -296,9 +300,9 @@ class TestForward:
     @pytest.mark.parametrize("cfg, hw", [
         (NetworkConfig(), 64),
         (TINY, 32),
-        (NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=2, n_agm=2,
+        (NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=2,
                        dilation_rates=(1, 2), use_dedge_spp=False), 32),
-        (NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=2, n_agm=2,
+        (NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=2,
                        dilation_rates=(1, 2), use_dedge_spp=False,
                        use_edge_branch=False), 32),
     ])
@@ -307,7 +311,7 @@ class TestForward:
         rng = np.random.default_rng(16)
         p = init_params(cfg, seed=0)
         left, right = tiny_pair(rng, h=hw, w=hw, batch=2)
-        got = forward(left, right, p, cfg, "infer")[f"d{cfg.n_agm}"].data
+        got = forward(left, right, p, cfg, "infer")["d3"].data
         np.testing.assert_array_equal(got, infer_views_apart(left, right, p, cfg).data)
 
     def test_stats_mode_returns_nothing_and_records_like_train(self):
@@ -333,20 +337,20 @@ class TestForward:
 
     def test_ablation_no_edge_branch(self):
         cfg = NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=2,
-                            n_agm=2, dilation_rates=(1, 2),
+                            dilation_rates=(1, 2),
                             use_edge_branch=False, use_dedge_spp=False)
         rng = np.random.default_rng(12)
         p = init_params(cfg, seed=0)
         left, right = tiny_pair(rng, h=32, w=32, batch=2)
         out = forward(left, right, p, cfg, "train")
-        assert set(out) == {"d1", "d2"}
+        assert set(out) == {"d1", "d2", "d3"}
 
     def test_multitask_gradients_reach_both_branches(self):
         rng = np.random.default_rng(13)
         p = init_params(TINY, seed=0)
         left, right = tiny_pair(rng, h=32, w=32, batch=2)
         out = forward(left, right, p, TINY, "train")
-        loss = out["d2"].sum() + out["edge_prob"].sum()
+        loss = out["d3"].sum() + out["edge_prob"].sum()
         loss.backward()
         assert p["shared.conv0.w"].grad is not None
         assert np.any(p["shared.conv0.w"].grad != 0.0)
@@ -358,6 +362,6 @@ class TestForward:
         p = init_params(TINY, seed=0)
         left, right = tiny_pair(rng, h=32, w=32, batch=2)
         out = forward(left, right, p, TINY, "train")
-        out["d2"].sum().backward()
+        out["d3"].sum().backward()
         assert p["edge.cls0.w"].grad is None
         assert p["edge.a1.w"].grad is not None  # via the fused pyramid

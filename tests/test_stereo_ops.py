@@ -1,31 +1,29 @@
 import numpy as np
 import pytest
 
-from checks import fd_check, loop_cost_volume, rand_tensor
+from checks import fd_check, granular_kernels, loop_cost_volume, rand_tensor
 from edgedisp import ops
 from edgedisp.ops import ConvSpec, ShapeError
-from edgedisp.stereo import (CostVolume, GranularConvParams, build_cost_volume,
-                             granular_conv, granular_param_count,
-                             make_granular_params, shared_concat, soft_argmin,
-                             standard_param_count)
+from edgedisp.stereo import (build_cost_volume, granular_conv, granular_param_count,
+                             shared_concat, soft_argmin, standard_param_count)
 from edgedisp.tensor import Tensor, _collect_tape
 
 
-def granular_oracle(x, params):
+def granular_oracle(x, kernels, pointwise, dilation):
     """Literal step-by-step evaluation of the recursive group form."""
     from checks import naive_conv
-    g = params.groups
+    g = len(kernels) + 1
     c = x.shape[1]
     cg = c // g
-    s = params.group_kernels[0].shape[2]
-    pad = params.dilation * (s - 1) // 2
+    s = kernels[0].shape[2]
+    pad = dilation * (s - 1) // 2
     groups = [x[:, i * cg:(i + 1) * cg] for i in range(g)]
     outs = [groups[0]]
     for i in range(1, g):
-        outs.append(naive_conv(groups[i] + outs[-1], params.group_kernels[i - 1].data,
-                               dilation=params.dilation, pad=pad))
+        outs.append(naive_conv(groups[i] + outs[-1], kernels[i - 1].data,
+                               dilation=dilation, pad=pad))
     merged = np.concatenate(outs, axis=1)
-    return naive_conv(merged, params.pointwise.data)
+    return naive_conv(merged, pointwise.data)
 
 
 class TestGranularConv:
@@ -35,55 +33,59 @@ class TestGranularConv:
         w1 = Tensor(np.zeros((1, 1, 3, 3)))
         pw = np.zeros((2, 2, 1, 1))
         pw[0, 0] = 1.0  # identity on the first half
-        params = GranularConvParams(2, [w1], Tensor(pw))
-        y = granular_conv(x, params)
+        y = granular_conv(x, [w1], Tensor(pw), 1)
         np.testing.assert_array_equal(y.data[:, 0], x.data[:, 0])
         np.testing.assert_array_equal(y.data[:, 1], np.zeros((1, 4, 4)))
 
     def test_matches_recursion_oracle_3d(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(1, 8, 4, 6, 6))
-        params = make_granular_params(8, 8, 3, 4, spatial_rank=3, dilation=1, rng=rng)
-        y = granular_conv(Tensor(x), params)
-        ref = granular_oracle(x, params)
+        kernels, pw = granular_kernels(rng, 8, 3, 4, spatial_rank=3)
+        y = granular_conv(Tensor(x), kernels, pw, 1)
+        ref = granular_oracle(x, kernels, pw, 1)
         assert np.abs(y.data - ref).max() < 1e-12
 
     def test_matches_recursion_oracle_dilated_2d(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(2, 4, 7, 7))
-        params = make_granular_params(4, 4, 3, 2, spatial_rank=2, dilation=2, rng=rng)
-        y = granular_conv(Tensor(x), params)
-        ref = granular_oracle(x, params)
+        kernels, pw = granular_kernels(rng, 4, 3, 2, spatial_rank=2)
+        y = granular_conv(Tensor(x), kernels, pw, 2)
+        ref = granular_oracle(x, kernels, pw, 2)
         assert np.abs(y.data - ref).max() < 1e-12
 
     @pytest.mark.parametrize("seed", range(10))
     def test_gradient_vs_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
         x = rand_tensor(rng, (1, 4, 5, 5))
-        params = make_granular_params(4, 4, 3, 2, spatial_rank=2, dilation=1, rng=rng)
-        tensors = [x] + params.tensors()
+        kernels, pw = granular_kernels(rng, 4, 3, 2, spatial_rank=2)
+        tensors = [x] + kernels + [pw]
 
         def build(*ts):
-            y = granular_conv(ts[0], params)
+            y = granular_conv(ts[0], kernels, pw, 1)
             return (y * y).sum()
 
         fd_check(build, tensors, rng, n_probe=4)
 
     def test_indivisible_channels_rejected(self):
         rng = np.random.default_rng(3)
-        params = make_granular_params(4, 4, 3, 2, spatial_rank=2, dilation=1, rng=rng)
+        kernels, pw = granular_kernels(rng, 4, 3, 2, spatial_rank=2)
         with pytest.raises(ShapeError, match="divisible"):
-            granular_conv(Tensor(np.zeros((1, 5, 4, 4))), params)
+            granular_conv(Tensor(np.zeros((1, 5, 4, 4))), kernels, pw, 1)
         with pytest.raises(ShapeError, match="group kernel"):
-            granular_conv(Tensor(np.zeros((1, 6, 4, 4))), params)
+            granular_conv(Tensor(np.zeros((1, 6, 4, 4))), kernels, pw, 1)
+
+    def test_empty_kernel_list_rejected(self):
+        pw = Tensor(np.zeros((4, 4, 1, 1)))
+        with pytest.raises(ShapeError, match="needs >= 2 groups, got 1"):
+            granular_conv(Tensor(np.zeros((1, 4, 4, 4))), [], pw, 1)
 
     def test_batch_order_invariance(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(3, 4, 5, 5))
-        params = make_granular_params(4, 4, 3, 2, spatial_rank=2, dilation=1, rng=rng)
+        kernels, pw = granular_kernels(rng, 4, 3, 2, spatial_rank=2)
         perm = [2, 0, 1]
-        y = granular_conv(Tensor(x), params).data
-        yp = granular_conv(Tensor(x[perm]), params).data
+        y = granular_conv(Tensor(x), kernels, pw, 1).data
+        yp = granular_conv(Tensor(x[perm]), kernels, pw, 1).data
         assert np.array_equal(y[perm], yp)
 
 
@@ -151,19 +153,19 @@ class TestParamCounts:
     def test_count_equals_constructed_elements(self, c, g):
         rng = np.random.default_rng(c * g)
         for rank in (2, 3):
-            params = make_granular_params(c, c, 3, g, spatial_rank=rank,
-                                          dilation=1, rng=rng)
-            assert params.element_count() == granular_param_count(c, c, 3, g, rank)
+            kernels, pw = granular_kernels(rng, c, 3, g, spatial_rank=rank)
+            count = sum(k.size for k in kernels) + pw.size
+            assert count == granular_param_count(c, c, 3, g, rank)
 
 
 def concat_part(fl, fr, d_levels):
     """Channels [:2C] of the cost volume: left stacked with shifted right."""
-    return build_cost_volume(fl, fr, d_levels).values.data[:, :2 * fl.shape[1]]
+    return build_cost_volume(fl, fr, d_levels).data[:, :2 * fl.shape[1]]
 
 
 def distance_part(fl, fr, d_levels):
     """Channels [2C:] of the cost volume: |left - shifted right|."""
-    return build_cost_volume(fl, fr, d_levels).values.data[:, 2 * fl.shape[1]:]
+    return build_cost_volume(fl, fr, d_levels).data[:, 2 * fl.shape[1]:]
 
 
 class TestCostVolumes:
@@ -226,17 +228,17 @@ class TestCostVolumes:
         fl = Tensor(rng.normal(size=(1, 8, 4, 16)))
         fr = Tensor(rng.normal(size=(1, 8, 4, 16)))
         cv = build_cost_volume(fl, fr, 12)
-        assert cv.values.shape == (1, 24, 12, 4, 16)
+        assert cv.shape == (1, 24, 12, 4, 16)
         ref = loop_cost_volume(fl, fr, 12).data
-        np.testing.assert_array_equal(cv.values.data[:, :16], ref[:, :16])
-        np.testing.assert_array_equal(cv.values.data[:, 16:], ref[:, 16:])
+        np.testing.assert_array_equal(cv.data[:, :16], ref[:, :16])
+        np.testing.assert_array_equal(cv.data[:, 16:], ref[:, 16:])
 
     def test_gradient_reaches_both_feature_maps(self):
         rng = np.random.default_rng(12)
         fl = rand_tensor(rng, (1, 2, 3, 6))
         fr = rand_tensor(rng, (1, 2, 3, 6))
         cv = build_cost_volume(fl, fr, 4)
-        (cv.values * cv.values).sum().backward()
+        (cv * cv).sum().backward()
         assert np.abs(fl.grad).max() > 0
         assert np.abs(fr.grad).max() > 0
 
@@ -260,12 +262,6 @@ class TestCostVolumes:
         assert diff_c[2, 3] and diff_c.sum() == 1
         assert diff_d[2, 3] and diff_d.sum() == 1
 
-    def test_volume_invariants(self):
-        v = Tensor(np.zeros((1, 3, 4, 2, 2)))
-        CostVolume(v, max_disparity=16, downsample=4)
-        with pytest.raises(ShapeError):
-            CostVolume(v, max_disparity=16, downsample=2)
-
 
 # (batch, channels, height, width), levels: batch 2, odd width, D > W, D = W
 LOOP_CASES = [((2, 3, 4, 7), 5), ((1, 2, 3, 5), 8), ((2, 2, 3, 6), 6),
@@ -280,7 +276,7 @@ class TestCostVolumeAgainstLoop:
         rng = np.random.default_rng(20)
         fl = Tensor(rng.normal(size=shape))
         fr = Tensor(rng.normal(size=shape))
-        np.testing.assert_array_equal(build_cost_volume(fl, fr, d_levels).values.data,
+        np.testing.assert_array_equal(build_cost_volume(fl, fr, d_levels).data,
                                       loop_cost_volume(fl, fr, d_levels).data)
 
     @pytest.mark.parametrize("shape, d_levels", LOOP_CASES)
@@ -292,7 +288,7 @@ class TestCostVolumeAgainstLoop:
         fr0 = rng.normal(size=shape)
         cot = Tensor(rng.normal(size=(shape[0], 3 * shape[1], d_levels) + shape[2:]))
         grads = []
-        for build in (lambda a, b: build_cost_volume(a, b, d_levels).values,
+        for build in (lambda a, b: build_cost_volume(a, b, d_levels),
                       lambda a, b: loop_cost_volume(a, b, d_levels)):
             fl = Tensor(fl0, requires_grad=True)
             fr = Tensor(fr0, requires_grad=True)
@@ -306,7 +302,7 @@ class TestCostVolumeAgainstLoop:
         fl = rand_tensor(rng, (1, 2, 3, 6))
         fr = rand_tensor(rng, (1, 2, 3, 6))
 
-        counts = [sum(1 for t in _collect_tape(build_cost_volume(fl, fr, d).values)
+        counts = [sum(1 for t in _collect_tape(build_cost_volume(fl, fr, d))
                       if t._parents)
                   for d in (1, 3, 6, 9)]
         assert len(set(counts)) == 1, counts
@@ -315,7 +311,7 @@ class TestCostVolumeAgainstLoop:
         rng = np.random.default_rng(23)
         fl = rand_tensor(rng, (1, 2, 3, 6))
         fr = Tensor(rng.normal(size=(1, 2, 3, 6)))
-        (build_cost_volume(fl, fr, 4).values.sum()).backward()
+        (build_cost_volume(fl, fr, 4).sum()).backward()
         assert fr.grad is None and fl.grad is not None
 
 

@@ -1,7 +1,8 @@
 """The per-layer tracer in perfbench/spans.py patches library attributes by
 name and binds some of their arguments by name; a rename in the library
-would break only traced benchmark runs, so one traced training step and
-the untaped recalibration and validation passes run here."""
+would break only traced benchmark runs, so one traced training step, the
+untaped recalibration and validation passes, and the checkpoint and
+inference path run here."""
 
 import os
 import sys
@@ -81,3 +82,37 @@ def test_traced_frozen_weight_passes_restore_every_patch():
     assert metrics["trainer.recalibrate_s"][0] > 0
     assert metrics["trainer.evaluate_s"][0] > 0
     assert metrics["tensor.tape_nodes"][0] == 0
+
+
+def test_traced_checkpoint_and_inference_restore_every_patch(tmp_path):
+    cfg = NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=2, dilation_rates=(1, 2))
+    params = network.init_params(cfg, seed=0)
+    sample = data.synth_stereogram(0, {"H": 32, "W": 32, "D_max": 8, "n_objects": 2})
+    path = str(tmp_path / "tiny.ckpt")
+
+    tracer = spans.Tracer(run_id="test")
+    tracer.install()
+    patched = list(tracer._patched)
+    try:
+        tracer.mark_loop()
+        trainer.save_checkpoint(params, None, path, cfg)
+        loaded, _state, loaded_cfg = trainer.load_checkpoint(path)
+        disp = trainer.predict(loaded, loaded_cfg, sample)
+    finally:
+        tracer.uninstall()
+
+    assert loaded_cfg == cfg and disp.shape == (32, 32)
+    for owner, attr, orig in patched:
+        assert getattr(owner, attr) is orig, f"{owner.__name__}.{attr} not restored"
+    names = [s[1] for s in tracer.spans]
+    for span in ("trainer.save_checkpoint", "trainer.load_checkpoint", "trainer.predict",
+                 "network.forward", "stereo.build_cost_volume.fwd",
+                 "stereo.granular_conv.fwd"):
+        assert span in names, span
+    # save_checkpoint's ``path`` argument was bound to size the file
+    assert tracer.checkpoint_mb == [os.path.getsize(path) / spans.MB]
+    # the output of the one "infer" forward was sampled, and it has no tape
+    assert tracer.loop_samples["tape.output"] == [(0, 0.0)]
+    metrics = tracer.metrics(units=1)
+    assert metrics["tensor.tape_nodes"][0] == 0
+    assert metrics["trainer.checkpoint_mb"][0] > 0

@@ -19,7 +19,7 @@ from edgedisp.trainer import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, EVAL_BATCH,
                               predict_batch, recalibrate_norm_stats, save_checkpoint, train,
                               zero_disparity_baseline)
 
-TINY_NET = NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=2, n_agm=3,
+TINY_NET = NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=2,
                          dilation_rates=(1, 2))
 
 
@@ -37,15 +37,17 @@ def reference_adam(p0, grads, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
     return p
 
 
-def save_older_checkpoint(path, params, state, cfg, pointwise_bias=0):
+def save_older_checkpoint(path, params, state, cfg, pointwise_bias=0, n_agm=3):
     """Write a checkpoint as the format did when the config still carried
-    ``downsample`` and ``pointwise_bias`` and the optimizer state its Adam
-    constants, in the entry order of that writer."""
+    ``downsample``, ``n_agm`` and ``pointwise_bias`` and the optimizer state
+    its Adam constants, in the entry order of that writer."""
     entries = {}
     for k, v in _config_entries(cfg).items():
         entries[k] = v
         if k == "__cfg__.d_max":
             entries["__cfg__.downsample"] = np.asarray(4.0)
+        if k == "__cfg__.k_top":
+            entries["__cfg__.n_agm"] = np.asarray(float(n_agm))
     entries["__cfg__.pointwise_bias"] = np.asarray(float(pointwise_bias))
     entries.update((n, t.data) for n, t in params.tensors.items())
     entries["__opt__.step"] = np.asarray(float(state.step))
@@ -207,8 +209,9 @@ class TestCheckpoint:
     @pytest.mark.parametrize("changes, what", [
         # far more tensors, and far larger ones, than the file holds: the
         # check stops at the first missing names without building them
-        ({"__cfg__.base_channels": 2.0 ** 40, "__cfg__.n_agm": 1e9},
-         r"does not match its config: missing \['disp\.agm3\.enc1\.w'\]"),
+        ({"__cfg__.base_channels": 2.0 ** 40, "__cfg__.k_top": 1e9},
+         r"does not match its config: missing \['edge\.cls10\.b', 'edge\.cls10\.w', "
+         r"'edge\.cls11\.b'\]"),
         ({"__cfg__.base_channels": 2.0 ** 40},
          r"'shared\.conv0\.w' has shape \(4, 3, 3, 3\), expected \(1099511627776, 3, 3, 3\)"),
         ({"__cfg__.groups": 0.0}, "config is invalid: groups must be >= 1"),
@@ -271,13 +274,23 @@ class TestCheckpoint:
         s = ddata.synth_stereogram(2, {"H": 16, "W": 32, "D_max": 8, "n_objects": 2})
         np.testing.assert_array_equal(predict(p_old, cfg_old, s), predict(p_new, cfg_new, s))
 
+    def test_two_stage_checkpoint_rejected(self, tmp_path):
+        # a file written with n_agm = 2 lacks the third stage and its head
+        params = init_params(TINY_NET, seed=0)
+        for name in [n for n in params.tensors if n.startswith(("disp.agm2.", "disp.out2."))]:
+            del params.tensors[name]
+        path = str(tmp_path / "two.ckpt")
+        save_older_checkpoint(path, params, self._trained_state(params), TINY_NET, n_agm=2)
+        with pytest.raises(CheckpointError, match=r"missing \['disp\.agm2\."):
+            load_checkpoint(path)
+
     def test_adam_constants_no_longer_written(self, tmp_path):
         params = init_params(TINY_NET, seed=0)
         path = str(tmp_path / "s.ckpt")
         save_checkpoint(params, self._trained_state(params), path, TINY_NET)
         raw = open(path, "rb").read()
         for name in (b"__opt__.beta1", b"__opt__.beta2", b"__opt__.eps",
-                     b"__cfg__.downsample", b"__cfg__.pointwise_bias"):
+                     b"__cfg__.downsample", b"__cfg__.pointwise_bias", b"__cfg__.n_agm"):
             assert name not in raw
 
     def test_pointwise_bias_checkpoint_rejected(self, tmp_path):
@@ -318,14 +331,6 @@ class TestTraining:
         init = init_params(TINY_NET, seed=0)
         for n, t in init.tensors.items():
             np.testing.assert_array_equal(p2[n].data, t.data)
-
-    @pytest.mark.parametrize("n_agm", [2, 4])
-    def test_config_rejects_n_agm_other_than_three(self, tmp_path, n_agm):
-        # The loss weighs exactly d1, d2, d3; inference-only configs may differ.
-        net = NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=2, n_agm=n_agm,
-                            dilation_rates=(1, 2))
-        with pytest.raises(ValueError, match="network.n_agm"):
-            TrainConfig(network=net, data_dir=str(tmp_path))
 
     def test_deterministic_given_seed(self, tmp_path):
         cfg_a = self._cfg(tmp_path, steps=2)
@@ -429,9 +434,9 @@ class TestFrozenWeightPasses:
 
     @pytest.mark.parametrize("cfg", [
         TINY_NET,
-        NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=2, n_agm=2,
+        NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=2,
                       dilation_rates=(1, 2), use_dedge_spp=False),
-        NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=2, n_agm=2,
+        NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=2,
                       dilation_rates=(1, 2), use_dedge_spp=False, use_edge_branch=False),
     ])
     def test_recalibration_equals_taped_train_forward(self, cfg):
@@ -443,7 +448,7 @@ class TestFrozenWeightPasses:
             idx = rng.choice(len(samples), size=4, replace=False)
             left, right, *_ = _batch_arrays(samples, idx, 0)
             out = network.forward(left, right, want, cfg, "train")
-            assert out[f"d{cfg.n_agm}"]._backward is not None
+            assert out["d3"]._backward is not None
         buffers = [n for n in want.tensors if n.endswith((".rmean", ".rvar"))]
         assert buffers
         for name in buffers:
