@@ -83,10 +83,8 @@ def cmd_gen_gt(args) -> int:
     return 0
 
 
-_TRAIN_OVERLAY_KEYS = {
-    "seed", "batch_size", "steps", "eval_interval", "grad_clip",
-    "edge_dilate_radius",
-}
+# TrainConfig fields that come from flags, never from the overlay.
+_FLAG_FIELDS = {"data_dir", "val_dir", "out_dir"}
 
 
 def _matches(value, hint) -> bool:
@@ -102,8 +100,6 @@ def _matches(value, hint) -> bool:
         if len(args) == 2 and args[1] is Ellipsis:
             return all(_matches(v, args[0]) for v in value)
         return len(value) == len(args) and all(map(_matches, value, args))
-    if typing.get_origin(hint) is typing.Union:
-        return any(value is None if a is type(None) else _matches(value, a) for a in args)
     return isinstance(value, hint)
 
 
@@ -124,11 +120,12 @@ def _build_train_config(args) -> TrainConfig:
     if args.config:
         with open(args.config) as f:
             overlay = json.load(f)
-    unknown = set(overlay) - _TRAIN_OVERLAY_KEYS - {"network", "loss_weights", "lr_schedule"}
+    unknown = set(overlay) - {f.name for f in dataclasses.fields(TrainConfig)} - _FLAG_FIELDS
     if unknown:
         raise ValueError(f"unknown keys in training config {args.config!r}: {sorted(unknown)}")
-    net_kwargs = overlay.get("network", {})
-    loss_kwargs = overlay.get("loss_weights", {})
+    kwargs = dict(overlay)
+    net_kwargs = kwargs.pop("network", {})
+    loss_kwargs = kwargs.pop("loss_weights", {})
     for key, kw, cls in (("network", net_kwargs, NetworkConfig),
                          ("loss_weights", loss_kwargs, LossWeights)):
         unknown = set(kw) - {f.name for f in dataclasses.fields(cls)}
@@ -136,7 +133,6 @@ def _build_train_config(args) -> TrainConfig:
             raise ValueError(
                 f"unknown {key} keys in training config {args.config!r}: {sorted(unknown)}")
         _check_types(key + ".", kw, cls)
-    kwargs = {k: v for k, v in overlay.items() if k in _TRAIN_OVERLAY_KEYS | {"lr_schedule"}}
     _check_types("", kwargs, TrainConfig)
     if "lr_schedule" in kwargs:
         kwargs["lr_schedule"] = tuple((s, float(l)) for s, l in kwargs["lr_schedule"])
@@ -174,6 +170,10 @@ def cmd_infer(args) -> int:
         print(f"error: image extents differ: {left.shape} vs {right.shape}",
               file=sys.stderr)
         return 2
+    gt = ddata.read_pfm(args.gt) if args.gt else None
+    if gt is not None and gt.shape != left.shape:
+        raise ValueError(f"ground-truth extents {gt.shape} differ from the "
+                         f"image extents {left.shape}")
     h, w = left.shape
     sample = ddata.StereoSample(ddata.grey_to_rgb(left / lmax), ddata.grey_to_rgb(right / rmax),
                                 Tensor(np.zeros((h, w))),
@@ -181,18 +181,17 @@ def cmd_infer(args) -> int:
                                 np.zeros((h, w), dtype=np.int64),
                                 np.ones((h, w), dtype=np.uint8))
     disp = trainer.predict(params, cfg, sample)
-    ddata.write_pfm(args.out_disp, disp)
-    ddata.write_ppm(args.out_vis, colorize(disp, cfg.d_max - 1))
     report = {"out_disp": args.out_disp, "out_vis": args.out_vis,
               "d_max": cfg.d_max, "mean_disparity": float(disp.mean())}
-    if args.gt:
-        gt = ddata.read_pfm(args.gt)
-        valid = np.ones_like(gt, dtype=bool)
-        report["epe"] = losses.epe(disp, gt, valid)
+    if gt is not None:
+        # epe refuses non-finite ground truth before any output is written
+        report["epe"] = losses.epe(disp, gt, np.ones_like(gt, dtype=bool))
         if args.out_err:
             err = np.abs(disp - gt)
             ddata.write_ppm(args.out_err, colorize(np.clip(err, 0, 5.0), 5.0))
             report["out_err"] = args.out_err
+    ddata.write_pfm(args.out_disp, disp)
+    ddata.write_ppm(args.out_vis, colorize(disp, cfg.d_max - 1))
     print(json.dumps(report, indent=2))
     return 0
 

@@ -126,11 +126,17 @@ def total_loss(l_disp: Tensor, l_edge: Optional[Tensor],
 
 
 def epe(d_hat: np.ndarray, d_star: np.ndarray, valid: np.ndarray) -> float:
-    """Mean absolute disparity error over valid pixels."""
+    """Mean absolute disparity error over valid pixels; ground truth must be
+    finite wherever it is valid."""
     valid = np.asarray(valid, dtype=bool)
     if not valid.any():
         raise ValueError("no valid pixels")
-    err = np.abs(np.asarray(d_hat) - np.asarray(d_star))
+    d_star = np.asarray(d_star)
+    bad = int(np.count_nonzero(~np.isfinite(d_star[valid])))
+    if bad:
+        raise ValueError(f"non-finite ground-truth disparity at {bad} of "
+                         f"{np.count_nonzero(valid)} valid pixels")
+    err = np.abs(np.asarray(d_hat) - d_star)
     return float(err[valid].mean())
 
 
@@ -157,18 +163,17 @@ def threshold_error(d_hat: np.ndarray, d_star: np.ndarray, valid: np.ndarray,
     return float(100.0 * hit.mean())
 
 
-def metrics_report(d_hat: np.ndarray, d_star: np.ndarray, valid: np.ndarray,
-                   noc: Optional[np.ndarray] = None) -> Dict[str, float]:
-    """The standard report; D1 uses the 3px-and-5% rule by default."""
-    noc_mask = valid if noc is None else (np.asarray(noc, dtype=bool)
-                                          & np.asarray(valid, dtype=bool))
+def metrics_report(d_hat: np.ndarray, d_star: np.ndarray,
+                   valid: np.ndarray) -> Dict[str, float]:
+    """The standard report; D1 uses the 3px-and-5% rule by default. Every
+    valid pixel counts as non-occluded, so ``out_noc`` is the 3px error."""
     d1_and = threshold_error(d_hat, d_star, valid, 3.0, 5.0, "AND")
     return {
         "epe": epe(d_hat, d_star, valid),
         "d1_all": d1_and,
         "d1_and": d1_and,
         "d1_or": threshold_error(d_hat, d_star, valid, 3.0, 5.0, "OR"),
-        "out_noc": threshold_error(d_hat, d_star, noc_mask, 3.0),
+        "out_noc": threshold_error(d_hat, d_star, valid, 3.0),
         "bad2": threshold_error(d_hat, d_star, valid, 2.0),
         "bad4": threshold_error(d_hat, d_star, valid, 4.0),
         "bad5": threshold_error(d_hat, d_star, valid, 5.0),

@@ -302,7 +302,7 @@ def dedge_branch(taps: Dict[str, Tensor], p: ModelParams, cfg: NetworkConfig,
 
 
 def dedge_spp(f_l2: Tensor, f_l4: Tensor, edge_feats: Optional[Tensor],
-              p: ModelParams, cfg: NetworkConfig, mode: str) -> Tensor:
+              p: ModelParams, mode: str) -> Tensor:
     """Pyramid pooling over L4 (optionally fused with edge features)."""
     x = f_l4 if edge_feats is None else ops.concat([f_l4, edge_feats], axis=1)
     h, w = x.shape[2:]
@@ -393,9 +393,9 @@ def forward(left: Tensor, right: Tensor, p: ModelParams, cfg: NetworkConfig,
             feats_l = None
 
     fl = dedge_spp(taps_l["F_L2"], taps_l["F_L4"],
-                   feats_l if cfg.use_dedge_spp else None, p, cfg, mode)
+                   feats_l if cfg.use_dedge_spp else None, p, mode)
     fr = dedge_spp(taps_r["F_L2"], taps_r["F_L4"],
-                   feats_r if cfg.use_dedge_spp else None, p, cfg, mode)
+                   feats_r if cfg.use_dedge_spp else None, p, mode)
 
     cv = stereo.build_cost_volume(fl, fr, cfg.d_levels)
     v = _conv_block(p, "disp.pre.a", cv, mode, nd=3)

@@ -240,12 +240,12 @@ def conv3d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
     return _convnd(x, w, bias, spec, 3)
 
 
-def conv3d_transposed(x: Tensor, w: Tensor, spec: ConvSpec = ConvSpec(),
-                      output_size: Optional[Tuple[int, int, int]] = None) -> Tensor:
+def conv3d_transposed(x: Tensor, w: Tensor, spec: ConvSpec = ConvSpec(), *,
+                      output_size: Tuple[int, int, int]) -> Tensor:
     """Adjoint of conv3d; weight layout is [Cin, Cout, kd, kh, kw].
 
-    ``output_size`` pins the spatial result (stride ambiguity); defaults to
-    the minimal extent (stride*(n-1) + dilation*(k-1) + 1 - 2*pad).
+    ``output_size`` is the spatial result; with a stride several extents
+    convolve back to the input's, so the caller names the one it wants.
     """
     nd = 3
     stride, dilation, pad = spec.resolved(nd)
@@ -256,10 +256,6 @@ def conv3d_transposed(x: Tensor, w: Tensor, spec: ConvSpec = ConvSpec(),
             f"channel axis mismatch: input has {x.shape[1]} channels, "
             f"weight expects {w.shape[0]}")
     kernel = w.shape[2:]
-    if output_size is None:
-        output_size = tuple(
-            stride[i] * (x.shape[2 + i] - 1) + dilation[i] * (kernel[i] - 1) + 1 - 2 * pad[i]
-            for i in range(nd))
     output_size = tuple(output_size)
     if min(output_size) < 1:
         raise ShapeError(f"output_size {output_size} has an extent below 1")

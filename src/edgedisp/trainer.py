@@ -247,8 +247,6 @@ class TrainConfig:
     val_dir: Optional[str] = None
     eval_interval: int = 50
     out_dir: str = "run"
-    grad_clip: Optional[float] = None
-    edge_dilate_radius: int = 0
 
     def __post_init__(self):
         if self.batch_size < 1 or self.steps < 0:
@@ -274,13 +272,13 @@ def _load_dataset(directory: str) -> List[ddata.StereoSample]:
 
 
 def _batch_arrays(samples: Sequence[ddata.StereoSample], idx: Sequence[int],
-                  dilate_radius: int, flip_rng: Optional[np.random.Generator] = None):
+                  flip_rng: Optional[np.random.Generator] = None):
     left = np.stack([samples[i].left.data for i in idx])
     right = np.stack([samples[i].right.data for i in idx])
     disp = np.stack([samples[i].disparity.data for i in idx])
     valid = np.stack([samples[i].valid for i in idx])
     edges = np.stack([
-        ddata.depth_edge_gt(samples[i].instance, samples[i].semantic, dilate_radius)
+        ddata.depth_edge_gt(samples[i].instance, samples[i].semantic)
         for i in idx])
     if flip_rng is not None:
         # vertical flips keep the epipolar geometry (disparity is horizontal)
@@ -326,7 +324,7 @@ def recalibrate_norm_stats(params: ModelParams, net: NetworkConfig,
     with no_grad():
         for _ in range(batches):
             idx = rng.choice(len(samples), size=n, replace=False)
-            left, right, *_ = _batch_arrays(samples, idx, 0)
+            left, right, *_ = _batch_arrays(samples, idx)
             network.forward(left, right, params, net, "stats")
 
 
@@ -357,8 +355,7 @@ def train(cfg: TrainConfig) -> Dict[str, object]:
         for step in range(1, cfg.steps + 1):
             state.lr = _lr_at(cfg.lr_schedule, step - 1)
             idx = next_batch()
-            left, right, disp, valid, edges = _batch_arrays(
-                samples, idx, cfg.edge_dilate_radius, flip_rng)
+            left, right, disp, valid, edges = _batch_arrays(samples, idx, flip_rng)
             outputs = network.forward(left, right, params, cfg.network, "train")
             parts = compute_losses(outputs, disp, valid, edges,
                                    cfg.loss_weights, cfg.network)
@@ -370,11 +367,6 @@ def train(cfg: TrainConfig) -> Dict[str, object]:
             parts["total"].backward()
             grads = {n: t.grad for n, t in params.trainable().items()
                      if t.grad is not None}
-            if cfg.grad_clip is not None:
-                norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-                if norm > cfg.grad_clip:
-                    scale = cfg.grad_clip / norm
-                    grads = {n: g * scale for n, g in grads.items()}
             adam_step(params.trainable(), grads, state)
 
             entry = {"step": step, "lr": state.lr}

@@ -173,8 +173,8 @@ def infer_views_apart(left, right, p, cfg):
     if cfg.use_dedge_spp:
         _, feats_l = network.dedge_branch(taps_l, p, cfg, mode, with_head=False)
         _, feats_r = network.dedge_branch(taps_r, p, cfg, mode, with_head=False)
-    fl = network.dedge_spp(taps_l["F_L2"], taps_l["F_L4"], feats_l, p, cfg, mode)
-    fr = network.dedge_spp(taps_r["F_L2"], taps_r["F_L4"], feats_r, p, cfg, mode)
+    fl = network.dedge_spp(taps_l["F_L2"], taps_l["F_L4"], feats_l, p, mode)
+    fr = network.dedge_spp(taps_r["F_L2"], taps_r["F_L4"], feats_r, p, mode)
     cv = stereo.build_cost_volume(fl, fr, cfg.d_levels)
     v = network._conv_block(p, "disp.pre.a", cv, mode, nd=3)
     v = (network._conv_block(p, "disp.pre.b", v, mode, nd=3, relu=False) + v).relu()

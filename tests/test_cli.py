@@ -14,6 +14,14 @@ TINY_NET = {"base_channels": 4, "d_max": 8, "groups": 2, "k_top": 2,
             "dilation_rates": [1, 2]}
 
 
+def _tiny_checkpoint(tmp_path) -> str:
+    """Path of a freshly initialised TINY_NET checkpoint."""
+    net = NetworkConfig(**{**TINY_NET, "dilation_rates": tuple(TINY_NET["dilation_rates"])})
+    ckpt = str(tmp_path / "tiny.ckpt")
+    save_checkpoint(init_params(net, seed=0), None, ckpt, net)
+    return ckpt
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -186,15 +194,16 @@ class TestPipeline:
             outs.append(open(disp_path, "rb").read())
         assert outs[0] == outs[1]
 
-    def test_unknown_overlay_key_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key", ["stepz", "grad_clip", "edge_dilate_radius"])
+    def test_unknown_overlay_key_rejected(self, tmp_path, capsys, key):
         data_dir = str(tmp_path / "d")
         cfg_path = str(tmp_path / "cfg.json")
         with open(cfg_path, "w") as f:
-            json.dump({"network": TINY_NET, "stepz": 3}, f)
+            json.dump({"network": TINY_NET, key: 3}, f)
         code, stdout, stderr = run(capsys, "train", "--config", cfg_path,
                                    "--data", data_dir, "--out", str(tmp_path / "r"))
         assert code == 2
-        assert "stepz" in stderr and stdout == ""
+        assert key in stderr and stdout == ""
 
     @pytest.mark.parametrize("overlay, key, bad", [
         ({"network": {"base_chanels": 8}}, "network", "base_chanels"),
@@ -217,7 +226,7 @@ class TestPipeline:
         ({"network": {"dilation_rates": [1, 2.5]}}, "network.dilation_rates must be Tuple[int, ...]"),
         ({"loss_weights": {"a": "0.5"}}, "loss_weights.a must be float"),
         ({"steps": 2.5}, "steps must be int, got 2.5"),
-        ({"grad_clip": "1"}, "grad_clip must be Optional[float]"),
+        ({"seed": None}, "seed must be int, got None"),
         ({"lr_schedule": [["0", 1e-3]]}, "lr_schedule must be Tuple[Tuple[int, float], ...]"),
         ({"network": {"groups": 0}}, "groups must be >= 1, got 0"),
         ({"network": {"groups": 1}}, "needs >= 2 groups, got 1"),
@@ -291,6 +300,44 @@ class TestPipeline:
         code, stdout, stderr = run(capsys, "eval", "--ckpt", ckpt, "--data", data_dir)
         assert code == 2
         assert "non-finite disparity" in stderr and "Traceback" not in stderr and stdout == ""
+
+    @pytest.mark.parametrize("gt_shape, nan_at, message", [
+        ((1, 32), None, "ground-truth extents (1, 32) differ from the image extents (32, 32)"),
+        ((16, 16), None, "ground-truth extents (16, 16) differ from the image extents (32, 32)"),
+        ((32, 32), (3, 5), "non-finite ground-truth disparity at 1 of 1024 valid pixels"),
+    ])
+    def test_infer_bad_gt_rejected(self, tmp_path, capsys, gt_shape, nan_at, message):
+        ckpt = _tiny_checkpoint(tmp_path)
+        img = str(tmp_path / "img.pgm")
+        ddata.write_pgm(img, np.zeros((32, 32), dtype=np.int64))
+        values = np.ones(gt_shape)
+        if nan_at is not None:
+            values[nan_at] = np.nan
+        gt = str(tmp_path / "gt.pfm")
+        ddata.write_pfm(gt, values)
+        out_disp, out_vis = str(tmp_path / "d.pfm"), str(tmp_path / "d.ppm")
+        code, stdout, stderr = run(capsys, "infer", "--ckpt", ckpt, "--left", img,
+                                   "--right", img, "--out-disp", out_disp,
+                                   "--out-vis", out_vis, "--gt", gt)
+        assert code == 2
+        assert message in stderr and "Traceback" not in stderr and stdout == ""
+        assert not os.path.exists(out_disp) and not os.path.exists(out_vis)
+
+    def test_eval_non_finite_gt_rejected(self, tmp_path, capsys):
+        ckpt = _tiny_checkpoint(tmp_path)
+        data_dir = str(tmp_path / "d")
+        code, _, _ = run(capsys, "gen-data", "--out", data_dir, "--count", "2",
+                         "--height", "32", "--width", "32", "--dmax", "8")
+        assert code == 0
+        sample = ddata.load_sample(data_dir, 1)
+        disp = sample.disparity.data.copy()
+        y, x = np.argwhere(sample.valid)[0]
+        disp[y, x] = np.nan
+        ddata.write_pfm(os.path.join(data_dir, "0001_disp.pfm"), disp)
+        code, stdout, stderr = run(capsys, "eval", "--ckpt", ckpt, "--data", data_dir)
+        assert code == 2
+        assert "non-finite ground-truth disparity at 1 of" in stderr
+        assert "Traceback" not in stderr and stdout == ""
 
     def test_infer_checkpoint_missing_tensor(self, tmp_path, capsys):
         net = NetworkConfig(**{**TINY_NET, "dilation_rates": tuple(TINY_NET["dilation_rates"])})

@@ -263,6 +263,15 @@ class TestMetrics:
         valid = np.array([[True, False]])
         assert epe(d_hat, d_star, valid) == 0.0
 
+    def test_non_finite_gt_rejected_only_where_valid(self):
+        d_hat = np.zeros((1, 3))
+        d_star = np.array([[0.0, np.nan, np.inf]])
+        assert epe(d_hat, d_star, np.array([[True, False, False]])) == 0.0
+        with pytest.raises(ValueError, match="non-finite ground-truth disparity at 2 of 3"):
+            epe(d_hat, d_star, np.ones((1, 3), dtype=bool))
+        with pytest.raises(ValueError, match="non-finite ground-truth"):
+            metrics_report(d_hat, d_star, np.array([[True, True, False]]))
+
     def test_threshold_counting_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(20):

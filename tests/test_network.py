@@ -178,7 +178,7 @@ class TestSpp:
         left, _ = tiny_pair(rng)
         taps = feature_extract(left, p, "eval")
         _, feats = dedge_branch(taps, p, TINY, "eval", with_head=False)
-        out = dedge_spp(taps["F_L2"], taps["F_L4"], feats, p, TINY, "eval")
+        out = dedge_spp(taps["F_L2"], taps["F_L4"], feats, p, "eval")
         assert out.shape == (1, TINY.base_channels, 4, 4)
 
     def test_without_edge_features(self):
@@ -189,7 +189,7 @@ class TestSpp:
         p = init_params(cfg, seed=0)
         left, _ = tiny_pair(rng)
         taps = feature_extract(left, p, "eval")
-        out = dedge_spp(taps["F_L2"], taps["F_L4"], None, p, cfg, "eval")
+        out = dedge_spp(taps["F_L2"], taps["F_L4"], None, p, "eval")
         assert out.shape == (1, cfg.base_channels, 4, 4)
 
 

@@ -105,22 +105,24 @@ class TestBatchInvariance:
     put each sample's rows on different tile edges.
     """
 
-    @pytest.mark.parametrize("name, x_shape, w_shape, spec", [
-        ("conv2d", (3, 4, 5, 5), (6, 4, 3, 3), ConvSpec(padding=1)),
-        ("conv2d", (3, 4, 5, 5), (6, 4, 3, 3), ConvSpec(dilation=2, padding=2)),
-        ("conv3d", (3, 4, 2, 5, 7), (6, 4, 3, 3, 3), ConvSpec(padding=1)),
-        ("conv3d", (3, 4, 4, 5, 7), (6, 4, 3, 3, 3), ConvSpec(stride=2, padding=1)),
-        ("conv3d_transposed", (3, 4, 2, 5, 7), (4, 6, 3, 3, 3), ConvSpec(padding=1)),
+    @pytest.mark.parametrize("name, x_shape, w_shape, spec, output_size", [
+        ("conv2d", (3, 4, 5, 5), (6, 4, 3, 3), ConvSpec(padding=1), None),
+        ("conv2d", (3, 4, 5, 5), (6, 4, 3, 3), ConvSpec(dilation=2, padding=2), None),
+        ("conv3d", (3, 4, 2, 5, 7), (6, 4, 3, 3, 3), ConvSpec(padding=1), None),
+        ("conv3d", (3, 4, 4, 5, 7), (6, 4, 3, 3, 3), ConvSpec(stride=2, padding=1), None),
+        ("conv3d_transposed", (3, 4, 2, 5, 7), (4, 6, 3, 3, 3), ConvSpec(padding=1),
+         (2, 5, 7)),
         ("conv3d_transposed", (3, 4, 2, 5, 7), (4, 6, 3, 3, 3),
-         ConvSpec(stride=2, padding=1)),
+         ConvSpec(stride=2, padding=1), (3, 9, 13)),
     ])
-    def test_batched_equals_per_sample(self, name, x_shape, w_shape, spec):
+    def test_batched_equals_per_sample(self, name, x_shape, w_shape, spec, output_size):
         rng = np.random.default_rng(5)
         x = rng.normal(size=x_shape)
         w = rng.normal(size=w_shape)
+        kwargs = {} if output_size is None else {"output_size": output_size}
 
         def op(xt, wt):
-            return getattr(ops, name)(xt, wt, spec=spec)
+            return getattr(ops, name)(xt, wt, spec=spec, **kwargs)
 
         g = rng.normal(size=op(Tensor(x), Tensor(w)).shape)
         y, gx = _conv_and_input_grad(op, x, w, g)

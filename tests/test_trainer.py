@@ -446,7 +446,7 @@ class TestFrozenWeightPasses:
         rng = np.random.default_rng(5)
         for _ in range(3):
             idx = rng.choice(len(samples), size=4, replace=False)
-            left, right, *_ = _batch_arrays(samples, idx, 0)
+            left, right, *_ = _batch_arrays(samples, idx)
             out = network.forward(left, right, want, cfg, "train")
             assert out["d3"]._backward is not None
         buffers = [n for n in want.tensors if n.endswith((".rmean", ".rvar"))]
@@ -490,7 +490,7 @@ class TestMultiTaskFlow:
         samples = [ddata.load_sample(data_dir, i)
                    for i in ddata.list_samples(data_dir)]
         params = init_params(TINY_NET, seed=0)
-        left, right, disp, valid, edges = _batch_arrays(samples, [0, 1], 0)
+        left, right, disp, valid, edges = _batch_arrays(samples, [0, 1])
         outputs = network.forward(left, right, params, TINY_NET, "train")
         parts = compute_losses(outputs, disp, valid, edges, LossWeights(),
                                TINY_NET)
