@@ -52,7 +52,16 @@ def colorize(values: np.ndarray, vmax: float) -> np.ndarray:
 # -- subcommands --------------------------------------------------------------
 
 
+def _require_at_least(args, minimums: Dict[str, int]) -> None:
+    """Raise ValueError naming the first flag whose value is below its minimum."""
+    for name, low in minimums.items():
+        value = getattr(args, name)
+        if value < low:
+            raise ValueError(f"--{name} must be >= {low}, got {value}")
+
+
 def cmd_gen_data(args) -> int:
+    _require_at_least(args, {"count": 1, "height": 1, "width": 1, "dmax": 0})
     if args.dmax >= args.width // 2:
         print(f"error: dmax {args.dmax} must be < width/2 = {args.width // 2}",
               file=sys.stderr)
@@ -70,6 +79,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_gen_gt(args) -> int:
+    _require_at_least(args, {"dilate": 0})
     inst, _ = ddata.read_pgm(args.inst)
     sem, _ = ddata.read_pgm(args.sem)
     if inst.shape != sem.shape:

@@ -11,18 +11,28 @@ the output slices that read them. A tap outside the kept range reads only
 zero padding: its products are exact zeros and its weight gradient is
 exactly zero, so leaving it out removes only zero terms from each sum.
 
-Gather (forward and weight gradient): each sample's kept taps are copied
-from the input into one ``[Cin*K, N]`` column matrix (K kept taps, N
-output positions). One zeroed buffer per call is refilled for every
-sample; all samples fill the same positions, so the columns of taps that
-read padding stay zero. The forward pass runs one GEMM
-``[Cout, Cin*K] x [Cin*K, N]`` per sample; the weight gradient adds
-``gy_b [Cout, N] x cols_bᵀ`` over the batch in batch order.
+Blocks: every pass splits the output along its first spatial axis into
+runs of whole rows whose ``[Cin*K, N_block]`` column matrix (K kept taps,
+N_block output positions of the block) fits ``_COLUMN_BUDGET`` bytes; a
+block holds at least one row. ``_block_plan``, cached per geometry and
+row range, cuts the plan's moves to the block's rows, so a pass's working
+memory is one block, not the whole ``[Cin*K, N]`` matrix.
+
+Gather (forward and weight gradient): per sample, then per block, the
+block's kept taps are copied from the input into its column matrix. One
+buffer per call, zeroed once, serves every block and sample; before a
+block is refilled over another block's columns, the rows its taps skip
+are zeroed again, so the columns of taps that read padding stay zero. The
+forward pass runs one GEMM ``[Cout, Cin*K] x [Cin*K, N_block]`` per
+sample and block, written into the block's rows; the weight gradient adds
+``gy_block [Cout, N_block] x cols_blockᵀ`` in batch, then block order.
 
 Scatter (input gradient, which is also the transposed convolution): per
-sample, one GEMM ``[Cin*K, Cout] x [Cout, N]`` gives every kept tap's
-columns, and each tap of the plan adds its columns, in a fixed tap order,
-back into the input positions it reads. Scatter is the exact adjoint of
+sample and block, one GEMM ``[Cin*K, Cout] x [Cout, N_block]`` gives the
+block's columns of every kept tap, and each move of the block adds its
+columns, in tap order, back into the input positions it reads. The blocks
+run from the last rows to the first, so every input position gets its
+terms in tap order, whatever the blocks. Scatter is the exact adjoint of
 gather over the same moves; nothing is zero-stuffed, flipped or
 margin-padded.
 
@@ -33,12 +43,16 @@ that ``needs_grad``, and is kept only when some parent needs gradients
 (and no ``tensor.no_grad`` is open). Closures keep the op's inputs, never
 column matrices, which backward rebuilds.
 
-Every contraction runs one GEMM per sample. Folding the batch into one
-BLAS GEMM lets a sample's rows fall on different tile edges depending on
-what else is in the batch, which changes the summation order and so the
-last bits of the result; it would also build the whole batch's column
-matrix at once. One sample at a time, every sample gets the same GEMM
-shape, so its output does not depend on its batch-mates.
+Every contraction runs one GEMM per sample and block. Folding the batch
+into one BLAS GEMM lets a sample's rows fall on different tile edges
+depending on what else is in the batch, which changes the summation order
+and so the last bits of the result; it would also build the whole batch's
+column matrix at once. One sample at a time, every sample gets the same
+GEMM shapes, so its output does not depend on its batch-mates. The forward
+and input gradient of a block compute the same columns as one GEMM over
+all rows would, bit for bit when the blocks are a few hundred columns
+wide (OpenBLAS takes other kernels for GEMMs only a few columns wide); the
+weight gradient sums the blocks one after another, which reorders its sum.
 """
 
 from __future__ import annotations
@@ -100,8 +114,10 @@ class _TapPlan(NamedTuple):
     moves: tuple               # (input index, column index) per landing tap
 
 
-# A network at one image size needs a few dozen plans (23 for the default
-# configuration); the bound keeps a service fed many image sizes finite.
+# A network at one image size needs a few dozen plans: the default
+# configuration needs 23 tap plans, and 23 block plans at 64x64, 34 at
+# 128x256 with d_max 32, 52 at 256x512 with d_max 64. The bounds keep a
+# service fed many image sizes finite.
 @functools.lru_cache(maxsize=256)
 def _tap_plan(in_spatial, kernel, stride, dilation, pad) -> _TapPlan:
     """The geometry every convolution pass runs over, computed once per shape.
@@ -141,34 +157,111 @@ def _kept_weight(w: np.ndarray, plan: _TapPlan) -> np.ndarray:
     return kept.reshape(w.shape[0], w.shape[1] * math.prod(plan.kept))
 
 
-def _gather(x: np.ndarray, plan: _TapPlan):
-    """Each sample's ``[Cin*K, N]`` column matrix, in batch order.
+# Bytes one block's column matrix may take. A block holds at least one
+# output row, so a row larger than this runs alone. The largest column
+# matrix of the default network at 64x64 (5.3 MB) runs as one block.
+_COLUMN_BUDGET = 8 << 20
 
-    One zeroed buffer serves every sample: all samples fill the same
-    positions, so the columns of taps that read padding stay zero. Each
-    yielded matrix is overwritten by the next.
+
+class _Block(NamedTuple):
+    rows: slice                # output rows of the block, on the first spatial axis
+    out: Tuple[int, ...]       # the block's output extents: its rows, then out[1:]
+    moves: tuple               # the plan's moves cut to these rows
+    clear: tuple               # column indices of rows a kept first-axis tap skips
+
+
+@functools.lru_cache(maxsize=1024)
+def _block_plan(in_spatial, kernel, stride, dilation, pad, rows) -> _Block:
+    """The moves of the tap plan that land in output rows ``rows = (r0, r1)``
+    of the first spatial axis, indexing the block's columns
+    ``[Cin, *kept, r1 - r0, *out[1:]]``.
+
+    ``clear`` lists, for each kept tap of the first axis, the rows of the
+    block it does not land in. Those columns hold zeros in a fresh buffer;
+    a buffer that another block of the same extents filled before must be
+    zeroed there again.
     """
-    cols = np.zeros((x.shape[1],) + plan.kept + plan.out)
-    flat = cols.reshape(x.shape[1] * math.prod(plan.kept), math.prod(plan.out))
-    for xb in x:
-        for src, dst in plan.moves:
-            cols[dst] = xb[src]
-        yield flat
+    plan = _tap_plan(in_spatial, kernel, stride, dilation, pad)
+    r0, r1 = rows
+    nd = len(kernel)
+    moves, landed = [], {}
+    for src, dst in plan.moves:
+        read, o = src[1], dst[1 + nd]
+        a, b = max(o.start, r0), min(o.stop, r1)
+        if a < b:
+            first = read.start + (a - o.start) * read.step
+            moves.append((src[:1] + (slice(first, first + (b - a - 1) * read.step + 1, read.step),)
+                          + src[2:],
+                          dst[:1 + nd] + (slice(a - r0, b - r0),) + dst[2 + nd:]))
+        else:
+            a = b = r1
+        landed[dst[1]] = (a - r0, b - r0)
+    lead = (slice(None),) * (nd - 1)
+    clear = tuple((slice(None), k) + lead + (slice(lo, hi),)
+                  for k, (a, b) in landed.items()
+                  for lo, hi in ((0, a), (b, r1 - r0)) if lo < hi)
+    return _Block(slice(r0, r1), (r1 - r0,) + plan.out[1:], tuple(moves), clear)
+
+
+def _blocks(cin: int, in_spatial, kernel, stride, dilation, pad):
+    """The tap plan and its blocks: runs of whole output rows of the first
+    spatial axis whose ``[Cin*K, N]`` column matrix fits ``_COLUMN_BUDGET``."""
+    plan = _tap_plan(in_spatial, kernel, stride, dilation, pad)
+    row = 8 * cin * math.prod(plan.kept) * math.prod(plan.out[1:])
+    step = max(1, _COLUMN_BUDGET // max(row, 1))
+    n = plan.out[0]
+    return plan, [_block_plan(in_spatial, kernel, stride, dilation, pad, (r, min(r + step, n)))
+                  for r in range(0, n, step)]
+
+
+def _gather(x: np.ndarray, plan: _TapPlan, blocks):
+    """Per sample in batch order, then per block: the sample index, the
+    block, and its ``[Cin*K, N_block]`` column matrix.
+
+    One buffer, zeroed once, serves every block; each yielded matrix is
+    overwritten by the next. Refilling the block that filled it last
+    rewrites the same positions. Before a block of the same extents, the
+    rows its taps skip are zeroed; before a block of other extents, the
+    whole matrix is.
+    """
+    cin, k = x.shape[1], math.prod(plan.kept)
+    buf = np.zeros(cin * k * max(math.prod(blk.out) for blk in blocks))
+    last = None
+    for b, xb in enumerate(x):
+        for blk in blocks:
+            n = math.prod(blk.out)
+            cols = buf[:cin * k * n].reshape((cin,) + plan.kept + blk.out)
+            if last is not None and last is not blk:
+                if last.out != blk.out:
+                    cols.fill(0.0)
+                else:
+                    for c in blk.clear:
+                        cols[c] = 0.0
+            for src, dst in blk.moves:
+                cols[dst] = xb[src]
+            last = blk
+            yield b, blk, cols.reshape(cin * k, n)
 
 
 def _corr_forward(x: np.ndarray, w: np.ndarray, stride, dilation, pad) -> np.ndarray:
-    """Per sample, one GEMM ``[Cout, Cin*K] x [Cin*K, N]`` over the kept taps."""
-    plan = _tap_plan(x.shape[2:], w.shape[2:], stride, dilation, pad)
+    """Per sample and block, one GEMM ``[Cout, Cin*K] x [Cin*K, N_block]``
+    over the kept taps, written into the block's output rows."""
+    plan, blocks = _blocks(x.shape[1], x.shape[2:], w.shape[2:], stride, dilation, pad)
     wk = _kept_weight(w, plan)
-    y = np.stack([wk @ cols for cols in _gather(x, plan)])
-    return y.reshape((x.shape[0], w.shape[0]) + plan.out)
+    y = np.empty((x.shape[0], w.shape[0]) + plan.out)
+    for b, blk, cols in _gather(x, plan, blocks):
+        y[b, :, blk.rows] = (wk @ cols).reshape((w.shape[0],) + blk.out)
+    return y
 
 
 def _corr_weight_grad(x: np.ndarray, gy: np.ndarray, kernel, stride, dilation, pad) -> np.ndarray:
-    """Sum over the batch, in batch order, of ``gy_b [Cout, N] x cols_bᵀ``."""
-    plan = _tap_plan(x.shape[2:], kernel, stride, dilation, pad)
+    """Sum over the batch, then the blocks, in order, of
+    ``gy_block [Cout, N_block] x cols_blockᵀ``."""
+    plan, blocks = _blocks(x.shape[1], x.shape[2:], kernel, stride, dilation, pad)
     cout, cin = gy.shape[1], x.shape[1]
-    gk = sum(g.reshape(cout, -1) @ cols.T for g, cols in zip(gy, _gather(x, plan)))
+    gk = np.zeros((cout, cin * math.prod(plan.kept)))
+    for b, blk, cols in _gather(x, plan, blocks):
+        gk += gy[b, :, blk.rows].reshape(cout, math.prod(blk.out)) @ cols.T
     gw = np.zeros((cout, cin) + kernel)
     gw[(slice(None), slice(None)) + plan.taps] = gk.reshape((cout, cin) + plan.kept)
     return gw
@@ -178,18 +271,23 @@ def _corr_input_grad(gy: np.ndarray, w: np.ndarray, stride, dilation, pad,
                      in_spatial) -> np.ndarray:
     """Adjoint of _corr_forward w.r.t. the input (= transposed convolution).
 
-    Per sample, one GEMM ``[Cin*K, Cout] x [Cout, N]`` gives every kept
-    tap's columns; each move of the plan then adds, in tap order, its
-    columns back into the input positions its tap reads.
+    Per sample and block, one GEMM ``[Cin*K, Cout] x [Cout, N_block]``
+    gives the block's columns of every kept tap; each move of the block
+    then adds, in tap order, its columns back into the input positions its
+    tap reads. The blocks run from the last rows to the first: a later tap
+    of the first axis reaches an input row from an earlier output row, so
+    every input position gets its terms in tap order, as from one block.
     """
-    plan = _tap_plan(in_spatial, w.shape[2:], stride, dilation, pad)
-    cin = w.shape[1]
+    cout, cin = w.shape[:2]
+    plan, blocks = _blocks(cin, in_spatial, w.shape[2:], stride, dilation, pad)
     wt = _kept_weight(w, plan).T
     gx = np.zeros((gy.shape[0], cin) + in_spatial)
     for g, gxb in zip(gy, gx):
-        cols = (wt @ g.reshape(gy.shape[1], -1)).reshape((cin,) + plan.kept + plan.out)
-        for src, dst in plan.moves:
-            gxb[src] += cols[dst]
+        for blk in reversed(blocks):
+            cols = wt @ g[:, blk.rows].reshape(cout, math.prod(blk.out))
+            cols = cols.reshape((cin,) + plan.kept + blk.out)
+            for src, dst in blk.moves:
+                gxb[src] += cols[dst]
     return gx
 
 
@@ -212,7 +310,7 @@ def _convnd(x: Tensor, w: Tensor, bias: Optional[Tensor], spec: ConvSpec, nd: in
     if bias is not None:
         if bias.shape != (w.shape[0],):
             raise ShapeError(f"bias shape {bias.shape} != ({w.shape[0]},)")
-        y = y + bias.data.reshape((1, -1) + (1,) * nd)
+        y += bias.data.reshape((1, -1) + (1,) * nd)
     parents = (x, w) if bias is None else (x, w, bias)
     in_spatial = x.shape[2:]
     kernel = w.shape[2:]
@@ -355,18 +453,29 @@ def upsample_trilinear(x: Tensor, out_dhw: Tuple[int, int, int]) -> Tensor:
 # -- softmax ------------------------------------------------------------------
 
 
+def softmax_inplace(z: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax of ``z`` along ``axis``, computed in ``z``'s own memory:
+    subtract the maximum, exponentiate, divide by the sum. Returns ``z``."""
+    z -= z.max(axis=axis, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=axis, keepdims=True)
+    return z
+
+
+def softmax_grad_inplace(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """Gradient of the softmax input, ``y * (g - sum(g * y))``, given the
+    softmax ``y`` and the output cotangent ``g``; computed in ``g``'s
+    memory, which is returned."""
+    g -= (g * y).sum(axis=axis, keepdims=True)
+    g *= y
+    return g
+
+
 def softmax(x: Tensor, axis: int) -> Tensor:
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"axis {axis} out of range for rank {x.ndim}")
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        accumulate_grad(x, y * (g - dot))
-
-    return make_op(y, (x,), bwd)
+    y = softmax_inplace(x.data.copy(), axis)
+    return make_op(y, (x,), lambda g: accumulate_grad(x, softmax_grad_inplace(y, g.copy(), axis)))
 
 
 # -- normalization ------------------------------------------------------------

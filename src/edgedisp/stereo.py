@@ -140,16 +140,27 @@ def soft_argmin(cost: Tensor) -> Tensor:
     """Expected disparity under softmax(-cost) along the disparity axis.
 
     ``cost`` is [B,1,D,H,W] at full resolution; the result is [B,H,W] in
-    [0, D-1] and differentiable.
+    [0, D-1] and differentiable. Recorded as one op: the probabilities are
+    computed in place in one array of the cost's size, which is all the
+    backward closure keeps, and the levels are summed in order,
+    ``p[:,0]*0 + p[:,1]*1 + ...``.
     """
     if cost.ndim != 5:
         raise ShapeError(f"cost must be rank 5, got {cost.ndim}")
     if cost.shape[1] != 1:
         raise ShapeError(f"cost must be single-channel, got {cost.shape[1]}")
     b, _, d, h, w = cost.shape
-    prob = ops.softmax(-cost.reshape(b, d, h, w), axis=1)
-    levels = Tensor(np.arange(d, dtype=np.float64).reshape(1, d, 1, 1))
-    return (prob * levels).sum(axis=1)
+    p = ops.softmax_inplace(np.negative(cost.data.reshape(b, d, h, w)), axis=1)
+    y = p[:, 0] * 0.0
+    for k in range(1, d):
+        y += p[:, k] * float(k)
+
+    def bwd(g):
+        gp = g[:, None] * np.arange(d, dtype=np.float64).reshape(1, d, 1, 1)
+        gx = np.negative(ops.softmax_grad_inplace(p, gp, axis=1), out=gp)
+        accumulate_grad(cost, gx.reshape(cost.shape))
+
+    return make_op(y, (cost,), bwd)
 
 
 # -- shared concatenation -----------------------------------------------------

@@ -109,6 +109,15 @@ def loop_cost_volume(f_left, f_right, d_levels):
     return ops.concat([ops.concat(concat, axis=2), ops.concat(dist, axis=2)], axis=1)
 
 
+def chained_soft_argmin(cost):
+    """Soft-argmin of a [B,1,D,H,W] cost built from recorded ops: negate,
+    ``ops.softmax`` over the levels, weight by the level index, sum."""
+    b, _, d, h, w = cost.shape
+    prob = ops.softmax(-cost.reshape(b, d, h, w), axis=1)
+    levels = Tensor(np.arange(d, dtype=np.float64).reshape(1, d, 1, 1))
+    return (prob * levels).sum(axis=1)
+
+
 # -- convolution kernels before tap cropping and the per-tap adjoint ----------
 
 

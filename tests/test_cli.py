@@ -73,6 +73,16 @@ class TestGenData:
         assert code == 2
         assert "dmax" in stderr
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--count", "0"), ("--count", "-1"), ("--height", "0"), ("--width", "0"),
+        ("--width", "-32"), ("--dmax", "-4")])
+    def test_out_of_range_flag_rejected(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x"
+        code, stdout, stderr = run(capsys, "gen-data", "--out", str(out), flag, value)
+        assert code == 2
+        assert f"{flag} must be >=" in stderr and value in stderr
+        assert stdout == "" and not out.exists()
+
 
 class TestGenGt:
     def test_zero_masks(self, tmp_path, capsys):
@@ -113,6 +123,17 @@ class TestGenGt:
                               "--out", str(tmp_path / "o.pgm"))
         assert code == 2
         assert "extents" in stderr
+
+    def test_negative_dilation_rejected(self, tmp_path, capsys):
+        pi, ps = str(tmp_path / "i.pgm"), str(tmp_path / "s.pgm")
+        for path in (pi, ps):
+            ddata.write_pgm(path, np.zeros((4, 4), dtype=np.int64))
+        out = tmp_path / "o.pgm"
+        code, _, stderr = run(capsys, "gen-gt", "--inst", pi, "--sem", ps,
+                              "--out", str(out), "--dilate", "-1")
+        assert code == 2
+        assert "--dilate must be >= 0, got -1" in stderr
+        assert not out.exists()
 
     def test_missing_input(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "gen-gt", "--inst", "/nonexistent.pgm",

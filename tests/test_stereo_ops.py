@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from checks import fd_check, granular_kernels, loop_cost_volume, rand_tensor
+import tracemalloc
+
+from checks import (chained_soft_argmin, fd_check, granular_kernels, loop_cost_volume,
+                    rand_tensor)
 from edgedisp import ops
 from edgedisp.ops import ConvSpec, ShapeError
 from edgedisp.stereo import (build_cost_volume, granular_conv, granular_param_count,
@@ -356,6 +359,46 @@ class TestSoftArgmin:
     def test_multi_channel_rejected(self):
         with pytest.raises(ShapeError):
             soft_argmin(Tensor(np.zeros((1, 2, 4, 2, 2))))
+
+    @pytest.mark.parametrize("shape", [(1, 1, 8, 4, 6), (2, 1, 16, 3, 5), (1, 1, 1, 2, 2)])
+    def test_matches_the_op_chain(self, shape):
+        """Bit-identical forward and matching gradients to the chain of
+        tape ops it replaces."""
+        rng = np.random.default_rng(24)
+        cost = rng.normal(scale=3.0, size=shape)
+        g = rng.normal(size=(shape[0],) + shape[3:])
+        got, want = Tensor(cost, requires_grad=True), Tensor(cost, requires_grad=True)
+        y, y_ref = soft_argmin(got), chained_soft_argmin(want)
+        np.testing.assert_array_equal(y.data, y_ref.data)
+        (y * Tensor(g)).sum().backward()
+        (y_ref * Tensor(g)).sum().backward()
+        assert np.abs(got.grad - want.grad).max() <= 1e-12 * np.abs(want.grad).max()
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(25)
+        cost = rand_tensor(rng, (2, 1, 6, 3, 4))
+        g = Tensor(rng.normal(size=(2, 3, 4)))
+        fd_check(lambda c: (soft_argmin(c) * g).sum(), [cost], rng)
+
+    def test_records_one_tape_node(self):
+        cost = Tensor(np.zeros((1, 1, 4, 2, 3)), requires_grad=True)
+        y = soft_argmin(cost)
+        assert [n for n in _collect_tape(y) if n._parents] == [y]
+        assert y._parents == (cost,)
+
+    def test_working_memory_is_one_cost_sized_array(self):
+        """Peak traced allocation, the cost included, stays below 2.5 cost
+        sizes: the cost and the probabilities, plus [B,H,W] temporaries."""
+        shape = (1, 1, 32, 128, 256)
+        tracemalloc.start()
+        try:
+            cost = Tensor(np.random.default_rng(26).normal(size=shape))
+            y = soft_argmin(cost)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert y.shape == (1, 128, 256)
+        assert peak < 2.5 * cost.data.nbytes, (peak, cost.data.nbytes)
 
 
 class TestSharedConcat:

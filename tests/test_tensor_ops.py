@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -249,7 +251,10 @@ class TestTapPlan:
     every convolution op goes through ``ops._corr_weight_grad``, which the
     benchmark self-test perturbs."""
 
-    def test_repeat_pass_adds_no_plan(self):
+    @pytest.mark.parametrize("budget", [ops._COLUMN_BUDGET, 1])
+    def test_repeat_pass_adds_no_plan(self, monkeypatch, budget):
+        monkeypatch.setattr(ops, "_COLUMN_BUDGET", budget)
+
         def passes():
             for i, (name, xs, ws, spec, size) in enumerate(_CONV_CASES):
                 rng = np.random.default_rng(i)
@@ -257,9 +262,9 @@ class TestTapPlan:
                 _conv_with_grads(name, x, w, b, spec, size, rng)
 
         passes()
-        misses = ops._tap_plan.cache_info().misses
+        misses = ops._tap_plan.cache_info().misses, ops._block_plan.cache_info().misses
         passes()
-        assert ops._tap_plan.cache_info().misses == misses
+        assert (ops._tap_plan.cache_info().misses, ops._block_plan.cache_info().misses) == misses
 
     @pytest.mark.parametrize("name, x_shape, w_shape, spec, output_size", _CONV_CASES)
     def test_weight_grad_goes_through_corr_weight_grad(self, monkeypatch, name, x_shape,
@@ -280,6 +285,98 @@ class TestTapPlan:
                                                     np.random.default_rng(15))
         assert len(calls) == 1
         np.testing.assert_array_equal(gw_shifted, gw + 1.0)
+
+
+# (name, x shape, w shape, spec, output_size, budget in bytes) with several
+# blocks of output rows; the budget admits the rows of each block.
+_BLOCKED_CASES = [
+    # stride 2: a block boundary cuts each tap's strided input rows
+    ("conv2d", (2, 3, 11, 7), (4, 3, 3, 3), ConvSpec(stride=2, padding=1), None, 1),
+    ("conv2d", (2, 3, 12, 6), (5, 3, 3, 3), ConvSpec(dilation=(3, 1), padding=(2, 1)), None,
+     2 * 3 * 9 * 6 * 8),
+    ("conv3d", (2, 2, 9, 5, 6), (3, 2, 3, 3, 3),
+     ConvSpec(stride=(2, 1, 2), dilation=(2, 1, 1), padding=(3, 1, 1)), None, 1),
+    ("conv3d", (2, 2, 8, 4, 4), (3, 2, 3, 3, 3), ConvSpec(dilation=2, padding=2), None,
+     3 * 2 * 27 * 16 * 8),
+    ("conv3d_transposed", (2, 3, 5, 3, 3), (3, 2, 3, 3, 3), ConvSpec(stride=2, padding=1),
+     (10, 6, 6), 1),
+    ("conv3d_transposed", (2, 3, 6, 3, 2), (3, 2, 3, 3, 3),
+     ConvSpec(dilation=(2, 1, 1), padding=(2, 1, 1)), (6, 3, 2), 2 * 2 * 27 * 6 * 8),
+]
+
+
+def _block_count(name, x_shape, w_shape, spec, output_size):
+    s, d, p = spec.resolved(len(w_shape) - 2)
+    if name == "conv3d_transposed":
+        return len(ops._blocks(w_shape[1], output_size, w_shape[2:], s, d, p)[1])
+    return len(ops._blocks(x_shape[1], x_shape[2:], w_shape[2:], s, d, p)[1])
+
+
+class TestBlockedPasses:
+    """Column matrices over runs of output rows: each pass of a conv split
+    into several blocks against the uncropped, zero-stuffed kernels."""
+
+    @pytest.mark.parametrize("name, x_shape, w_shape, spec, output_size, budget",
+                             _BLOCKED_CASES)
+    def test_matches_reference(self, monkeypatch, name, x_shape, w_shape, spec,
+                               output_size, budget):
+        monkeypatch.setattr(ops, "_COLUMN_BUDGET", budget)
+        assert _block_count(name, x_shape, w_shape, spec, output_size) >= 3
+        rng = np.random.default_rng(31)
+        x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
+        b = rng.normal(size=w_shape[0])
+        g, got = _conv_with_grads(name, x, w, b, spec, output_size, rng)
+        want = _reference_with_grads(name, x, w, b, spec, output_size, g)
+        for what, a, r in zip(("forward", "input grad", "weight grad", "bias grad"), got, want):
+            if r is None:
+                continue
+            assert a.shape == r.shape, what
+            assert np.abs(a - r).max() <= 1e-12 * np.abs(r).max(), what
+
+    @pytest.mark.parametrize("spec", [ConvSpec(padding=1), ConvSpec(stride=2, padding=1)])
+    def test_blocks_leave_forward_and_input_grad_bit_identical(self, monkeypatch, spec):
+        """The forward GEMMs compute the same columns; the input gradient
+        adds every position's terms in tap order, as from one block. At a
+        network-like size: OpenBLAS takes other kernels for GEMMs only a few
+        columns wide, which change the last bits of the forward."""
+        rng = np.random.default_rng(32)
+        x, w = rng.normal(size=(2, 8, 8, 32, 32)), rng.normal(size=(4, 8, 3, 3, 3))
+        s, d, p = spec.resolved(3)
+
+        def passes():
+            y = ops._corr_forward(x, w, s, d, p)
+            g = np.random.default_rng(33).normal(size=y.shape)
+            return y, ops._corr_input_grad(g, w, s, d, p, x.shape[2:])
+
+        monkeypatch.setattr(ops, "_COLUMN_BUDGET", 1 << 40)
+        plan, blocks = ops._blocks(8, x.shape[2:], w.shape[2:], s, d, p)
+        assert len(blocks) == 1
+        one = passes()
+        monkeypatch.setattr(ops, "_COLUMN_BUDGET", 2 * 8 * 8 * 27 * int(np.prod(plan.out[1:])))
+        assert len(ops._blocks(8, x.shape[2:], w.shape[2:], s, d, p)[1]) >= 2
+        for a, b in zip(passes(), one):
+            np.testing.assert_array_equal(a, b)
+
+    def test_default_budget_bounds_working_memory(self):
+        """One conv3d of the cost-volume stem at 128x256, d_max 32, peaks
+        below its input, output, one block's column matrix and a slack for
+        [Cout, N_block] products and the cropped weight."""
+        slack = 1 << 20
+        x_shape, w_shape = (1, 24, 8, 32, 64), (8, 24, 3, 3, 3)
+        plan, blocks = ops._blocks(24, x_shape[2:], w_shape[2:], (1,) * 3, (1,) * 3, (1,) * 3)
+        block = 8 * 24 * 27 * max(int(np.prod(blk.out)) for blk in blocks)
+        tracemalloc.start()
+        try:
+            rng = np.random.default_rng(34)
+            x, w = Tensor(rng.normal(size=x_shape)), Tensor(rng.normal(size=w_shape))
+            y = ops.conv3d(x, w, spec=ConvSpec(padding=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert y.shape == (1, 8) + plan.out
+        assert len(blocks) > 1
+        bound = x.data.nbytes + w.data.nbytes + y.data.nbytes + block + slack
+        assert peak < bound, (peak, bound)
 
 
 class TestSoftmax:
