@@ -251,10 +251,8 @@ class TestTapPlan:
     every convolution op goes through ``ops._corr_weight_grad``, which the
     benchmark self-test perturbs."""
 
-    @pytest.mark.parametrize("budget", [ops._COLUMN_BUDGET, 1])
-    def test_repeat_pass_adds_no_plan(self, monkeypatch, budget):
-        monkeypatch.setattr(ops, "_COLUMN_BUDGET", budget)
-
+    @staticmethod
+    def _assert_repeat_pass_adds_no_plan():
         def passes():
             for i, (name, xs, ws, spec, size) in enumerate(_CONV_CASES):
                 rng = np.random.default_rng(i)
@@ -265,6 +263,14 @@ class TestTapPlan:
         misses = ops._tap_plan.cache_info().misses, ops._block_plan.cache_info().misses
         passes()
         assert (ops._tap_plan.cache_info().misses, ops._block_plan.cache_info().misses) == misses
+
+    def test_repeat_pass_adds_no_plan(self):
+        self._assert_repeat_pass_adds_no_plan()
+
+    def test_repeat_blocked_pass_adds_no_plan(self, monkeypatch):
+        # a one-byte budget cuts every pass into blocks of one output row
+        monkeypatch.setattr(ops, "_COLUMN_BUDGET", 1)
+        self._assert_repeat_pass_adds_no_plan()
 
     @pytest.mark.parametrize("name, x_shape, w_shape, spec, output_size", _CONV_CASES)
     def test_weight_grad_goes_through_corr_weight_grad(self, monkeypatch, name, x_shape,
