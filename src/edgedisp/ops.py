@@ -396,8 +396,15 @@ def pool_avg2d(x: Tensor, window: int | Tuple[int, int]) -> Tensor:
     return make_op(y, (x,), bwd)
 
 
+# Each upsample needs one matrix per resized axis, and a network at one
+# image size resizes between a handful of extents; the bound keeps a
+# service fed many image sizes finite.
+@functools.lru_cache(maxsize=256)
 def _interp_matrix(n_in: int, n_out: int) -> np.ndarray:
-    """Linear interpolation matrix, half-pixel centers (align_corners=False)."""
+    """Linear interpolation matrix, half-pixel centers (align_corners=False).
+
+    Cached per extent pair and shared by every caller, so it is read-only.
+    """
     m = np.zeros((n_out, n_in))
     scale = n_in / n_out
     for o in range(n_out):
@@ -408,6 +415,7 @@ def _interp_matrix(n_in: int, n_out: int) -> np.ndarray:
         hi = min(max(i0 + 1, 0), n_in - 1)
         m[o, lo] += 1.0 - t
         m[o, hi] += t
+    m.flags.writeable = False
     return m
 
 
@@ -519,8 +527,12 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mode: str,
         mean, var = running_mean, running_var
 
     std = np.sqrt(var + BN_EPS)
-    xhat = (x.data - mean.reshape(bshape)) / std.reshape(bshape)
-    y = gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape)
+    # In place: the same operations in the same order, without two
+    # input-sized temporaries.
+    xhat = x.data - mean.reshape(bshape)
+    xhat /= std.reshape(bshape)
+    y = gamma.data.reshape(bshape) * xhat
+    y += beta.data.reshape(bshape)
 
     def bwd(g):
         gs = gamma.data.reshape(bshape) / std.reshape(bshape)

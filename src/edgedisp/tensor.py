@@ -9,6 +9,14 @@ the result records its parents and the ``backward`` closure, and
 execution order. Closures add their gradients with ``accumulate_grad``
 and skip parents for which ``needs_grad`` is false.
 
+Backward consumes the tape it replays. Once a recorded node's closure has
+run (or the replay finds the node unreached), the node drops its closure,
+its parents and its cotangent, so each intermediate's activations and
+cotangent are freed as soon as no node still to be replayed needs them.
+Leaves keep their gradients. A consumed node keeps its value but not the
+graph behind it: a second ``backward()`` that reaches it raises
+``RuntimeError``.
+
 Inside ``with no_grad():`` ``make_op`` records nothing, whatever the
 parents: results are plain values with no parents and no closure, so a
 pass with frozen weights (inference, validation, batch-norm
@@ -35,8 +43,10 @@ class Tensor:
     """N-dimensional float64 array, optionally tracked for autodiff.
 
     ``_parents`` and ``_backward`` are filled in by the op that produced
-    the tensor; leaves have neither. ``_id`` is a global creation counter
-    used to replay the tape in reverse execution order.
+    the tensor; leaves have neither. ``backward()`` empties ``_parents``
+    and sets ``_backward`` to ``_consumed`` on every node it replays.
+    ``_id`` is a global creation counter used to replay the tape in
+    reverse execution order.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_id")
@@ -73,16 +83,23 @@ class Tensor:
     # -- autodiff core --------------------------------------------------------
 
     def backward(self) -> None:
-        """Accumulate gradients of this scalar into every reachable leaf."""
+        """Accumulate gradients of this scalar into every reachable leaf,
+        consuming the recorded graph behind it."""
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar loss, got shape {self.data.shape}")
-        tape = _collect_tape(self)
-        self.grad = np.ones_like(self.data)
         # Records were appended in execution order; _id sorting restores it
         # exactly even when the graph was built from several subexpressions.
-        for node in sorted(tape, key=lambda t: t._id, reverse=True):
-            if node._backward is not None and node.grad is not None:
+        # Popping from the end replays the highest _id first and leaves the
+        # list holding no node already replayed.
+        order = sorted(_collect_tape(self), key=lambda t: t._id)
+        self.grad = np.ones_like(self.data)
+        while order:
+            node = order.pop()
+            if node._backward is None:
+                continue   # a leaf keeps its gradient
+            if node.grad is not None:
                 node._backward(node.grad)
+            node._backward, node._parents, node.grad = _consumed, (), None
 
     # -- elementwise arithmetic ----------------------------------------------
 
@@ -236,6 +253,12 @@ def make_op(data: np.ndarray, parents: Sequence[Tensor],
         out._backward = backward
         out.requires_grad = True
     return out
+
+
+def _consumed(g: np.ndarray) -> None:
+    """The closure of a node whose graph an earlier ``backward()`` freed."""
+    raise RuntimeError("backward() through a graph that an earlier backward() "
+                       "already consumed; build the graph again")
 
 
 def needs_grad(t: Tensor) -> bool:

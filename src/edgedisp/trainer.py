@@ -363,11 +363,14 @@ def train(cfg: TrainConfig) -> Dict[str, object]:
             if not all(np.isfinite(v) for v in record.values()):
                 raise RuntimeError(
                     f"non-finite loss at step {step}: {json.dumps(record)}")
-            params.zero_grad()
             parts["total"].backward()
             grads = {n: t.grad for n, t in params.trainable().items()
                      if t.grad is not None}
             adam_step(params.trainable(), grads, state)
+            # Nothing of this step is needed again: free its outputs, loss
+            # parts and gradients before validation or the next forward.
+            params.zero_grad()
+            del outputs, parts, grads
 
             entry = {"step": step, "lr": state.lr}
             entry.update(record)

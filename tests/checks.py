@@ -3,7 +3,7 @@
 import numpy as np
 
 from edgedisp import network, ops, stereo
-from edgedisp.tensor import Tensor, accumulate_grad, make_op
+from edgedisp.tensor import Tensor, _collect_tape, accumulate_grad, make_op, needs_grad
 
 
 def fd_check(build, tensors, rng, n_probe=6, h=1e-5, rel_tol=1e-4, abs_tol=1e-6):
@@ -191,3 +191,47 @@ def infer_views_apart(left, right, p, cfg):
         v, _ = network.agm_module(v, p, f"disp.agm{i}", cfg, mode)
     return network.output_module(v, p, f"disp.out{network.STAGES - 1}", left.shape[2:],
                                  cfg.d_max, mode)
+
+
+# -- the tape replay and batch-norm forward before they freed memory ------
+
+
+def retaining_backward(loss):
+    """``loss.backward()`` as a replay that keeps the tape: every recorded
+    closure runs in reverse ``_id`` order and every node keeps its closure,
+    parents and cotangent."""
+    tape = _collect_tape(loss)
+    loss.grad = np.ones_like(loss.data)
+    for node in sorted(tape, key=lambda t: t._id, reverse=True):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+def out_of_place_batch_norm(x, gamma, beta, mode, running_mean=None, running_var=None):
+    """``ops.batch_norm`` with ``xhat`` and ``y`` built by out-of-place
+    arithmetic. The running buffers are read in eval mode, never updated."""
+    red_axes = (0,) + tuple(range(2, x.ndim))
+    bshape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
+    if mode == "train":
+        mean, var = x.data.mean(axis=red_axes), x.data.var(axis=red_axes)
+    else:
+        mean, var = running_mean, running_var
+    std = np.sqrt(var + ops.BN_EPS)
+    xhat = (x.data - mean.reshape(bshape)) / std.reshape(bshape)
+    y = gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape)
+
+    def bwd(g):
+        gs = gamma.data.reshape(bshape) / std.reshape(bshape)
+        if needs_grad(x):
+            if mode == "train":
+                gm = g.mean(axis=red_axes).reshape(bshape)
+                gxh = (g * xhat).mean(axis=red_axes).reshape(bshape)
+                accumulate_grad(x, gs * (g - gm - xhat * gxh))
+            else:
+                accumulate_grad(x, gs * g)
+        if needs_grad(gamma):
+            accumulate_grad(gamma, (g * xhat).sum(axis=red_axes))
+        if needs_grad(beta):
+            accumulate_grad(beta, g.sum(axis=red_axes))
+
+    return make_op(y, (x, gamma, beta), bwd)

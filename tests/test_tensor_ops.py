@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from checks import (fd_check, naive_conv, pad_zero, padded_corr_forward,
-                    padded_corr_weight_grad, rand_tensor, stuffed_corr_input_grad)
+from checks import (fd_check, naive_conv, out_of_place_batch_norm, pad_zero,
+                    padded_corr_forward, padded_corr_weight_grad, rand_tensor,
+                    stuffed_corr_input_grad)
 from edgedisp import ops
 from edgedisp.ops import ConvSpec, ShapeError
 from edgedisp.tensor import Tensor, accumulate_grad, make_op, no_grad
@@ -483,6 +484,32 @@ class TestPoolingAndUpsampling:
         with pytest.raises(ShapeError):
             ops.upsample_bilinear(Tensor(np.zeros((1, 1, 4, 4))), (0, 4))
 
+    def test_interp_matrix_cached_and_read_only(self):
+        m = ops._interp_matrix(3, 7)
+        assert ops._interp_matrix(3, 7) is m
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 1.0
+
+    @pytest.mark.parametrize("shape,out", [((2, 3, 4, 5), (8, 10)), ((2, 3, 4, 5), (3, 7)),
+                                           ((1, 2, 3, 4, 5), (6, 8, 10))])
+    def test_cached_matrices_match_uncached(self, monkeypatch, shape, out):
+        rng = np.random.default_rng(32)
+        x = rng.normal(size=shape)
+        c = rng.normal(size=shape[:2] + out)
+        up = ops.upsample_bilinear if len(out) == 2 else ops.upsample_trilinear
+
+        def run():
+            xt = Tensor(x, requires_grad=True)
+            y = up(xt, out)
+            (y * Tensor(c)).sum().backward()
+            return y.data, xt.grad
+
+        run()   # fill the cache
+        cached = run()
+        monkeypatch.setattr(ops, "_interp_matrix", ops._interp_matrix.__wrapped__)
+        for got, want in zip(cached, run()):
+            np.testing.assert_array_equal(got, want)
+
 
 class TestElementwise:
     def test_relu(self):
@@ -566,6 +593,23 @@ class TestBatchNorm:
         ref = (x - rm.reshape(1, 2, 1, 1)) / np.sqrt(rv.reshape(1, 2, 1, 1) + 1e-5)
         assert np.abs(y - ref).max() < 1e-12
 
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("shape", [(4, 3, 6, 5), (2, 3, 4, 5, 6)])
+    def test_in_place_forward_matches_out_of_place(self, mode, shape):
+        rng = np.random.default_rng(33)
+        x = rng.normal(2.0, 3.0, size=shape)
+        gamma, beta = rng.normal(size=3), rng.normal(size=3)
+        rm, rv = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
+        c = Tensor(rng.normal(size=shape))
+        results = []
+        for bn in (ops.batch_norm, out_of_place_batch_norm):
+            ts = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+            y = bn(*ts, mode, running_mean=rm.copy(), running_var=rv.copy())
+            (y * c).sum().backward()
+            results.append([y.data] + [t.grad for t in ts])
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
 
 class TestBackward:
     def test_linear_case_exact(self):
@@ -592,6 +636,21 @@ class TestBackward:
         with pytest.raises(ValueError, match=r"gradient shape \(3,\) != tensor shape \(2, 3\)"):
             y.sum().backward()
         assert x.grad is None
+
+    def test_second_backward_raises(self):
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        y = (w * w).sum()
+        y.backward()
+        with pytest.raises(RuntimeError, match="already consumed"):
+            y.backward()
+        np.testing.assert_array_equal(w.grad, [2.0, 4.0])
+
+    def test_backward_through_a_consumed_subgraph_raises(self):
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        h = w * 3.0
+        h.sum().backward()
+        with pytest.raises(RuntimeError, match="already consumed"):
+            (h * 2.0).sum().backward()
 
     def test_fanout_gradients_accumulate(self):
         w = Tensor([2.0], requires_grad=True)
