@@ -219,7 +219,7 @@ def _conv_block(p: ModelParams, name: str, x: Tensor, mode: str, nd: int = 2,
                 stride: int = 1, dilation: int = 1, relu: bool = True,
                 output_size: Optional[Tuple[int, int, int]] = None) -> Tensor:
     """Conv padded by dilation*(k-1)//2, batch norm when the layer has it,
-    optional ReLU.
+    optional ReLU (fused into the batch-norm op when there is one).
 
     With ``output_size`` the conv is the 3-D transposed conv that upsamples
     to that extent.
@@ -235,8 +235,8 @@ def _conv_block(p: ModelParams, name: str, x: Tensor, mode: str, nd: int = 2,
         y = conv(x, w, p.get(name + ".b"), spec=spec)
     if name + ".gamma" in p:
         bn_mode = "train" if mode in ("train", "stats") else "eval"
-        y = ops.batch_norm(y, p[name + ".gamma"], p[name + ".beta"], bn_mode,
-                           p[name + ".rmean"].data, p[name + ".rvar"].data)
+        return ops.batch_norm(y, p[name + ".gamma"], p[name + ".beta"], bn_mode,
+                              p[name + ".rmean"].data, p[name + ".rvar"].data, relu=relu)
     return y.relu() if relu else y
 
 
@@ -345,11 +345,13 @@ def agm_module(volume: Tensor, p: ModelParams, prefix: str, cfg: NetworkConfig,
 
 def output_module(volume: Tensor, p: ModelParams, prefix: str,
                   out_hw: Tuple[int, int], d_max: int, mode: str) -> Tensor:
-    """Two 3-D convolutions, trilinear upsampling, soft-argmin."""
+    """Two 3-D convolutions, then trilinear upsampling to ``(d_max,
+    *out_hw)`` and soft-argmin as one op, ``stereo.regress_disparity``,
+    which works in tiles of output rows and never holds the
+    full-resolution cost."""
     y = _conv_block(p, prefix + ".a", volume, mode, nd=3)
     y = _conv_block(p, prefix + ".b", y, mode, nd=3, relu=False)
-    cost = ops.upsample_trilinear(y, (d_max,) + tuple(out_hw))
-    return stereo.soft_argmin(cost)
+    return stereo.regress_disparity(y, d_max, tuple(out_hw))
 
 
 def forward(left: Tensor, right: Tensor, p: ModelParams, cfg: NetworkConfig,

@@ -419,6 +419,52 @@ def _interp_matrix(n_in: int, n_out: int) -> np.ndarray:
     return m
 
 
+@functools.lru_cache(maxsize=256)
+def _interp_taps(n_in: int, n_out: int) -> Tuple[np.ndarray, ...]:
+    """The two nonzero columns of each row of ``_interp_matrix(n_in, n_out)``
+    and their weights: ``(lo, hi, w_lo, w_hi)``, each of length ``n_out``.
+
+    ``lo`` and ``hi = min(lo + 1, n_in - 1)`` never decrease along the
+    rows. Where a row is clamped to one column (``hi == lo``) that column's
+    whole weight is ``w_lo`` and ``w_hi`` is 0. Cached and read-only.
+    """
+    m = _interp_matrix(n_in, n_out)
+    rows = np.arange(n_out)
+    lo = (m != 0.0).argmax(axis=1)
+    hi = np.minimum(lo + 1, n_in - 1)
+    taps = (lo, hi, m[rows, lo], np.where(hi == lo, 0.0, m[rows, hi]))
+    for a in taps:
+        a.flags.writeable = False
+    return taps
+
+
+def _lerp(x: np.ndarray, taps, axis: int) -> np.ndarray:
+    """Resample ``x`` along ``axis`` by two-tap rows ``(lo, hi, w_lo, w_hi)``:
+    ``y[o] = w_lo[o]*x[lo[o]] + w_hi[o]*x[hi[o]]``, the nonzero terms of
+    row ``o`` of the interpolation matrix."""
+    lo, hi, w_lo, w_hi = taps
+    shape = (-1,) + (1,) * (x.ndim - 1 - axis)
+    y = np.take(x, lo, axis=axis)
+    y *= w_lo.reshape(shape)
+    far = np.take(x, hi, axis=axis)
+    far *= w_hi.reshape(shape)
+    y += far
+    return y
+
+
+def _lerp_adjoint(g: np.ndarray, taps, n_in: int, axis: int) -> np.ndarray:
+    """Adjoint of ``_lerp`` along ``axis``: each input position sums the
+    weighted cotangents of the runs of outputs that read it."""
+    shape = (-1,) + (1,) * (g.ndim - 1 - axis)
+    gx = np.zeros(g.shape[:axis] + (n_in,) + g.shape[axis + 1:])
+    lead = (slice(None),) * axis
+    lo, hi, w_lo, w_hi = taps
+    for idx, wt in ((lo, w_lo), (hi, w_hi)):
+        starts = np.flatnonzero(np.diff(idx, prepend=-1))   # idx never decreases
+        gx[lead + (idx[starts],)] += np.add.reduceat(g * wt.reshape(shape), starts, axis=axis)
+    return gx
+
+
 def _resample_axis(x: np.ndarray, m: np.ndarray, axis: int) -> np.ndarray:
     y = np.tensordot(x, m, axes=([axis], [1]))
     return np.moveaxis(y, -1, axis)
@@ -487,6 +533,15 @@ def softmax(x: Tensor, axis: int) -> Tensor:
 
 
 # -- normalization ------------------------------------------------------------
+#
+# ``batch_norm`` is one recorded op, with the ReLU that follows it in the
+# network fused in. The forward takes one deviation ``d = x - mean`` for
+# both the variance (the same array ``np.var`` squares, so the statistics
+# are bit-identical to ``np.var``'s) and ``xhat``, then normalises, scales,
+# shifts and rectifies in ``d``'s memory. Backward keeps none of these
+# input-sized arrays: it recomputes ``xhat`` from the input, its parent,
+# and the ReLU mask from its own output (``relu(z) > 0`` exactly where
+# ``z > 0``). The tape holds the input and the output only.
 
 BN_MOMENTUM = 0.1   # weight of the batch statistics in the running buffers
 BN_EPS = 1e-5       # added to the variance before the square root
@@ -494,8 +549,9 @@ BN_EPS = 1e-5       # added to the variance before the square root
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mode: str,
                running_mean: Optional[np.ndarray] = None,
-               running_var: Optional[np.ndarray] = None) -> Tensor:
-    """Per-channel normalization over axis 1 of [B,C,*spatial].
+               running_var: Optional[np.ndarray] = None, relu: bool = False) -> Tensor:
+    """Per-channel normalization over axis 1 of [B,C,*spatial], followed by
+    a ReLU when ``relu`` is set.
 
     ``train`` uses batch statistics and, when running buffers are passed,
     updates them in place with momentum ``BN_MOMENTUM``. ``eval``
@@ -514,7 +570,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mode: str,
         if n <= 1:
             raise ShapeError("batch statistics are degenerate: one value per channel")
         mean = x.data.mean(axis=red_axes)
-        var = x.data.var(axis=red_axes)
+        d = x.data - mean.reshape(bshape)
+        var = np.square(d).sum(axis=red_axes) / n
         if running_mean is not None:
             running_mean *= 1.0 - BN_MOMENTUM
             running_mean += BN_MOMENTUM * mean
@@ -525,28 +582,39 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mode: str,
         if running_mean is None or running_var is None:
             raise ValueError("eval mode requires running statistics")
         mean, var = running_mean, running_var
+        d = x.data - mean.reshape(bshape)
 
-    std = np.sqrt(var + BN_EPS)
-    # In place: the same operations in the same order, without two
-    # input-sized temporaries.
-    xhat = x.data - mean.reshape(bshape)
-    xhat /= std.reshape(bshape)
-    y = gamma.data.reshape(bshape) * xhat
-    y += beta.data.reshape(bshape)
+    std = np.sqrt(var + BN_EPS).reshape(bshape)
+    d /= std                                    # xhat
+    d *= gamma.data.reshape(bshape)
+    d += beta.data.reshape(bshape)
+    y = np.maximum(d, 0.0, out=d) if relu else d
 
     def bwd(g):
-        gs = gamma.data.reshape(bshape) / std.reshape(bshape)
-        if needs_grad(x):
+        if relu:
+            g = g * (y > 0)
+        want_x, want_gamma = needs_grad(x), needs_grad(gamma)
+        g_sum = g.sum(axis=red_axes)
+        if want_gamma or (want_x and mode == "train"):
+            xhat = x.data - mean.reshape(bshape)
+            xhat /= std
+            gxhat = g * xhat
+            gxhat_sum = gxhat.sum(axis=red_axes)
+        if want_x:
+            gs = gamma.data.reshape(bshape) / std
             if mode == "train":
-                gm = g.mean(axis=red_axes).reshape(bshape)
-                gxh = (g * xhat).mean(axis=red_axes).reshape(bshape)
-                accumulate_grad(x, gs * (g - gm - xhat * gxh))
+                # gs * (g - mean(g) - xhat * mean(g * xhat)), in gxhat's memory
+                xhat *= (gxhat_sum / n).reshape(bshape)
+                gx = np.subtract(g, (g_sum / n).reshape(bshape), out=gxhat)
+                gx -= xhat
+                gx *= gs
+                accumulate_grad(x, gx)
             else:
                 accumulate_grad(x, gs * g)
-        if needs_grad(gamma):
-            accumulate_grad(gamma, (g * xhat).sum(axis=red_axes))
+        if want_gamma:
+            accumulate_grad(gamma, gxhat_sum)
         if needs_grad(beta):
-            accumulate_grad(beta, g.sum(axis=red_axes))
+            accumulate_grad(beta, g_sum)
 
     return make_op(y, (x, gamma, beta), bwd)
 

@@ -2,7 +2,8 @@
 
 Granular convolution (channel groups chained through a hierarchical
 residual), the dual cost volume (feature concatenation stacked with
-per-channel absolute differences), soft-argmin disparity regression,
+per-channel absolute differences), soft-argmin disparity regression
+(alone, and fused with the trilinear upsampling of the heads),
 shared concatenation of edge features, the parameter-count bookkeeping
 that motivates the granular form, and the Kaiming initialiser every
 convolution weight of the network is drawn with.
@@ -134,6 +135,28 @@ def build_cost_volume(f_left: Tensor, f_right: Tensor, d_levels: int) -> Tensor:
 
 
 # -- disparity regression -----------------------------------------------------
+#
+# Both ops below take the softmax of the negated cost over the disparity
+# levels in place and sum the levels in order, ``p[:,0]*0 + p[:,1]*1 +
+# ...`` (``_expected_level``); backward maps the disparity's cotangent to
+# the cost's through the same probabilities (``_cost_grad``).
+
+
+def _expected_level(p: np.ndarray) -> np.ndarray:
+    """Sum over axis 1 of ``p`` weighted by the level index, level by level."""
+    y = p[:, 0] * 0.0
+    for k in range(1, p.shape[1]):
+        y += p[:, k] * float(k)
+    return y
+
+
+def _cost_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Cotangent of the cost [B,D,...] given the probabilities ``p`` =
+    softmax(-cost) over axis 1 and the cotangent ``g`` [B,...] of the
+    expected level; in a new array."""
+    levels = np.arange(p.shape[1], dtype=np.float64).reshape((1, -1) + (1,) * (p.ndim - 2))
+    gp = g[:, None] * levels
+    return np.negative(ops.softmax_grad_inplace(p, gp, axis=1), out=gp)
 
 
 def soft_argmin(cost: Tensor) -> Tensor:
@@ -142,8 +165,7 @@ def soft_argmin(cost: Tensor) -> Tensor:
     ``cost`` is [B,1,D,H,W] at full resolution; the result is [B,H,W] in
     [0, D-1] and differentiable. Recorded as one op: the probabilities are
     computed in place in one array of the cost's size, which is all the
-    backward closure keeps, and the levels are summed in order,
-    ``p[:,0]*0 + p[:,1]*1 + ...``.
+    backward closure keeps.
     """
     if cost.ndim != 5:
         raise ShapeError(f"cost must be rank 5, got {cost.ndim}")
@@ -151,14 +173,82 @@ def soft_argmin(cost: Tensor) -> Tensor:
         raise ShapeError(f"cost must be single-channel, got {cost.shape[1]}")
     b, _, d, h, w = cost.shape
     p = ops.softmax_inplace(np.negative(cost.data.reshape(b, d, h, w)), axis=1)
-    y = p[:, 0] * 0.0
-    for k in range(1, d):
-        y += p[:, k] * float(k)
+    y = _expected_level(p)
 
     def bwd(g):
-        gp = g[:, None] * np.arange(d, dtype=np.float64).reshape(1, d, 1, 1)
-        gx = np.negative(ops.softmax_grad_inplace(p, gp, axis=1), out=gp)
-        accumulate_grad(cost, gx.reshape(cost.shape))
+        accumulate_grad(cost, _cost_grad(p, g).reshape(cost.shape))
+
+    return make_op(y, (cost,), bwd)
+
+
+# Bytes one tile of the full-resolution cost may take in
+# ``regress_disparity``. A tile holds at least one output row, so a row
+# larger than this runs alone. The heads of the default network at 64x64
+# and batch 4 (2 MB each) run as one tile; at 384x1248 with d_max 192 a
+# tile is 4 of the 1.9 MB rows.
+_REGRESS_BUDGET = 8 << 20
+
+
+def regress_disparity(cost: Tensor, d_max: int, out_hw: Tuple[int, int]) -> Tensor:
+    """``soft_argmin(ops.upsample_trilinear(cost, (d_max, *out_hw)))`` as one
+    recorded op that never holds the full-resolution cost.
+
+    ``cost`` is the low-resolution [B,1,D,H,W] cost; the result is the
+    [B,*out_hw] disparity in [0, d_max-1]. The output rows run in tiles
+    whose [B, d_max, rows, W] full-resolution cost fits
+    ``_REGRESS_BUDGET`` bytes. Each tile reads only the low-resolution rows
+    its rows interpolate from and resamples them along H and W from the two
+    nonzero taps of each row of the interpolation matrices (a dense matrix
+    would cost W/4 products per output at real widths), then along D by
+    one GEMM per sample with the D matrix (D is d_max/4 levels; a gather
+    was slower), and takes the softmax and the expected level in place.
+    Backward keeps nothing of the tiles: it recomputes each tile's
+    probabilities from the low-resolution cost, its parent, and adds the
+    tile's resampled cotangent into the rows it read (recompute for
+    memory, Chen et al., arXiv 1604.06174). A tile's working memory is
+    about three tiles. The result agrees with the chain of the two ops to
+    float64 round-off, not bit for bit: the resampling sums its products
+    in another order.
+    """
+    if cost.ndim != 5:
+        raise ShapeError(f"cost must be rank 5, got {cost.ndim}")
+    if cost.shape[1] != 1:
+        raise ShapeError(f"cost must be single-channel, got {cost.shape[1]}")
+    h, w = out_hw
+    if min(d_max, h, w) < 1:
+        raise ShapeError(f"target extent < 1: {(d_max, h, w)}")
+    b, _, dl, hl, wl = cost.shape
+    md = ops._interp_matrix(dl, d_max)
+    # softmax(-cost): the D resampling takes the negated matrix, which
+    # negates every product and so every sum exactly.
+    neg_md = -md
+    taps_w = ops._interp_taps(wl, w)
+    lo, hi, w_lo, w_hi = ops._interp_taps(hl, h)
+    step = max(1, _REGRESS_BUDGET // (8 * b * d_max * w))
+    tiles = []
+    for r0 in range(0, h, step):
+        r1 = min(r0 + step, h)
+        a, z = lo[r0], hi[r1 - 1] + 1     # the low-resolution rows the tile reads
+        tiles.append((slice(r0, r1), slice(a, z),
+                      (lo[r0:r1] - a, hi[r0:r1] - a, w_lo[r0:r1], w_hi[r0:r1])))
+
+    def probabilities(rows, taps_h):
+        c = ops._lerp(ops._lerp(cost.data[:, 0, :, rows], taps_h, axis=2), taps_w, axis=3)
+        c = (neg_md @ c.reshape(b, dl, -1)).reshape(b, d_max, -1, w)
+        return ops.softmax_inplace(c, axis=1)
+
+    y = np.empty((b, h, w))
+    for out_rows, rows, taps_h in tiles:
+        y[:, out_rows] = _expected_level(probabilities(rows, taps_h))
+
+    def bwd(g):
+        gc = np.zeros((b, dl, hl, wl))
+        for out_rows, rows, taps_h in tiles:
+            gt = _cost_grad(probabilities(rows, taps_h), g[:, out_rows])
+            gt = (md.T @ gt.reshape(b, d_max, -1)).reshape(b, dl, -1, w)
+            gt = ops._lerp_adjoint(gt, taps_w, wl, axis=3)
+            gc[:, :, rows] += ops._lerp_adjoint(gt, taps_h, rows.stop - rows.start, axis=2)
+        accumulate_grad(cost, gc.reshape(cost.shape))
 
     return make_op(y, (cost,), bwd)
 

@@ -134,9 +134,8 @@ def save_checkpoint(params: ModelParams, state: Optional[OptimizerState],
             entries[f"__opt__.m.{name}"] = arr
         for name, arr in state.v.items():
             entries[f"__opt__.v.{name}"] = arr
-    blob = CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(entries))
-    for name, arr in entries.items():
-        blob += _pack_tensor(name, arr)
+    head = CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(entries))
+    blob = b"".join([head] + [_pack_tensor(name, arr) for name, arr in entries.items()])
     with open(path, "wb") as f:
         f.write(blob)
 

@@ -1,8 +1,10 @@
 """Shared test utilities: finite-difference checks and naive oracles."""
 
+import struct
+
 import numpy as np
 
-from edgedisp import network, ops, stereo
+from edgedisp import network, ops, stereo, trainer
 from edgedisp.tensor import Tensor, _collect_tape, accumulate_grad, make_op, needs_grad
 
 
@@ -193,7 +195,7 @@ def infer_views_apart(left, right, p, cfg):
                                  cfg.d_max, mode)
 
 
-# -- the tape replay and batch-norm forward before they freed memory ------
+# -- earlier forms of library code, kept as references -----------------------
 
 
 def retaining_backward(loss):
@@ -208,12 +210,17 @@ def retaining_backward(loss):
 
 
 def out_of_place_batch_norm(x, gamma, beta, mode, running_mean=None, running_var=None):
-    """``ops.batch_norm`` with ``xhat`` and ``y`` built by out-of-place
-    arithmetic. The running buffers are read in eval mode, never updated."""
+    """``ops.batch_norm`` without the ReLU, with the statistics from
+    ``np.mean``/``np.var`` and ``xhat`` and ``y`` built by out-of-place
+    arithmetic and kept for backward."""
     red_axes = (0,) + tuple(range(2, x.ndim))
     bshape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
     if mode == "train":
         mean, var = x.data.mean(axis=red_axes), x.data.var(axis=red_axes)
+        for buf, stat in ((running_mean, mean), (running_var, var)):
+            if buf is not None:
+                buf *= 1.0 - ops.BN_MOMENTUM
+                buf += ops.BN_MOMENTUM * stat
     else:
         mean, var = running_mean, running_var
     std = np.sqrt(var + ops.BN_EPS)
@@ -235,3 +242,30 @@ def out_of_place_batch_norm(x, gamma, beta, mode, running_mean=None, running_var
             accumulate_grad(beta, g.sum(axis=red_axes))
 
     return make_op(y, (x, gamma, beta), bwd)
+
+
+def chained_regress_disparity(cost, d_max, out_hw):
+    """``stereo.regress_disparity`` as the two ops it fuses: the trilinear
+    upsample of the whole cost, then the soft-argmin."""
+    return stereo.soft_argmin(ops.upsample_trilinear(cost, (d_max,) + tuple(out_hw)))
+
+
+def concatenating_save_checkpoint(params, state, path, cfg):
+    """``trainer.save_checkpoint`` growing its bytes one entry at a time
+    with ``blob +=``, which copies the file so far for every entry."""
+    entries = dict(trainer._config_entries(cfg))
+    for name, t in params.tensors.items():
+        entries[name] = t.data
+    if state is not None:
+        entries["__opt__.step"] = np.asarray(float(state.step))
+        entries["__opt__.lr"] = np.asarray(state.lr)
+        for name, arr in state.m.items():
+            entries[f"__opt__.m.{name}"] = arr
+        for name, arr in state.v.items():
+            entries[f"__opt__.v.{name}"] = arr
+    blob = trainer.CHECKPOINT_MAGIC + struct.pack(
+        "<II", trainer.CHECKPOINT_VERSION, len(entries))
+    for name, arr in entries.items():
+        blob += trainer._pack_tensor(name, arr)
+    with open(path, "wb") as f:
+        f.write(blob)

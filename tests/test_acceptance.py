@@ -9,6 +9,7 @@ import json
 import os
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -442,7 +443,7 @@ def test_criterion_9_format_and_pipeline(tmp_path, capsys):
     a, b = str(tmp_path / "a.pfm"), str(tmp_path / "b.pfm")
     ddata.write_pfm(a, values)
     ddata.write_pfm(b, ddata.read_pfm(a))
-    pfm_ok = open(a, "rb").read() == open(b, "rb").read()
+    pfm_ok = Path(a).read_bytes() == Path(b).read_bytes()
 
     fixture = tmp_path / "big.pfm"
     want = np.array([[1.5, -2.25], [4.0, 0.5]])
@@ -454,7 +455,7 @@ def test_criterion_9_format_and_pipeline(tmp_path, capsys):
     trainer.save_checkpoint(params, None, ca, TINY_NET)
     p2, s2, cfg2 = trainer.load_checkpoint(ca)
     trainer.save_checkpoint(p2, s2, cb, cfg2)
-    ckpt_ok = open(ca, "rb").read() == open(cb, "rb").read()
+    ckpt_ok = Path(ca).read_bytes() == Path(cb).read_bytes()
 
     data_dir = str(tmp_path / "data")
     run_dir = str(tmp_path / "run")

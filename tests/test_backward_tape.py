@@ -15,27 +15,41 @@ from edgedisp.trainer import TrainConfig, _batch_arrays, compute_losses
 CFG = TrainConfig()   # the default network and loss weights
 MB = 1 << 20
 # Allowed growth above the live tape during backward, and what may stay
-# traced after it. Replaying without freeing peaks about 40 MB above the
-# 53 MB tape of the step below and leaves about 90 MB behind.
+# traced after it. Replaying without freeing peaks about 60 MiB above the
+# 56 MiB tape of a batch of eight and leaves about 110 MiB behind.
 SLACK = 8 * MB
 
 
-def default_step(seed=0):
+def default_step(seed=0, batch=4):
     """Parameters and loss parts of a default-config train forward on a
-    batch of four 64x64 pairs."""
+    batch of 64x64 pairs."""
     samples = [ddata.synth_stereogram(seed + i, {"H": 64, "W": 64, "D_max": 16, "n_objects": 3})
-               for i in range(4)]
-    left, right, disp, valid, edges = _batch_arrays(samples, range(4))
+               for i in range(batch)]
+    left, right, disp, valid, edges = _batch_arrays(samples, range(batch))
     params = network.init_params(CFG.network, seed)
     outputs = network.forward(left, right, params, CFG.network, "train")
     return params, compute_losses(outputs, disp, valid, edges, CFG.loss_weights, CFG.network)
+
+
+def test_default_step_tape_stays_small():
+    """The tape of a batch-4 step keeps no batch-norm intermediates (x̂, the
+    output before the ReLU) and no full-resolution head cost or softmax:
+    29 MiB, where keeping them took 53 MiB."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        params, parts = default_step()
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert live - before < 36 * MB, (live - before) / MB
 
 
 def test_backward_peak_stays_within_the_tape():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        params, parts = default_step()
+        params, parts = default_step(batch=8)
         live = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         parts["total"].backward()

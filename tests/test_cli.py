@@ -187,7 +187,8 @@ class TestPipeline:
         disp = ddata.read_pfm(out_disp)
         assert disp.shape == (16, 32)
         assert disp.min() >= 0.0 and disp.max() <= 7.0
-        assert open(out_vis, "rb").read(2) == b"P6"
+        with open(out_vis, "rb") as f:
+            assert f.read(2) == b"P6"
 
     def test_infer_idempotent(self, tmp_path, capsys):
         data_dir = str(tmp_path / "d")
@@ -212,7 +213,8 @@ class TestPipeline:
                              "--out-disp", disp_path,
                              "--out-vis", str(tmp_path / f"{tag}.ppm"))
             assert code == 0
-            outs.append(open(disp_path, "rb").read())
+            with open(disp_path, "rb") as f:
+                outs.append(f.read())
         assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("key", ["stepz", "grad_clip", "edge_dilate_radius"])

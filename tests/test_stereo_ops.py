@@ -3,12 +3,13 @@ import pytest
 
 import tracemalloc
 
-from checks import (chained_soft_argmin, fd_check, granular_kernels, loop_cost_volume,
-                    rand_tensor)
-from edgedisp import ops
+from checks import (chained_regress_disparity, chained_soft_argmin, fd_check, granular_kernels,
+                    loop_cost_volume, rand_tensor)
+from edgedisp import ops, stereo
 from edgedisp.ops import ConvSpec, ShapeError
 from edgedisp.stereo import (build_cost_volume, granular_conv, granular_param_count,
-                             shared_concat, soft_argmin, standard_param_count)
+                             regress_disparity, shared_concat, soft_argmin,
+                             standard_param_count)
 from edgedisp.tensor import Tensor, _collect_tape
 
 
@@ -399,6 +400,81 @@ class TestSoftArgmin:
             tracemalloc.stop()
         assert y.shape == (1, 128, 256)
         assert peak < 2.5 * cost.data.nbytes, (peak, cost.data.nbytes)
+
+
+def tile_budget(rows, b, d_max, w):
+    """A ``_REGRESS_BUDGET`` that gives tiles of ``rows`` output rows."""
+    return rows * 8 * b * d_max * w
+
+
+class TestRegressDisparity:
+    # (cost shape, (d_max, H, W), rows per tile): one tile; three tiles
+    # whose edges split the output rows that one low-resolution row feeds;
+    # a non-integer scale one row at a time.
+    CASES = [((2, 1, 4, 5, 6), (16, 20, 24), 20),
+             ((2, 1, 4, 5, 6), (16, 20, 24), 7),
+             ((1, 1, 3, 7, 5), (9, 13, 11), 1)]
+
+    @pytest.mark.parametrize("shape,out,rows", CASES)
+    def test_matches_the_op_chain(self, monkeypatch, shape, out, rows):
+        monkeypatch.setattr(stereo, "_REGRESS_BUDGET", tile_budget(rows, shape[0], *out[::2]))
+        if rows == 7:
+            lo, hi = ops._interp_taps(shape[3], out[1])[:2]
+            assert -(-out[1] // rows) == 3
+            # the last row of the first tile and the first row of the
+            # second read the same low-resolution rows
+            assert (lo[6], hi[6]) == (lo[7], hi[7])
+        rng = np.random.default_rng(27)
+        cost = rng.normal(scale=3.0, size=shape)
+        g = Tensor(rng.normal(size=(shape[0],) + out[1:]))
+        got, want = Tensor(cost, requires_grad=True), Tensor(cost, requires_grad=True)
+        y = regress_disparity(got, out[0], out[1:])
+        y_ref = chained_regress_disparity(want, out[0], out[1:])
+        assert np.abs(y.data - y_ref.data).max() <= 1e-12 * np.abs(y_ref.data).max()
+        (y * g).sum().backward()
+        (y_ref * g).sum().backward()
+        assert np.abs(got.grad - want.grad).max() <= 1e-12 * np.abs(want.grad).max()
+
+    def test_finite_differences_across_tiles(self, monkeypatch):
+        monkeypatch.setattr(stereo, "_REGRESS_BUDGET", tile_budget(3, 2, 8, 12))
+        rng = np.random.default_rng(28)
+        cost = rand_tensor(rng, (2, 1, 2, 3, 3))
+        g = Tensor(rng.normal(size=(2, 10, 12)))
+        fd_check(lambda c: (regress_disparity(c, 8, (10, 12)) * g).sum(), [cost], rng)
+
+    def test_records_one_tape_node(self):
+        cost = Tensor(np.zeros((1, 1, 2, 2, 3)), requires_grad=True)
+        y = regress_disparity(cost, 8, (8, 12))
+        assert [n for n in _collect_tape(y) if n._parents] == [y]
+        assert y._parents == (cost,)
+
+    def test_working_memory_is_a_few_tiles(self, monkeypatch):
+        """A forward and backward over eight 1 MiB tiles peaks below 6 MiB
+        above the low-resolution cost: less than the 8 MiB full-resolution
+        cost that the chain of the two ops holds, with its softmax and
+        cotangents, three times over."""
+        shape, out = (1, 1, 8, 32, 64), (32, 128, 256)
+        monkeypatch.setattr(stereo, "_REGRESS_BUDGET", 1 << 20)
+        rng = np.random.default_rng(29)
+        cost = Tensor(rng.normal(size=shape), requires_grad=True)
+        g = Tensor(rng.normal(size=(1,) + out[1:]))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            (regress_disparity(cost, out[0], out[1:]) * g).sum().backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cost.grad.shape == shape
+        assert peak - before < 6 << 20, (peak - before) / (1 << 20)
+
+    @pytest.mark.parametrize("shape,out", [((1, 1, 4, 2, 2), (0, 8, 8)),
+                                           ((1, 1, 4, 2, 2), (8, 8, 0)),
+                                           ((1, 2, 4, 2, 2), (8, 8, 8)),
+                                           ((1, 4, 2, 2), (8, 8, 8))])
+    def test_bad_shapes_rejected(self, shape, out):
+        with pytest.raises(ShapeError):
+            regress_disparity(Tensor(np.zeros(shape)), out[0], out[1:])
 
 
 class TestSharedConcat:

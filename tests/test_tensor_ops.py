@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from checks import (fd_check, naive_conv, out_of_place_batch_norm, pad_zero,
                     stuffed_corr_input_grad)
 from edgedisp import ops
 from edgedisp.ops import ConvSpec, ShapeError
-from edgedisp.tensor import Tensor, accumulate_grad, make_op, no_grad
+from edgedisp.tensor import Tensor, _collect_tape, accumulate_grad, make_op, no_grad
 
 
 class TestConv2d:
@@ -596,19 +597,35 @@ class TestBatchNorm:
     @pytest.mark.parametrize("mode", ["train", "eval"])
     @pytest.mark.parametrize("shape", [(4, 3, 6, 5), (2, 3, 4, 5, 6)])
     def test_in_place_forward_matches_out_of_place(self, mode, shape):
+        """With and without the fused ReLU, the op equals the out-of-place
+        batch norm, then ``Tensor.relu``: outputs, all three gradients and
+        the updated running buffers, bit for bit."""
         rng = np.random.default_rng(33)
         x = rng.normal(2.0, 3.0, size=shape)
         gamma, beta = rng.normal(size=3), rng.normal(size=3)
         rm, rv = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
         c = Tensor(rng.normal(size=shape))
-        results = []
-        for bn in (ops.batch_norm, out_of_place_batch_norm):
-            ts = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
-            y = bn(*ts, mode, running_mean=rm.copy(), running_var=rv.copy())
-            (y * c).sum().backward()
-            results.append([y.data] + [t.grad for t in ts])
-        for got, want in zip(*results):
-            np.testing.assert_array_equal(got, want)
+        for relu in (False, True):
+            def reference(*args, **kwargs):
+                y = out_of_place_batch_norm(*args, **kwargs)
+                return y.relu() if relu else y
+
+            results = []
+            for bn in (functools.partial(ops.batch_norm, relu=relu), reference):
+                ts = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+                bufs = rm.copy(), rv.copy()
+                y = bn(*ts, mode, running_mean=bufs[0], running_var=bufs[1])
+                (y * c).sum().backward()
+                results.append([y.data] + [t.grad for t in ts] + list(bufs))
+            assert (results[0][0] == 0.0).any() == relu
+            for got, want in zip(*results):
+                np.testing.assert_array_equal(got, want)
+
+    def test_relu_records_one_node(self):
+        rng = np.random.default_rng(34)
+        x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
+        y = ops.batch_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), "train", relu=True)
+        assert [n for n in _collect_tape(y) if n._parents] == [y]
 
 
 class TestBackward:

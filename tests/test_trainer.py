@@ -3,10 +3,12 @@ import math
 import os
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from checks import concatenating_save_checkpoint
 from edgedisp import data as ddata
 from edgedisp.losses import LossWeights
 from edgedisp import network
@@ -117,12 +119,24 @@ class TestCheckpoint:
         for n, t in params.trainable().items():
             state.m[n] = rng.normal(size=t.shape).astype(np.float32).astype(np.float64)
             state.v[n] = np.abs(rng.normal(size=t.shape)).astype(np.float32).astype(np.float64)
-        a = str(tmp_path / "a.ckpt")
-        b = str(tmp_path / "b.ckpt")
-        save_checkpoint(params, state, a, TINY_NET)
-        p2, s2, cfg2 = load_checkpoint(a)
-        save_checkpoint(p2, s2, b, cfg2)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(params, state, str(a), TINY_NET)
+        p2, s2, cfg2 = load_checkpoint(str(a))
+        save_checkpoint(p2, s2, str(b), cfg2)
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_file_equals_the_concatenating_writer(self, tmp_path):
+        cfg = NetworkConfig()
+        params = init_params(cfg, seed=0)
+        state = OptimizerState(lr=5e-4, step=3)
+        rng = np.random.default_rng(1)
+        for n, t in params.trainable().items():
+            state.m[n] = rng.normal(size=t.shape)
+            state.v[n] = np.abs(rng.normal(size=t.shape))
+        got, want = tmp_path / "joined.ckpt", tmp_path / "concatenated.ckpt"
+        save_checkpoint(params, state, str(got), cfg)
+        concatenating_save_checkpoint(params, state, str(want), cfg)
+        assert got.read_bytes() == want.read_bytes()
 
     def test_roundtrip_values_and_config(self, tmp_path):
         params = init_params(TINY_NET, seed=1)
@@ -140,15 +154,15 @@ class TestCheckpoint:
         params = init_params(TINY_NET, seed=0)
         path = str(tmp_path / "m.ckpt")
         save_checkpoint(params, None, path, TINY_NET)
-        assert open(path, "rb").read(4) == CHECKPOINT_MAGIC == b"DAGM"
+        assert Path(path).read_bytes()[:4] == CHECKPOINT_MAGIC == b"DAGM"
 
     def test_corrupted_magic_rejected(self, tmp_path):
         params = init_params(TINY_NET, seed=0)
         path = str(tmp_path / "x.ckpt")
         save_checkpoint(params, None, path, TINY_NET)
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         raw[0] ^= 0xFF
-        open(path, "wb").write(bytes(raw))
+        Path(path).write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(path)
 
@@ -156,8 +170,8 @@ class TestCheckpoint:
         params = init_params(TINY_NET, seed=0)
         path = str(tmp_path / "t.ckpt")
         save_checkpoint(params, None, path, TINY_NET)
-        raw = open(path, "rb").read()
-        open(path, "wb").write(raw[:len(raw) // 2])
+        raw = Path(path).read_bytes()
+        Path(path).write_bytes(raw[:len(raw) // 2])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
@@ -288,7 +302,7 @@ class TestCheckpoint:
         params = init_params(TINY_NET, seed=0)
         path = str(tmp_path / "s.ckpt")
         save_checkpoint(params, self._trained_state(params), path, TINY_NET)
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         for name in (b"__opt__.beta1", b"__opt__.beta2", b"__opt__.eps",
                      b"__cfg__.downsample", b"__cfg__.pointwise_bias", b"__cfg__.n_agm"):
             assert name not in raw
@@ -335,17 +349,17 @@ class TestTraining:
     def test_deterministic_given_seed(self, tmp_path):
         cfg_a = self._cfg(tmp_path, steps=2)
         train(cfg_a)
-        a = open(os.path.join(cfg_a.out_dir, "last.ckpt"), "rb").read()
+        a = Path(cfg_a.out_dir, "last.ckpt").read_bytes()
         cfg_b = self._cfg(tmp_path, steps=2)
         cfg_b.out_dir = str(tmp_path / "run_b")
         train(cfg_b)
-        b = open(os.path.join(cfg_b.out_dir, "last.ckpt"), "rb").read()
+        b = Path(cfg_b.out_dir, "last.ckpt").read_bytes()
         assert a == b
 
     def test_log_records_finite_losses(self, tmp_path):
         cfg = self._cfg(tmp_path, steps=3)
         result = train(cfg)
-        lines = [json.loads(line) for line in open(result["log"])]
+        lines = [json.loads(line) for line in Path(result["log"]).read_text().splitlines()]
         steps = [e for e in lines if "total" in e]
         assert len(steps) == 3
         for e in steps:
