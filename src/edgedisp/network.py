@@ -320,11 +320,10 @@ def dedge_spp(f_l2: Tensor, f_l4: Tensor, edge_feats: Optional[Tensor],
 
 
 def agm_module(volume: Tensor, p: ModelParams, prefix: str, cfg: NetworkConfig,
-               mode: str) -> Tuple[Tensor, Tensor]:
+               mode: str) -> Tensor:
     """Hourglass aggregation with a parallel dilated granular bottleneck.
 
-    Output shape equals input shape; the second return is the decoder
-    mid-level feature.
+    Output shape equals input shape.
     """
     e1 = _conv_block(p, prefix + ".enc1", volume, mode, nd=3, stride=2)
     e2 = _conv_block(p, prefix + ".enc2", e1, mode, nd=3, stride=2)
@@ -340,7 +339,7 @@ def agm_module(volume: Tensor, p: ModelParams, prefix: str, cfg: NetworkConfig,
     d1 = (d1 + e1).relu()
     d2 = _conv_block(p, prefix + ".dec2", d1, mode, stride=2, relu=False,
                      output_size=volume.shape[2:])
-    return d2 + volume, d1
+    return d2 + volume
 
 
 def output_module(volume: Tensor, p: ModelParams, prefix: str,
@@ -354,18 +353,34 @@ def output_module(volume: Tensor, p: ModelParams, prefix: str,
     return stereo.regress_disparity(y, d_max, tuple(out_hw))
 
 
+def _view(image: Tensor, p: ModelParams, cfg: NetworkConfig, mode: str,
+          edge: bool, head: bool) -> Tuple[Optional[Tensor], Tensor]:
+    """Extractor, edge branch when ``edge`` (with its classifier when
+    ``head``) and pyramid fusion for one batch of views: ``(edge
+    probability or None, fused features)``."""
+    taps = feature_extract(image, p, mode)
+    edge_prob = feats = None
+    if edge:
+        edge_prob, feats = dedge_branch(taps, p, cfg, mode, with_head=head)
+    fused = dedge_spp(taps["F_L2"], taps["F_L4"], feats if cfg.use_dedge_spp else None,
+                      p, mode)
+    return edge_prob, fused
+
+
 def forward(left: Tensor, right: Tensor, p: ModelParams, cfg: NetworkConfig,
             mode: str) -> Dict[str, Tensor]:
     """Run the whole pipeline on a rectified pair.
 
     ``"train"`` returns the disparity maps ``d1``-``d3`` (one per
     aggregation stage) plus the edge probability, with batch-norm on batch
-    statistics. ``"infer"`` returns ``d3`` only, with batch-norm on the
-    running buffers; the two views go through the extractor as one batch.
-    ``"stats"`` updates the batch-norm running buffers exactly as
-    ``"train"`` does and returns nothing: it stops after the last
-    batch-norm on each path, so the edge classifier head and everything
-    after ``disp.out{i}.a`` in the regression heads are skipped.
+    statistics taken per view (one ``_view`` call each). ``"infer"``
+    returns ``d3`` only, with batch-norm on the running buffers; the two
+    views go through the extractor, the edge branch and pyramid fusion
+    (``_view``) as one batch. ``"stats"`` updates the batch-norm running
+    buffers exactly as ``"train"`` does and returns nothing: it stops
+    after the last batch-norm on each path, so the edge classifier head
+    and everything after ``disp.out{i}.a`` in the regression heads are
+    skipped.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -377,27 +392,13 @@ def forward(left: Tensor, right: Tensor, p: ModelParams, cfg: NetworkConfig,
         # Exact only because eval-mode batch-norm and every contraction
         # are per sample; batch statistics would mix the two views.
         b = left.shape[0]
-        taps = feature_extract(ops.concat([left, right], axis=0), p, mode)
-        taps_l = {k: t[:b] for k, t in taps.items()}
-        taps_r = {k: t[b:] for k, t in taps.items()}
+        edge_prob, fused = _view(ops.concat([left, right], axis=0), p, cfg, mode,
+                                 edge=cfg.use_dedge_spp, head=False)
+        fl, fr = fused[:b], fused[b:]
     else:
-        taps_l = feature_extract(left, p, mode)
-        taps_r = feature_extract(right, p, mode)
-
-    edge_prob = None
-    feats_l = feats_r = None
-    need_edge = cfg.use_edge_branch and (mode != "infer" or cfg.use_dedge_spp)
-    if need_edge:
-        edge_prob, feats_l = dedge_branch(taps_l, p, cfg, mode, with_head=mode == "train")
-        if cfg.use_dedge_spp:
-            _, feats_r = dedge_branch(taps_r, p, cfg, mode, with_head=False)
-        else:
-            feats_l = None
-
-    fl = dedge_spp(taps_l["F_L2"], taps_l["F_L4"],
-                   feats_l if cfg.use_dedge_spp else None, p, mode)
-    fr = dedge_spp(taps_r["F_L2"], taps_r["F_L4"],
-                   feats_r if cfg.use_dedge_spp else None, p, mode)
+        edge_prob, fl = _view(left, p, cfg, mode, edge=cfg.use_edge_branch,
+                              head=mode == "train")
+        _, fr = _view(right, p, cfg, mode, edge=cfg.use_dedge_spp, head=False)
 
     cv = stereo.build_cost_volume(fl, fr, cfg.d_levels)
     v = _conv_block(p, "disp.pre.a", cv, mode, nd=3)
@@ -405,11 +406,11 @@ def forward(left: Tensor, right: Tensor, p: ModelParams, cfg: NetworkConfig,
 
     out: Dict[str, Tensor] = {}
     for i in range(STAGES):
-        v, _skip = agm_module(v, p, f"disp.agm{i}", cfg, mode)
+        v = agm_module(v, p, f"disp.agm{i}", cfg, mode)
         if mode == "stats":
             _conv_block(p, f"disp.out{i}.a", v, mode, nd=3)
         elif mode == "train" or i == STAGES - 1:
             out[f"d{i + 1}"] = output_module(v, p, f"disp.out{i}", out_hw, cfg.d_max, mode)
-    if mode == "train" and edge_prob is not None:
+    if edge_prob is not None:
         out["edge_prob"] = edge_prob
     return out

@@ -12,10 +12,10 @@ zero padding: its products are exact zeros and its weight gradient is
 exactly zero, so leaving it out removes only zero terms from each sum.
 
 Blocks: every pass splits the output along its first spatial axis into
-runs of whole rows whose ``[Cin*K, N_block]`` column matrix (K kept taps,
-N_block output positions of the block) fits ``_COLUMN_BUDGET`` bytes; a
-block holds at least one row. ``_block_plan``, cached per geometry and
-row range, cuts the plan's moves to the block's rows, so a pass's working
+runs of whole rows (``_row_runs``) whose ``[Cin*K, N_block]`` column
+matrix (K kept taps, N_block output positions of the block) fits
+``_WORK_BUDGET`` bytes. ``_block_plan``, cached per geometry and row
+range, cuts the plan's moves to the block's rows, so a pass's working
 memory is one block, not the whole ``[Cin*K, N]`` matrix.
 
 Gather (forward and weight gradient): per sample, then per block, the
@@ -157,10 +157,19 @@ def _kept_weight(w: np.ndarray, plan: _TapPlan) -> np.ndarray:
     return kept.reshape(w.shape[0], w.shape[1] * math.prod(plan.kept))
 
 
-# Bytes one block's column matrix may take. A block holds at least one
-# output row, so a row larger than this runs alone. The largest column
-# matrix of the default network at 64x64 (5.3 MB) runs as one block.
-_COLUMN_BUDGET = 8 << 20
+# Bytes one run of rows may take: a conv block's column matrix or a
+# regression tile's full-resolution cost (``stereo.regress_disparity``).
+# The default network at 64x64 runs its largest column matrix (5.3 MB) as
+# one block and each batch-4 head (2 MB) as one tile.
+_WORK_BUDGET = 8 << 20
+
+
+def _row_runs(n: int, row_bytes: int) -> list:
+    """``range(n)`` cut, in order, into runs ``(start, stop)`` of rows of
+    ``row_bytes`` each that fit ``_WORK_BUDGET`` together; a run holds at
+    least one row."""
+    step = max(1, _WORK_BUDGET // max(row_bytes, 1))
+    return [(r, min(r + step, n)) for r in range(0, n, step)]
 
 
 class _Block(NamedTuple):
@@ -205,13 +214,11 @@ def _block_plan(in_spatial, kernel, stride, dilation, pad, rows) -> _Block:
 
 def _blocks(cin: int, in_spatial, kernel, stride, dilation, pad):
     """The tap plan and its blocks: runs of whole output rows of the first
-    spatial axis whose ``[Cin*K, N]`` column matrix fits ``_COLUMN_BUDGET``."""
+    spatial axis whose ``[Cin*K, N]`` column matrix fits ``_WORK_BUDGET``."""
     plan = _tap_plan(in_spatial, kernel, stride, dilation, pad)
     row = 8 * cin * math.prod(plan.kept) * math.prod(plan.out[1:])
-    step = max(1, _COLUMN_BUDGET // max(row, 1))
-    n = plan.out[0]
-    return plan, [_block_plan(in_spatial, kernel, stride, dilation, pad, (r, min(r + step, n)))
-                  for r in range(0, n, step)]
+    return plan, [_block_plan(in_spatial, kernel, stride, dilation, pad, rows)
+                  for rows in _row_runs(plan.out[0], row)]
 
 
 def _gather(x: np.ndarray, plan: _TapPlan, blocks):
@@ -291,21 +298,22 @@ def _corr_input_grad(gy: np.ndarray, w: np.ndarray, stride, dilation, pad,
     return gx
 
 
-def _check_conv_shapes(x: Tensor, w: Tensor, nd: int, stride, dilation, pad) -> None:
+def _check_conv_shapes(x: Tensor, w: Tensor, nd: int, cin_axis: int) -> None:
+    """Ranks, and the input's channels against the weight's ``cin_axis``.
+    Extents that leave no output raise when the pass builds its tap plan."""
     if x.ndim != nd + 2:
         raise ShapeError(f"input must have rank {nd + 2}, got {x.ndim}")
     if w.ndim != nd + 2:
         raise ShapeError(f"weight must have rank {nd + 2}, got {w.ndim}")
-    if x.shape[1] != w.shape[1]:
+    if x.shape[1] != w.shape[cin_axis]:
         raise ShapeError(
             f"channel axis mismatch: input has {x.shape[1]} channels, "
-            f"weight expects {w.shape[1]}")
-    _tap_plan(x.shape[2:], w.shape[2:], stride, dilation, pad)
+            f"weight expects {w.shape[cin_axis]}")
 
 
 def _convnd(x: Tensor, w: Tensor, bias: Optional[Tensor], spec: ConvSpec, nd: int) -> Tensor:
     stride, dilation, pad = spec.resolved(nd)
-    _check_conv_shapes(x, w, nd, stride, dilation, pad)
+    _check_conv_shapes(x, w, nd, cin_axis=1)
     y = _corr_forward(x.data, w.data, stride, dilation, pad)
     if bias is not None:
         if bias.shape != (w.shape[0],):
@@ -345,14 +353,8 @@ def conv3d_transposed(x: Tensor, w: Tensor, spec: ConvSpec = ConvSpec(), *,
     ``output_size`` is the spatial result; with a stride several extents
     convolve back to the input's, so the caller names the one it wants.
     """
-    nd = 3
-    stride, dilation, pad = spec.resolved(nd)
-    if x.ndim != nd + 2 or w.ndim != nd + 2:
-        raise ShapeError("conv3d_transposed expects rank-5 input and weight")
-    if x.shape[1] != w.shape[0]:
-        raise ShapeError(
-            f"channel axis mismatch: input has {x.shape[1]} channels, "
-            f"weight expects {w.shape[0]}")
+    stride, dilation, pad = spec.resolved(3)
+    _check_conv_shapes(x, w, 3, cin_axis=0)
     kernel = w.shape[2:]
     output_size = tuple(output_size)
     if min(output_size) < 1:
@@ -470,17 +472,21 @@ def _resample_axis(x: np.ndarray, m: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(y, -1, axis)
 
 
-def _upsample(x: Tensor, out_spatial: Sequence[int], first_axis: int) -> Tensor:
-    mats = [_interp_matrix(x.shape[first_axis + i], n)
-            for i, n in enumerate(out_spatial)]
+def _upsample(x: Tensor, out_spatial: Sequence[int], name: str) -> Tensor:
+    """Resize every spatial axis of [B,C,*spatial] to ``out_spatial``."""
+    if x.ndim != 2 + len(out_spatial):
+        raise ShapeError(f"{name} expects rank {2 + len(out_spatial)}, got {x.ndim}")
+    if min(out_spatial) < 1:
+        raise ShapeError(f"target extent < 1: {out_spatial}")
+    mats = [_interp_matrix(n_in, n) for n_in, n in zip(x.shape[2:], out_spatial)]
     y = x.data
     for i, m in enumerate(mats):
-        y = _resample_axis(y, m, first_axis + i)
+        y = _resample_axis(y, m, 2 + i)
 
     def bwd(g):
         gx = g
         for i, m in enumerate(mats):
-            gx = _resample_axis(gx, m.T, first_axis + i)
+            gx = _resample_axis(gx, m.T, 2 + i)
         accumulate_grad(x, gx)
 
     return make_op(y, (x,), bwd)
@@ -488,20 +494,12 @@ def _upsample(x: Tensor, out_spatial: Sequence[int], first_axis: int) -> Tensor:
 
 def upsample_bilinear(x: Tensor, out_hw: Tuple[int, int]) -> Tensor:
     """Resize [B,C,H,W] to [B,C,*out_hw]."""
-    if x.ndim != 4:
-        raise ShapeError(f"upsample_bilinear expects rank 4, got {x.ndim}")
-    if min(out_hw) < 1:
-        raise ShapeError(f"target extent < 1: {out_hw}")
-    return _upsample(x, out_hw, 2)
+    return _upsample(x, out_hw, "upsample_bilinear")
 
 
 def upsample_trilinear(x: Tensor, out_dhw: Tuple[int, int, int]) -> Tensor:
     """Resize [B,C,D,H,W] to [B,C,*out_dhw]."""
-    if x.ndim != 5:
-        raise ShapeError(f"upsample_trilinear expects rank 5, got {x.ndim}")
-    if min(out_dhw) < 1:
-        raise ShapeError(f"target extent < 1: {out_dhw}")
-    return _upsample(x, out_dhw, 2)
+    return _upsample(x, out_dhw, "upsample_trilinear")
 
 
 # -- softmax ------------------------------------------------------------------

@@ -181,14 +181,6 @@ def soft_argmin(cost: Tensor) -> Tensor:
     return make_op(y, (cost,), bwd)
 
 
-# Bytes one tile of the full-resolution cost may take in
-# ``regress_disparity``. A tile holds at least one output row, so a row
-# larger than this runs alone. The heads of the default network at 64x64
-# and batch 4 (2 MB each) run as one tile; at 384x1248 with d_max 192 a
-# tile is 4 of the 1.9 MB rows.
-_REGRESS_BUDGET = 8 << 20
-
-
 def regress_disparity(cost: Tensor, d_max: int, out_hw: Tuple[int, int]) -> Tensor:
     """``soft_argmin(ops.upsample_trilinear(cost, (d_max, *out_hw)))`` as one
     recorded op that never holds the full-resolution cost.
@@ -196,7 +188,7 @@ def regress_disparity(cost: Tensor, d_max: int, out_hw: Tuple[int, int]) -> Tens
     ``cost`` is the low-resolution [B,1,D,H,W] cost; the result is the
     [B,*out_hw] disparity in [0, d_max-1]. The output rows run in tiles
     whose [B, d_max, rows, W] full-resolution cost fits
-    ``_REGRESS_BUDGET`` bytes. Each tile reads only the low-resolution rows
+    ``ops._WORK_BUDGET`` bytes. Each tile reads only the low-resolution rows
     its rows interpolate from and resamples them along H and W from the two
     nonzero taps of each row of the interpolation matrices (a dense matrix
     would cost W/4 products per output at real widths), then along D by
@@ -224,10 +216,8 @@ def regress_disparity(cost: Tensor, d_max: int, out_hw: Tuple[int, int]) -> Tens
     neg_md = -md
     taps_w = ops._interp_taps(wl, w)
     lo, hi, w_lo, w_hi = ops._interp_taps(hl, h)
-    step = max(1, _REGRESS_BUDGET // (8 * b * d_max * w))
     tiles = []
-    for r0 in range(0, h, step):
-        r1 = min(r0 + step, h)
+    for r0, r1 in ops._row_runs(h, 8 * b * d_max * w):
         a, z = lo[r0], hi[r1 - 1] + 1     # the low-resolution rows the tile reads
         tiles.append((slice(r0, r1), slice(a, z),
                       (lo[r0:r1] - a, hi[r0:r1] - a, w_lo[r0:r1], w_hi[r0:r1])))

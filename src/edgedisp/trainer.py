@@ -250,9 +250,16 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.steps < 0:
             raise ValueError("batch size must be >= 1 and steps >= 0")
+        if self.eval_interval < 1:
+            raise ValueError(f"eval_interval must be >= 1, got {self.eval_interval}")
+        if not self.lr_schedule:
+            raise ValueError("lr_schedule must have at least one breakpoint")
         starts = [s for s, _ in self.lr_schedule]
-        if starts != sorted(starts) or (starts and starts[0] != 0):
-            raise ValueError("lr schedule breakpoints must start at 0 and increase")
+        if starts != sorted(starts) or starts[0] != 0:
+            raise ValueError("lr_schedule breakpoints must start at 0 and increase")
+        for _, lr in self.lr_schedule:
+            if not (math.isfinite(lr) and lr > 0):
+                raise ValueError(f"lr_schedule rates must be finite and > 0, got {lr}")
 
 
 def _lr_at(schedule, step: int) -> float:
@@ -300,10 +307,7 @@ def compute_losses(outputs: Dict[str, Tensor], disp: np.ndarray, valid: np.ndarr
     if cfg.use_edge_branch:
         parts["l_edge"] = losses.edge_loss(outputs["edge_prob"], edges)
         parts["l_dedge"] = losses.dedge_disp_smoothness(outputs["d3"], edges, w.gamma)
-        parts["total"] = losses.total_loss(
-            l_disp, parts["l_edge"], parts["l_dedge"], w)
-    else:
-        parts["total"] = l_disp
+    parts["total"] = losses.total_loss(l_disp, parts.get("l_edge"), parts.get("l_dedge"), w)
     return parts
 
 

@@ -190,7 +190,7 @@ def infer_views_apart(left, right, p, cfg):
     v = network._conv_block(p, "disp.pre.a", cv, mode, nd=3)
     v = (network._conv_block(p, "disp.pre.b", v, mode, nd=3, relu=False) + v).relu()
     for i in range(network.STAGES):
-        v, _ = network.agm_module(v, p, f"disp.agm{i}", cfg, mode)
+        v = network.agm_module(v, p, f"disp.agm{i}", cfg, mode)
     return network.output_module(v, p, f"disp.out{network.STAGES - 1}", left.shape[2:],
                                  cfg.d_max, mode)
 

@@ -263,6 +263,24 @@ class TestPipeline:
         assert code == 2
         assert message in stderr and "Traceback" not in stderr and stdout == ""
 
+    @pytest.mark.parametrize("overlay, flags, message", [
+        ({}, ["--eval-interval", "0"], "eval_interval must be >= 1, got 0"),
+        ({"lr_schedule": []}, [], "lr_schedule must have at least one breakpoint"),
+        ({"lr_schedule": [[0, -1.0]]}, [], "lr_schedule rates must be finite and > 0, got -1.0"),
+    ])
+    def test_malformed_schedule_exits_2_before_reading_data(self, tmp_path, capsys, overlay,
+                                                             flags, message):
+        cfg_path = str(tmp_path / "cfg.json")
+        with open(cfg_path, "w") as f:
+            json.dump({"network": TINY_NET, **overlay}, f)
+        run_dir = tmp_path / "r"
+        code, stdout, stderr = run(capsys, "train", "--config", cfg_path,
+                                   "--data", str(tmp_path / "d"), "--val-data", str(tmp_path / "v"),
+                                   "--out", str(run_dir), *flags)
+        assert code == 2
+        assert message in stderr and "Traceback" not in stderr and stdout == ""
+        assert not run_dir.exists()
+
     def test_train_runtime_error_exits_2(self, tmp_path, capsys, monkeypatch):
         def fail(cfg):
             raise RuntimeError("non-finite loss at step 1")

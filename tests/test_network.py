@@ -199,9 +199,8 @@ class TestAgm:
         p = init_params(TINY, seed=0)
         c = TINY.base_channels
         v = Tensor(rng.normal(size=(1, c, 4, 8, 8)))
-        out, skip = agm_module(v, p, "disp.agm0", TINY, "eval")
+        out = agm_module(v, p, "disp.agm0", TINY, "eval")
         assert out.shape == v.shape
-        assert skip.shape == (1, 2 * c, 2, 4, 4)
 
     def test_gradient_flows(self):
         rng = np.random.default_rng(5)
@@ -210,7 +209,7 @@ class TestAgm:
         v = Tensor(rng.normal(size=(1, c, 4, 4, 4)), requires_grad=True)
 
         def build(t):
-            out, _ = agm_module(t, p, "disp.agm0", TINY, "eval")
+            out = agm_module(t, p, "disp.agm0", TINY, "eval")
             return (out * out).sum()
 
         fd_check(build, [v], rng, n_probe=4, rel_tol=1e-3)

@@ -403,7 +403,7 @@ class TestSoftArgmin:
 
 
 def tile_budget(rows, b, d_max, w):
-    """A ``_REGRESS_BUDGET`` that gives tiles of ``rows`` output rows."""
+    """An ``ops._WORK_BUDGET`` that gives tiles of ``rows`` output rows."""
     return rows * 8 * b * d_max * w
 
 
@@ -417,7 +417,7 @@ class TestRegressDisparity:
 
     @pytest.mark.parametrize("shape,out,rows", CASES)
     def test_matches_the_op_chain(self, monkeypatch, shape, out, rows):
-        monkeypatch.setattr(stereo, "_REGRESS_BUDGET", tile_budget(rows, shape[0], *out[::2]))
+        monkeypatch.setattr(ops, "_WORK_BUDGET", tile_budget(rows, shape[0], *out[::2]))
         if rows == 7:
             lo, hi = ops._interp_taps(shape[3], out[1])[:2]
             assert -(-out[1] // rows) == 3
@@ -436,7 +436,7 @@ class TestRegressDisparity:
         assert np.abs(got.grad - want.grad).max() <= 1e-12 * np.abs(want.grad).max()
 
     def test_finite_differences_across_tiles(self, monkeypatch):
-        monkeypatch.setattr(stereo, "_REGRESS_BUDGET", tile_budget(3, 2, 8, 12))
+        monkeypatch.setattr(ops, "_WORK_BUDGET", tile_budget(3, 2, 8, 12))
         rng = np.random.default_rng(28)
         cost = rand_tensor(rng, (2, 1, 2, 3, 3))
         g = Tensor(rng.normal(size=(2, 10, 12)))
@@ -454,7 +454,7 @@ class TestRegressDisparity:
         cost that the chain of the two ops holds, with its softmax and
         cotangents, three times over."""
         shape, out = (1, 1, 8, 32, 64), (32, 128, 256)
-        monkeypatch.setattr(stereo, "_REGRESS_BUDGET", 1 << 20)
+        monkeypatch.setattr(ops, "_WORK_BUDGET", 1 << 20)
         rng = np.random.default_rng(29)
         cost = Tensor(rng.normal(size=shape), requires_grad=True)
         g = Tensor(rng.normal(size=(1,) + out[1:]))

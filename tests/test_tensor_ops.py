@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from checks import (fd_check, naive_conv, out_of_place_batch_norm, pad_zero,
                     padded_corr_forward, padded_corr_weight_grad, rand_tensor,
                     stuffed_corr_input_grad)
-from edgedisp import ops
+from edgedisp import ops, stereo
 from edgedisp.ops import ConvSpec, ShapeError
 from edgedisp.tensor import Tensor, _collect_tape, accumulate_grad, make_op, no_grad
 
@@ -271,7 +271,7 @@ class TestTapPlan:
 
     def test_repeat_blocked_pass_adds_no_plan(self, monkeypatch):
         # a one-byte budget cuts every pass into blocks of one output row
-        monkeypatch.setattr(ops, "_COLUMN_BUDGET", 1)
+        monkeypatch.setattr(ops, "_WORK_BUDGET", 1)
         self._assert_repeat_pass_adds_no_plan()
 
     @pytest.mark.parametrize("name, x_shape, w_shape, spec, output_size", _CONV_CASES)
@@ -328,7 +328,7 @@ class TestBlockedPasses:
                              _BLOCKED_CASES)
     def test_matches_reference(self, monkeypatch, name, x_shape, w_shape, spec,
                                output_size, budget):
-        monkeypatch.setattr(ops, "_COLUMN_BUDGET", budget)
+        monkeypatch.setattr(ops, "_WORK_BUDGET", budget)
         assert _block_count(name, x_shape, w_shape, spec, output_size) >= 3
         rng = np.random.default_rng(31)
         x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
@@ -356,11 +356,11 @@ class TestBlockedPasses:
             g = np.random.default_rng(33).normal(size=y.shape)
             return y, ops._corr_input_grad(g, w, s, d, p, x.shape[2:])
 
-        monkeypatch.setattr(ops, "_COLUMN_BUDGET", 1 << 40)
+        monkeypatch.setattr(ops, "_WORK_BUDGET", 1 << 40)
         plan, blocks = ops._blocks(8, x.shape[2:], w.shape[2:], s, d, p)
         assert len(blocks) == 1
         one = passes()
-        monkeypatch.setattr(ops, "_COLUMN_BUDGET", 2 * 8 * 8 * 27 * int(np.prod(plan.out[1:])))
+        monkeypatch.setattr(ops, "_WORK_BUDGET", 2 * 8 * 8 * 27 * int(np.prod(plan.out[1:])))
         assert len(ops._blocks(8, x.shape[2:], w.shape[2:], s, d, p)[1]) >= 2
         for a, b in zip(passes(), one):
             np.testing.assert_array_equal(a, b)
@@ -385,6 +385,43 @@ class TestBlockedPasses:
         assert len(blocks) > 1
         bound = x.data.nbytes + w.data.nbytes + y.data.nbytes + block + slack
         assert peak < bound, (peak, bound)
+
+
+class TestWorkBudget:
+    """``ops._WORK_BUDGET`` and ``ops._row_runs``: the one budget that cuts
+    conv passes into blocks and regression heads into tiles."""
+
+    @pytest.mark.parametrize("budget", [1, 7, 64, 1000])
+    def test_runs_cover_the_rows_in_order_within_the_budget(self, monkeypatch, budget):
+        monkeypatch.setattr(ops, "_WORK_BUDGET", budget)
+        for n in range(20):
+            for row_bytes in (0, 1, 3, 8, 50, 200, 5000):
+                runs = ops._row_runs(n, row_bytes)
+                assert [r for a, b in runs for r in range(a, b)] == list(range(n))
+                for a, b in runs:
+                    assert b - a >= 1
+                    assert b - a == 1 or (b - a) * row_bytes <= budget
+
+    def test_one_budget_splits_convs_and_heads(self, monkeypatch):
+        rng = np.random.default_rng(35)
+        x, w = Tensor(rng.normal(size=(2, 8, 8, 32, 32))), Tensor(rng.normal(size=(4, 8, 3, 3, 3)))
+        cost = Tensor(rng.normal(scale=3.0, size=(1, 1, 8, 32, 64)))
+        d_max, out_hw = 32, (128, 256)
+        spec = ConvSpec(padding=1)
+        s, d, p = spec.resolved(3)
+
+        def results():
+            return ops.conv3d(x, w, spec=spec).data, stereo.regress_disparity(cost, d_max, out_hw).data
+
+        monkeypatch.setattr(ops, "_WORK_BUDGET", 1 << 40)
+        conv_one, head_one = results()
+        # two rows of the conv's column matrix; 54 rows of the head's cost
+        monkeypatch.setattr(ops, "_WORK_BUDGET", 2 * 8 * 8 * 27 * 32 * 32)
+        assert len(ops._blocks(8, x.shape[2:], w.shape[2:], s, d, p)[1]) == 4
+        assert len(ops._row_runs(out_hw[0], 8 * d_max * out_hw[1])) == 3
+        conv_split, head_split = results()
+        np.testing.assert_array_equal(conv_split, conv_one)
+        assert np.abs(head_split - head_one).max() <= 1e-12 * np.abs(head_one).max()
 
 
 class TestSoftmax:

@@ -375,6 +375,26 @@ class TestTraining:
         assert "epe" in result["val"]
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("kw, message", [
+        ({"eval_interval": 0}, "eval_interval must be >= 1, got 0"),
+        ({"eval_interval": -5}, "eval_interval must be >= 1, got -5"),
+        ({"lr_schedule": ()}, "lr_schedule must have at least one breakpoint"),
+        ({"lr_schedule": ((0, -1.0),)}, "lr_schedule rates must be finite and > 0, got -1.0"),
+        ({"lr_schedule": ((0, 1e-3), (5, 0.0))}, "lr_schedule rates must be finite and > 0"),
+        ({"lr_schedule": ((0, math.nan),)}, "lr_schedule rates must be finite and > 0, got nan"),
+        ({"lr_schedule": ((0, 1e-3), (5, math.inf))}, "lr_schedule rates must be finite"),
+        ({"lr_schedule": ((1, 1e-3),)}, "lr_schedule breakpoints must start at 0"),
+    ])
+    def test_malformed_schedule_rejected(self, kw, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TrainConfig(**kw)
+
+    def test_smallest_valid_schedule_accepted(self):
+        cfg = TrainConfig(eval_interval=1, lr_schedule=((0, 1e-9),))
+        assert cfg.eval_interval == 1 and cfg.lr_schedule == ((0, 1e-9),)
+
+
 class TestEvaluation:
     def test_ground_truth_shim_gives_zero_epe(self):
         # feeding the ground truth through the metric path must be exact
