@@ -130,6 +130,9 @@ def _build_train_config(args) -> TrainConfig:
     if args.config:
         with open(args.config) as f:
             overlay = json.load(f)
+    if not isinstance(overlay, dict):
+        raise ValueError(f"training config {args.config!r} must be a JSON object, "
+                         f"got {overlay!r}")
     unknown = set(overlay) - {f.name for f in dataclasses.fields(TrainConfig)} - _FLAG_FIELDS
     if unknown:
         raise ValueError(f"unknown keys in training config {args.config!r}: {sorted(unknown)}")
@@ -138,6 +141,9 @@ def _build_train_config(args) -> TrainConfig:
     loss_kwargs = kwargs.pop("loss_weights", {})
     for key, kw, cls in (("network", net_kwargs, NetworkConfig),
                          ("loss_weights", loss_kwargs, LossWeights)):
+        if not isinstance(kw, dict):
+            raise ValueError(f"training config section {key} must be a JSON object, "
+                             f"got {kw!r}")
         unknown = set(kw) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(

@@ -1,13 +1,11 @@
 """Structured array operations: convolutions, pooling, resampling, softmax.
 
 Convolutions are cross-correlations (deep-learning convention) with
-zero-fill padding. All three convolution passes run over one tap plan,
-``_tap_plan``, cached per input extents, kernel, stride, dilation and
-padding. On each spatial axis, tap ``t`` reads the input positions
-``o*stride + t*dilation - pad`` that lie inside the input; the plan keeps
-the taps from the first to the last that read any, and lists, for each
-kept tap that reads input on every axis, the input slices it reads and
-the output slices that read them. A tap outside the kept range reads only
+zero-fill padding. On each spatial axis, tap ``t`` reads the input
+positions ``o*stride + t*dilation - pad`` that lie inside the input
+(``_lands``). The tap plan, ``_tap_plan``, cached per input extents,
+kernel, stride, dilation and padding, keeps on each axis the taps from the
+first to the last that read any. A tap outside the kept range reads only
 zero padding: its products are exact zeros and its weight gradient is
 exactly zero, so leaving it out removes only zero terms from each sum.
 
@@ -15,8 +13,11 @@ Blocks: every pass splits the output along its first spatial axis into
 runs of whole rows (``_row_runs``) whose ``[Cin*K, N_block]`` column
 matrix (K kept taps, N_block output positions of the block) fits
 ``_WORK_BUDGET`` bytes. ``_block_plan``, cached per geometry and row
-range, cuts the plan's moves to the block's rows, so a pass's working
-memory is one block, not the whole ``[Cin*K, N]`` matrix.
+range, lists the block's moves: for each kept tap that reads input on
+every axis for some output of the block, the input slices it reads and
+the block's output slices that read them, from the landings of the
+block's rows on the first axis and of every output on the others. A
+pass's working memory is one block, not the whole ``[Cin*K, N]`` matrix.
 
 Gather (forward and weight gradient): per sample, then per block, the
 block's kept taps are copied from the input into its column matrix. One
@@ -111,7 +112,20 @@ class _TapPlan(NamedTuple):
     out: Tuple[int, ...]       # output extent per spatial axis
     taps: Tuple[slice, ...]    # kept tap range per spatial axis
     kept: Tuple[int, ...]      # number of kept taps per spatial axis
-    moves: tuple               # (input index, column index) per landing tap
+
+
+def _lands(n: int, k: int, s: int, d: int, p: int, r0: int, r1: int) -> dict:
+    """On one axis, for each tap ``t`` that reads input for some output in
+    ``[r0, r1)``: ``{t: (input slice it reads, output slice from r0)}``.
+    Tap ``t`` of output ``o`` reads ``o*s + t*d - p`` when that is in [0, n)."""
+    lands = {}
+    for t in range(k):
+        off = t * d - p
+        a, b = max(r0, -(off // s)), min(r1, (n - 1 - off) // s + 1)
+        if a < b:
+            first = a * s + off
+            lands[t] = (slice(first, first + (b - a - 1) * s + 1, s), slice(a - r0, b - r0))
+    return lands
 
 
 # A network at one image size needs a few dozen plans: the default
@@ -120,35 +134,13 @@ class _TapPlan(NamedTuple):
 # service fed many image sizes finite.
 @functools.lru_cache(maxsize=256)
 def _tap_plan(in_spatial, kernel, stride, dilation, pad) -> _TapPlan:
-    """The geometry every convolution pass runs over, computed once per shape.
-
-    On each axis, tap ``t`` reads the input positions ``o*stride +
-    t*dilation - pad`` that lie in [0, n); the kept range spans the first to
-    the last tap that reads any. For each kept tap that reads input on every
-    axis, in row-major tap order, a move pairs the index of what it reads in
-    one sample ``[Cin, *in_spatial]`` with the index of its columns in
-    ``[Cin, *kept, *out]`` (tap, then the outputs that read there).
-    """
+    """The output extents and, per axis, the kept tap range: from the first
+    to the last tap that reads any input (``_lands`` over every output)."""
     out = tuple(conv_out_extent(*a) for a in zip(in_spatial, kernel, stride, dilation, pad))
-    lands = []
-    for n, m, k, s, d, p in zip(in_spatial, out, kernel, stride, dilation, pad):
-        axis = {}
-        for t in range(k):
-            off = t * d - p
-            a, b = max(0, -(off // s)), min(m, (n - 1 - off) // s + 1)
-            if a < b:
-                first = a * s + off
-                axis[t] = (slice(first, first + (b - a - 1) * s + 1, s), slice(a, b))
-        lands.append(axis)
+    lands = [_lands(n, k, s, d, p, 0, m)
+             for n, k, s, d, p, m in zip(in_spatial, kernel, stride, dilation, pad, out)]
     taps = tuple(slice(min(a), max(a) + 1) if a else slice(0, 0) for a in lands)
-    moves = []
-    for tap in itertools.product(*(range(t.start, t.stop) for t in taps)):
-        pick = [a.get(t) for a, t in zip(lands, tap)]
-        if None not in pick:
-            kept = tuple(t - r.start for t, r in zip(tap, taps))
-            moves.append(((slice(None),) + tuple(i for i, _ in pick),
-                          (slice(None),) + kept + tuple(o for _, o in pick)))
-    return _TapPlan(out, taps, tuple(t.stop - t.start for t in taps), tuple(moves))
+    return _TapPlan(out, taps, tuple(t.stop - t.start for t in taps))
 
 
 def _kept_weight(w: np.ndarray, plan: _TapPlan) -> np.ndarray:
@@ -175,15 +167,17 @@ def _row_runs(n: int, row_bytes: int) -> list:
 class _Block(NamedTuple):
     rows: slice                # output rows of the block, on the first spatial axis
     out: Tuple[int, ...]       # the block's output extents: its rows, then out[1:]
-    moves: tuple               # the plan's moves cut to these rows
+    moves: tuple               # (input index, column index) per tap landing in the block
     clear: tuple               # column indices of rows a kept first-axis tap skips
 
 
 @functools.lru_cache(maxsize=1024)
 def _block_plan(in_spatial, kernel, stride, dilation, pad, rows) -> _Block:
-    """The moves of the tap plan that land in output rows ``rows = (r0, r1)``
-    of the first spatial axis, indexing the block's columns
-    ``[Cin, *kept, r1 - r0, *out[1:]]``.
+    """The moves of output rows ``rows = (r0, r1)`` of the first spatial
+    axis: for each kept tap, in row-major order, that reads input on every
+    axis for some output of the block, a move pairs the index of what it
+    reads in one sample ``[Cin, *in_spatial]`` with the index of its
+    columns in the block's ``[Cin, *kept, r1 - r0, *out[1:]]``.
 
     ``clear`` lists, for each kept tap of the first axis, the rows of the
     block it does not land in. Those columns hold zeros in a fresh buffer;
@@ -192,24 +186,24 @@ def _block_plan(in_spatial, kernel, stride, dilation, pad, rows) -> _Block:
     """
     plan = _tap_plan(in_spatial, kernel, stride, dilation, pad)
     r0, r1 = rows
-    nd = len(kernel)
-    moves, landed = [], {}
-    for src, dst in plan.moves:
-        read, o = src[1], dst[1 + nd]
-        a, b = max(o.start, r0), min(o.stop, r1)
-        if a < b:
-            first = read.start + (a - o.start) * read.step
-            moves.append((src[:1] + (slice(first, first + (b - a - 1) * read.step + 1, read.step),)
-                          + src[2:],
-                          dst[:1 + nd] + (slice(a - r0, b - r0),) + dst[2 + nd:]))
-        else:
-            a = b = r1
-        landed[dst[1]] = (a - r0, b - r0)
-    lead = (slice(None),) * (nd - 1)
-    clear = tuple((slice(None), k) + lead + (slice(lo, hi),)
-                  for k, (a, b) in landed.items()
-                  for lo, hi in ((0, a), (b, r1 - r0)) if lo < hi)
-    return _Block(slice(r0, r1), (r1 - r0,) + plan.out[1:], tuple(moves), clear)
+    spans = (rows,) + tuple((0, m) for m in plan.out[1:])
+    lands = [_lands(n, k, s, d, p, *span)
+             for n, k, s, d, p, span in zip(in_spatial, kernel, stride, dilation, pad, spans)]
+    moves = []
+    for tap in itertools.product(*(range(t.start, t.stop) for t in plan.taps)):
+        pick = [a.get(t) for a, t in zip(lands, tap)]
+        if None not in pick:
+            kept = tuple(t - r.start for t, r in zip(tap, plan.taps))
+            moves.append(((slice(None),) + tuple(i for i, _ in pick),
+                          (slice(None),) + kept + tuple(o for _, o in pick)))
+    lead = (slice(None),) * (len(kernel) - 1)
+    n, first = r1 - r0, plan.taps[0]
+    clear = []
+    for t in range(first.start, first.stop):
+        o = lands[0][t][1] if t in lands[0] else slice(n, n)
+        clear += [(slice(None), t - first.start) + lead + (slice(lo, hi),)
+                  for lo, hi in ((0, o.start), (o.stop, n)) if lo < hi]
+    return _Block(slice(r0, r1), (n,) + plan.out[1:], tuple(moves), tuple(clear))
 
 
 def _blocks(cin: int, in_spatial, kernel, stride, dilation, pad):
@@ -467,27 +461,22 @@ def _lerp_adjoint(g: np.ndarray, taps, n_in: int, axis: int) -> np.ndarray:
     return gx
 
 
-def _resample_axis(x: np.ndarray, m: np.ndarray, axis: int) -> np.ndarray:
-    y = np.tensordot(x, m, axes=([axis], [1]))
-    return np.moveaxis(y, -1, axis)
-
-
 def _upsample(x: Tensor, out_spatial: Sequence[int], name: str) -> Tensor:
-    """Resize every spatial axis of [B,C,*spatial] to ``out_spatial``."""
+    """Resize every spatial axis of [B,C,*spatial] to ``out_spatial``, one
+    axis after another by the two taps of each interpolation-matrix row."""
     if x.ndim != 2 + len(out_spatial):
         raise ShapeError(f"{name} expects rank {2 + len(out_spatial)}, got {x.ndim}")
     if min(out_spatial) < 1:
         raise ShapeError(f"target extent < 1: {out_spatial}")
-    mats = [_interp_matrix(n_in, n) for n_in, n in zip(x.shape[2:], out_spatial)]
+    taps = [_interp_taps(n_in, n) for n_in, n in zip(x.shape[2:], out_spatial)]
     y = x.data
-    for i, m in enumerate(mats):
-        y = _resample_axis(y, m, 2 + i)
+    for i, t in enumerate(taps):
+        y = _lerp(y, t, 2 + i)
 
     def bwd(g):
-        gx = g
-        for i, m in enumerate(mats):
-            gx = _resample_axis(gx, m.T, 2 + i)
-        accumulate_grad(x, gx)
+        for i in reversed(range(len(taps))):
+            g = _lerp_adjoint(g, taps[i], x.shape[2 + i], 2 + i)
+        accumulate_grad(x, g)
 
     return make_op(y, (x,), bwd)
 

@@ -135,11 +135,29 @@ def build_cost_volume(f_left: Tensor, f_right: Tensor, d_levels: int) -> Tensor:
 
 
 # -- disparity regression -----------------------------------------------------
-#
-# Both ops below take the softmax of the negated cost over the disparity
-# levels in place and sum the levels in order, ``p[:,0]*0 + p[:,1]*1 +
-# ...`` (``_expected_level``); backward maps the disparity's cotangent to
-# the cost's through the same probabilities (``_cost_grad``).
+
+
+def soft_argmin(cost: Tensor) -> Tensor:
+    """Expected disparity under softmax(-cost) along the disparity axis.
+
+    ``cost`` is [B,1,D,H,W] at full resolution; the result is [B,H,W] in
+    [0, D-1] and differentiable, built from recorded ops: negate,
+    ``ops.softmax`` over the levels, weight by the level index, sum.
+    """
+    if cost.ndim != 5:
+        raise ShapeError(f"cost must be rank 5, got {cost.ndim}")
+    if cost.shape[1] != 1:
+        raise ShapeError(f"cost must be single-channel, got {cost.shape[1]}")
+    b, _, d, h, w = cost.shape
+    prob = ops.softmax(-cost.reshape(b, d, h, w), axis=1)
+    levels = Tensor(np.arange(d, dtype=np.float64).reshape(1, d, 1, 1))
+    return (prob * levels).sum(axis=1)
+
+
+# ``regress_disparity`` takes the softmax of the negated cost over the
+# disparity levels in place and sums the levels in order, ``p[:,0]*0 +
+# p[:,1]*1 + ...`` (``_expected_level``); backward maps the disparity's
+# cotangent to the cost's through the same probabilities (``_cost_grad``).
 
 
 def _expected_level(p: np.ndarray) -> np.ndarray:
@@ -157,28 +175,6 @@ def _cost_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     levels = np.arange(p.shape[1], dtype=np.float64).reshape((1, -1) + (1,) * (p.ndim - 2))
     gp = g[:, None] * levels
     return np.negative(ops.softmax_grad_inplace(p, gp, axis=1), out=gp)
-
-
-def soft_argmin(cost: Tensor) -> Tensor:
-    """Expected disparity under softmax(-cost) along the disparity axis.
-
-    ``cost`` is [B,1,D,H,W] at full resolution; the result is [B,H,W] in
-    [0, D-1] and differentiable. Recorded as one op: the probabilities are
-    computed in place in one array of the cost's size, which is all the
-    backward closure keeps.
-    """
-    if cost.ndim != 5:
-        raise ShapeError(f"cost must be rank 5, got {cost.ndim}")
-    if cost.shape[1] != 1:
-        raise ShapeError(f"cost must be single-channel, got {cost.shape[1]}")
-    b, _, d, h, w = cost.shape
-    p = ops.softmax_inplace(np.negative(cost.data.reshape(b, d, h, w)), axis=1)
-    y = _expected_level(p)
-
-    def bwd(g):
-        accumulate_grad(cost, _cost_grad(p, g).reshape(cost.shape))
-
-    return make_op(y, (cost,), bwd)
 
 
 def regress_disparity(cost: Tensor, d_max: int, out_hw: Tuple[int, int]) -> Tensor:
@@ -199,8 +195,8 @@ def regress_disparity(cost: Tensor, d_max: int, out_hw: Tuple[int, int]) -> Tens
     tile's resampled cotangent into the rows it read (recompute for
     memory, Chen et al., arXiv 1604.06174). A tile's working memory is
     about three tiles. The result agrees with the chain of the two ops to
-    float64 round-off, not bit for bit: the resampling sums its products
-    in another order.
+    float64 round-off, not bit for bit: the chain resamples D first and by
+    two taps, the tile last and by a GEMM.
     """
     if cost.ndim != 5:
         raise ShapeError(f"cost must be rank 5, got {cost.ndim}")

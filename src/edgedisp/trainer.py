@@ -248,6 +248,8 @@ class TrainConfig:
     out_dir: str = "run"
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1 or self.steps < 0:
             raise ValueError("batch size must be >= 1 and steps >= 0")
         if self.eval_interval < 1:
@@ -418,7 +420,8 @@ def predict_batch(params: ModelParams, cfg: NetworkConfig,
     non-finite disparity."""
     left = Tensor(np.stack([s.left.data for s in samples]))
     right = Tensor(np.stack([s.right.data for s in samples]))
-    with no_grad():
+    # overflowing weights are named by the check below, not by numpy warnings
+    with no_grad(), np.errstate(over="ignore", invalid="ignore"):
         disp = network.forward(left, right, params, cfg, "infer")["d3"].data
     bad = int(np.count_nonzero(~np.isfinite(disp)))
     if bad:

@@ -267,6 +267,8 @@ class TestPipeline:
         ({}, ["--eval-interval", "0"], "eval_interval must be >= 1, got 0"),
         ({"lr_schedule": []}, [], "lr_schedule must have at least one breakpoint"),
         ({"lr_schedule": [[0, -1.0]]}, [], "lr_schedule rates must be finite and > 0, got -1.0"),
+        ({"seed": -1}, [], "seed must be >= 0, got -1"),
+        ({}, ["--seed", "-3"], "seed must be >= 0, got -3"),
     ])
     def test_malformed_schedule_exits_2_before_reading_data(self, tmp_path, capsys, overlay,
                                                              flags, message):
@@ -280,6 +282,21 @@ class TestPipeline:
         assert code == 2
         assert message in stderr and "Traceback" not in stderr and stdout == ""
         assert not run_dir.exists()
+
+    @pytest.mark.parametrize("overlay, message", [
+        (5, "must be a JSON object, got 5"),
+        ([], "must be a JSON object, got []"),
+        ({"network": 5}, "section network must be a JSON object, got 5"),
+        ({"loss_weights": None}, "section loss_weights must be a JSON object, got None"),
+    ])
+    def test_non_object_overlay_rejected(self, tmp_path, capsys, overlay, message):
+        cfg_path = str(tmp_path / "cfg.json")
+        with open(cfg_path, "w") as f:
+            json.dump(overlay, f)
+        code, stdout, stderr = run(capsys, "train", "--config", cfg_path,
+                                   "--data", str(tmp_path / "d"), "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert message in stderr and "Traceback" not in stderr and stdout == ""
 
     def test_train_runtime_error_exits_2(self, tmp_path, capsys, monkeypatch):
         def fail(cfg):

@@ -1,9 +1,11 @@
 import functools
+import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from checks import (fd_check, naive_conv, out_of_place_batch_norm, pad_zero,
@@ -365,6 +367,55 @@ class TestBlockedPasses:
         for a, b in zip(passes(), one):
             np.testing.assert_array_equal(a, b)
 
+    @given(st.integers(2, 3),
+           st.lists(st.integers(1, 3), min_size=3, max_size=3),
+           st.lists(st.integers(1, 5), min_size=3, max_size=3),
+           st.lists(st.integers(0, 6), min_size=3, max_size=3),
+           st.lists(st.integers(1, 9), min_size=3, max_size=3),
+           st.lists(st.integers(1, 3), min_size=3, max_size=3),
+           st.integers(1, 3000))
+    # stride 2 over one input row: first-axis tap 1 of 3 lands nowhere
+    @example(2, [2, 1, 1], [1, 1, 1], [2, 0, 0], [1, 4, 1], [3, 1, 1], 1)
+    @settings(max_examples=100, deadline=None)
+    def test_block_moves_join_into_the_whole_output(self, nd, stride, dilation, padding,
+                                                    extent, kernel, budget):
+        """Per kept tap, the blocks' moves, output rows shifted by the
+        block's first row, join in block order into the move of one block
+        over every row; each block lists its taps in the same order; and
+        ``clear`` covers exactly the rows a kept first-axis tap skips in
+        the block."""
+        geom = tuple(tuple(a[:nd]) for a in (extent, kernel, stride, dilation, padding))
+        assume(all(n + 2 * p - d * (k - 1) - 1 >= 0 for n, k, _, d, p in zip(*geom)))
+        with mock.patch.object(ops, "_WORK_BUDGET", budget):
+            plan, blocks = ops._blocks(2, *geom)
+        whole = ops._block_plan(*geom, (0, plan.out[0]))
+        order = {dst[1:1 + nd]: i for i, (_, dst) in enumerate(whole.moves)}
+        joined = {tap: ([], []) for tap in order}
+
+        def rows(sl, n):
+            return list(range(n))[sl]
+
+        for blk in blocks:
+            r0, n = blk.rows.start, blk.out[0]
+            taps = [dst[1:1 + nd] for _, dst in blk.moves]
+            assert [order[t] for t in taps] == sorted(order[t] for t in taps)
+            landed = {k: set() for k in range(plan.kept[0])}
+            for (src, dst), tap in zip(blk.moves, taps):
+                w_src, w_dst = whole.moves[order[tap]]
+                assert src[2:] == w_src[2:] and dst[2 + nd:] == w_dst[2 + nd:]
+                joined[tap][0].extend(rows(src[1], geom[0][0]))
+                joined[tap][1].extend(o + r0 for o in rows(dst[1 + nd], n))
+                landed[tap[0]].update(rows(dst[1 + nd], n))
+            if math.prod(plan.kept):   # otherwise the block has no columns to clear
+                cleared = {k: set() for k in landed}
+                for c in blk.clear:
+                    assert len(c) == 2 + nd
+                    cleared[c[1]].update(rows(c[1 + nd], n))
+                assert cleared == {k: set(range(n)) - v for k, v in landed.items()}
+        for src, dst in whole.moves:
+            assert joined[dst[1:1 + nd]] == (rows(src[1], geom[0][0]),
+                                             rows(dst[1 + nd], plan.out[0]))
+
     def test_default_budget_bounds_working_memory(self):
         """One conv3d of the cost-volume stem at 128x256, d_max 32, peaks
         below its input, output, one block's column matrix and a slack for
@@ -545,6 +596,7 @@ class TestPoolingAndUpsampling:
         run()   # fill the cache
         cached = run()
         monkeypatch.setattr(ops, "_interp_matrix", ops._interp_matrix.__wrapped__)
+        monkeypatch.setattr(ops, "_interp_taps", ops._interp_taps.__wrapped__)
         for got, want in zip(cached, run()):
             np.testing.assert_array_equal(got, want)
 

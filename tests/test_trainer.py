@@ -385,6 +385,7 @@ class TestTrainConfig:
         ({"lr_schedule": ((0, math.nan),)}, "lr_schedule rates must be finite and > 0, got nan"),
         ({"lr_schedule": ((0, 1e-3), (5, math.inf))}, "lr_schedule rates must be finite"),
         ({"lr_schedule": ((1, 1e-3),)}, "lr_schedule breakpoints must start at 0"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
     ])
     def test_malformed_schedule_rejected(self, kw, message):
         with pytest.raises(ValueError, match=re.escape(message)):
