@@ -19,23 +19,35 @@ the block's output slices that read them, from the landings of the
 block's rows on the first axis and of every output on the others. A
 pass's working memory is one block, not the whole ``[Cin*K, N]`` matrix.
 
-Gather (forward and weight gradient): per sample, then per block, the
-block's kept taps are copied from the input into its column matrix. One
-buffer per call, zeroed once, serves every block and sample; before a
-block is refilled over another block's columns, the rows its taps skip
-are zeroed again, so the columns of taps that read padding stay zero. The
-forward pass runs one GEMM ``[Cout, Cin*K] x [Cin*K, N_block]`` per
-sample and block, written into the block's rows; the weight gradient adds
-``gy_block [Cout, N_block] x cols_blockᵀ`` in batch, then block order.
+Gather (forward, every weight gradient, and the input gradient at stride
+1): per sample, then per block, the block's kept taps are copied from an
+array into its column matrix. One buffer per call, zeroed once, serves
+every block and sample; before a block is refilled over another block's
+columns, the rows its taps skip are zeroed again, so the columns of taps
+that read padding stay zero. The forward pass runs one GEMM ``[Cout,
+Cin*K] x [Cin*K, N_block]`` per sample and block, written into the
+block's rows; the weight gradient adds ``gy_block [Cout, N_block] x
+cols_blockᵀ`` in batch, then block order.
 
-Scatter (input gradient, which is also the transposed convolution): per
+At stride 1 the input gradient is the correlation of the cotangent with
+the flipped, channel-swapped kernel (``_flipped``), padded by
+``dilation*(k-1) - pad`` (Dumoulin & Visin, arXiv 1603.07285). When the
+input needs a gradient, backward gathers the cotangent once
+(``_corr_weight_grad`` with a weight): per sample and block the columns
+give ``gx = W_flip x cols`` and add ``x_block x colsᵀ`` to the weight
+gradient of the flipped kernel, which flips back into the weight's. For
+a same-padded conv that geometry is the forward's, so backward reuses
+the forward's plans. ``conv3d_transposed`` takes both its gradients from
+one gather of its cotangent in the forward geometry, at any stride.
+
+Scatter (the input gradient at stride 2 or where ``pad`` exceeds
+``dilation*(k-1)``, and the transposed convolution's forward): per
 sample and block, one GEMM ``[Cin*K, Cout] x [Cout, N_block]`` gives the
 block's columns of every kept tap, and each move of the block adds its
 columns, in tap order, back into the input positions it reads. The blocks
 run from the last rows to the first, so every input position gets its
 terms in tap order, whatever the blocks. Scatter is the exact adjoint of
-gather over the same moves; nothing is zero-stuffed, flipped or
-margin-padded.
+gather over the same moves; nothing is zero-stuffed or margin-padded.
 
 Each op computes its result eagerly and returns
 ``tensor.make_op(result, parents, backward)``; the ``backward`` closure
@@ -244,6 +256,13 @@ def _gather(x: np.ndarray, plan: _TapPlan, blocks):
             yield b, blk, cols.reshape(cin * k, n)
 
 
+def _rows(a: np.ndarray, b: int, blk: _Block) -> np.ndarray:
+    """Sample ``b``'s rows of ``blk`` in ``a`` [B, C, *spatial] as a
+    ``[C, N_block]`` view: a block's rows are whole rows of the first
+    spatial axis, contiguous within each channel."""
+    return a[b, :, blk.rows].reshape(a.shape[1], math.prod(blk.out))
+
+
 def _corr_forward(x: np.ndarray, w: np.ndarray, stride, dilation, pad) -> np.ndarray:
     """Per sample and block, one GEMM ``[Cout, Cin*K] x [Cin*K, N_block]``
     over the kept taps, written into the block's output rows."""
@@ -251,18 +270,30 @@ def _corr_forward(x: np.ndarray, w: np.ndarray, stride, dilation, pad) -> np.nda
     wk = _kept_weight(w, plan)
     y = np.empty((x.shape[0], w.shape[0]) + plan.out)
     for b, blk, cols in _gather(x, plan, blocks):
-        y[b, :, blk.rows] = (wk @ cols).reshape((w.shape[0],) + blk.out)
+        np.matmul(wk, cols, out=_rows(y, b, blk))
     return y
 
 
-def _corr_weight_grad(x: np.ndarray, gy: np.ndarray, kernel, stride, dilation, pad) -> np.ndarray:
-    """Sum over the batch, then the blocks, in order, of
-    ``gy_block [Cout, N_block] x cols_blockᵀ``."""
+def _corr_weight_grad(x: np.ndarray, gy: np.ndarray, kernel, stride, dilation, pad,
+                      w: Optional[np.ndarray] = None,
+                      y: Optional[np.ndarray] = None) -> np.ndarray:
+    """Gradient of the ``[Cout, Cin, *kernel]`` weight of the correlation
+    of ``x`` for the cotangent ``gy`` of its output: the sum over the
+    batch, then the blocks, in order, of ``gy_block [Cout, N_block] x
+    cols_blockᵀ``.
+
+    With ``y``, the same columns also give the correlation of ``x`` with
+    the weight ``w``, written into ``y``: the other gradient of a backward
+    pass that gathers its cotangent once.
+    """
     plan, blocks = _blocks(x.shape[1], x.shape[2:], kernel, stride, dilation, pad)
     cout, cin = gy.shape[1], x.shape[1]
+    wk = None if y is None else _kept_weight(w, plan)
     gk = np.zeros((cout, cin * math.prod(plan.kept)))
     for b, blk, cols in _gather(x, plan, blocks):
-        gk += gy[b, :, blk.rows].reshape(cout, math.prod(blk.out)) @ cols.T
+        gk += _rows(gy, b, blk) @ cols.T
+        if y is not None:
+            np.matmul(wk, cols, out=_rows(y, b, blk))
     gw = np.zeros((cout, cin) + kernel)
     gw[(slice(None), slice(None)) + plan.taps] = gk.reshape((cout, cin) + plan.kept)
     return gw
@@ -292,6 +323,20 @@ def _corr_input_grad(gy: np.ndarray, w: np.ndarray, stride, dilation, pad,
     return gx
 
 
+def _flipped(w: np.ndarray) -> np.ndarray:
+    """``w`` [Cout, Cin, *k] as [Cin, Cout, *k] with every spatial axis
+    reversed; its own inverse."""
+    flip = (slice(None, None, -1),) * (w.ndim - 2)
+    return np.ascontiguousarray(w.swapaxes(0, 1)[(slice(None), slice(None)) + flip])
+
+
+def _channel_sum(a: np.ndarray) -> np.ndarray:
+    """Per-channel sum of [B, C, *spatial] over every other axis, from
+    the contiguous ``[B, C, -1]`` rows: bit-identical to
+    ``a.sum(axis=(0, 2, ...))``."""
+    return a.reshape(a.shape[0], a.shape[1], -1).sum(axis=2).sum(axis=0)
+
+
 def _check_conv_shapes(x: Tensor, w: Tensor, nd: int, cin_axis: int) -> None:
     """Ranks, and the input's channels against the weight's ``cin_axis``.
     Extents that leave no output raise when the pass builds its tap plan."""
@@ -314,16 +359,26 @@ def _convnd(x: Tensor, w: Tensor, bias: Optional[Tensor], spec: ConvSpec, nd: in
             raise ShapeError(f"bias shape {bias.shape} != ({w.shape[0]},)")
         y += bias.data.reshape((1, -1) + (1,) * nd)
     parents = (x, w) if bias is None else (x, w, bias)
-    in_spatial = x.shape[2:]
     kernel = w.shape[2:]
+    # At stride 1 the input gradient is the correlation of the cotangent
+    # with the flipped, channel-swapped kernel, padded by d*(k-1) - p.
+    back = tuple(d * (k - 1) - p for k, d, p in zip(kernel, dilation, pad))
+    gather = stride == (1,) * nd and min(back) >= 0
 
     def bwd(g):
-        if needs_grad(x):
-            accumulate_grad(x, _corr_input_grad(g, w.data, stride, dilation, pad, in_spatial))
-        if needs_grad(w):
-            accumulate_grad(w, _corr_weight_grad(x.data, g, kernel, stride, dilation, pad))
+        if gather and needs_grad(x):
+            gx = np.empty(x.shape)
+            gw = _flipped(_corr_weight_grad(g, x.data, kernel, stride, dilation, back,
+                                            _flipped(w.data), gx))
+        else:   # the input gradient scatters; a weight gradient alone gathers x
+            gx = (_corr_input_grad(g, w.data, stride, dilation, pad, x.shape[2:])
+                  if needs_grad(x) else None)
+            gw = _corr_weight_grad(x.data, g, kernel, stride, dilation, pad)
+        if gx is not None:
+            accumulate_grad(x, gx)
+        accumulate_grad(w, gw)
         if bias is not None and needs_grad(bias):
-            accumulate_grad(bias, g.sum(axis=(0,) + tuple(range(2, 2 + nd))))
+            accumulate_grad(bias, _channel_sum(g))
 
     return make_op(y, parents, bwd)
 
@@ -360,10 +415,11 @@ def conv3d_transposed(x: Tensor, w: Tensor, spec: ConvSpec = ConvSpec(), *,
     y = _corr_input_grad(x.data, w.data, stride, dilation, pad, output_size)
 
     def bwd(g):
-        if needs_grad(x):
-            accumulate_grad(x, _corr_forward(g, w.data, stride, dilation, pad))
-        if needs_grad(w):
-            accumulate_grad(w, _corr_weight_grad(g, x.data, kernel, stride, dilation, pad))
+        gx = np.empty(x.shape) if needs_grad(x) else None
+        accumulate_grad(w, _corr_weight_grad(g, x.data, kernel, stride, dilation, pad,
+                                             w.data, gx))
+        if gx is not None:
+            accumulate_grad(x, gx)
 
     return make_op(y, (x, w), bwd)
 
@@ -415,10 +471,43 @@ def _interp_matrix(n_in: int, n_out: int) -> np.ndarray:
     return m
 
 
+class _Taps(NamedTuple):
+    """Two-tap resampling of ``n_in`` positions to ``n_out`` along one axis,
+    and its adjoint as a gather."""
+    lo: np.ndarray         # [n_out] first input each output reads
+    hi: np.ndarray         # [n_out] second input, equal to lo where clamped
+    w_lo: np.ndarray       # [n_out] weight of lo
+    w_hi: np.ndarray       # [n_out] weight of hi, 0 where clamped
+    reads: np.ndarray      # [n_in, L] the outputs reading each input, in order
+    w_reads: np.ndarray    # [n_in, L] their weights, 0 where a row has fewer
+
+
+def _two_taps(lo, hi, w_lo, w_hi, n_in: int) -> _Taps:
+    """The taps ``(lo, hi, w_lo, w_hi)`` with their adjoint: for each input
+    position, the outputs that give it a nonzero weight, in output order,
+    padded with zero weights to the longest such list. Read-only."""
+    col = np.concatenate([lo, hi])
+    wt = np.concatenate([w_lo, w_hi])
+    out = np.concatenate([np.arange(len(lo))] * 2)
+    keep = np.flatnonzero(wt)
+    order = keep[np.lexsort((out[keep], col[keep]))]
+    col, out, wt = col[order], out[order], wt[order]
+    count = np.bincount(col, minlength=n_in)
+    slot = np.arange(len(col)) - np.repeat(np.cumsum(count) - count, count)
+    reads = np.zeros((n_in, count.max()), dtype=np.intp)
+    w_reads = np.zeros(reads.shape)
+    reads[col, slot] = out
+    w_reads[col, slot] = wt
+    taps = _Taps(lo, hi, w_lo, w_hi, reads, w_reads)
+    for t in taps:
+        t.flags.writeable = False
+    return taps
+
+
 @functools.lru_cache(maxsize=256)
-def _interp_taps(n_in: int, n_out: int) -> Tuple[np.ndarray, ...]:
+def _interp_taps(n_in: int, n_out: int) -> _Taps:
     """The two nonzero columns of each row of ``_interp_matrix(n_in, n_out)``
-    and their weights: ``(lo, hi, w_lo, w_hi)``, each of length ``n_out``.
+    and their weights, with the adjoint's gather (``_two_taps``).
 
     ``lo`` and ``hi = min(lo + 1, n_in - 1)`` never decrease along the
     rows. Where a row is clamped to one column (``hi == lo``) that column's
@@ -428,17 +517,15 @@ def _interp_taps(n_in: int, n_out: int) -> Tuple[np.ndarray, ...]:
     rows = np.arange(n_out)
     lo = (m != 0.0).argmax(axis=1)
     hi = np.minimum(lo + 1, n_in - 1)
-    taps = (lo, hi, m[rows, lo], np.where(hi == lo, 0.0, m[rows, hi]))
-    for a in taps:
-        a.flags.writeable = False
-    return taps
+    return _two_taps(lo, hi, m[rows, lo], np.where(hi == lo, 0.0, m[rows, hi]), n_in)
 
 
 def _lerp(x: np.ndarray, taps, axis: int) -> np.ndarray:
-    """Resample ``x`` along ``axis`` by two-tap rows ``(lo, hi, w_lo, w_hi)``:
-    ``y[o] = w_lo[o]*x[lo[o]] + w_hi[o]*x[hi[o]]``, the nonzero terms of
-    row ``o`` of the interpolation matrix."""
-    lo, hi, w_lo, w_hi = taps
+    """Resample ``x`` along ``axis`` by two-tap rows ``(lo, hi, w_lo, w_hi)``,
+    the first four fields of ``taps``: ``y[o] = w_lo[o]*x[lo[o]] +
+    w_hi[o]*x[hi[o]]``, the nonzero terms of row ``o`` of the
+    interpolation matrix."""
+    lo, hi, w_lo, w_hi = taps[:4]
     shape = (-1,) + (1,) * (x.ndim - 1 - axis)
     y = np.take(x, lo, axis=axis)
     y *= w_lo.reshape(shape)
@@ -448,17 +535,18 @@ def _lerp(x: np.ndarray, taps, axis: int) -> np.ndarray:
     return y
 
 
-def _lerp_adjoint(g: np.ndarray, taps, n_in: int, axis: int) -> np.ndarray:
-    """Adjoint of ``_lerp`` along ``axis``: each input position sums the
-    weighted cotangents of the runs of outputs that read it."""
-    shape = (-1,) + (1,) * (g.ndim - 1 - axis)
-    gx = np.zeros(g.shape[:axis] + (n_in,) + g.shape[axis + 1:])
-    lead = (slice(None),) * axis
-    lo, hi, w_lo, w_hi = taps
-    for idx, wt in ((lo, w_lo), (hi, w_hi)):
-        starts = np.flatnonzero(np.diff(idx, prepend=-1))   # idx never decreases
-        gx[lead + (idx[starts],)] += np.add.reduceat(g * wt.reshape(shape), starts, axis=axis)
-    return gx
+def _lerp_adjoint(g: np.ndarray, taps: _Taps, axis: int) -> np.ndarray:
+    """Adjoint of ``_lerp`` along ``axis``: each input position gathers the
+    cotangents of the outputs that read it (``taps.reads``) and sums them
+    with their weights."""
+    n_in, n = taps.reads.shape
+    v = np.take(g, taps.reads.ravel(), axis=axis)
+    if n == 1:
+        v *= taps.w_reads.reshape((-1,) + (1,) * (g.ndim - 1 - axis))
+        return v
+    v = v.reshape(g.shape[:axis] + (n_in, n) + g.shape[axis + 1:])
+    s = "abcdefgh"[:g.ndim + 1]
+    return np.einsum(f"{s},{s[axis:axis + 2]}->{s[:axis + 1]}{s[axis + 2:]}", v, taps.w_reads)
 
 
 def _upsample(x: Tensor, out_spatial: Sequence[int], name: str) -> Tensor:
@@ -474,8 +562,8 @@ def _upsample(x: Tensor, out_spatial: Sequence[int], name: str) -> Tensor:
         y = _lerp(y, t, 2 + i)
 
     def bwd(g):
-        for i in reversed(range(len(taps))):
-            g = _lerp_adjoint(g, taps[i], x.shape[2 + i], 2 + i)
+        for i, t in enumerate(taps):
+            g = _lerp_adjoint(g, t, 2 + i)
         accumulate_grad(x, g)
 
     return make_op(y, (x,), bwd)
@@ -528,7 +616,8 @@ def softmax(x: Tensor, axis: int) -> Tensor:
 # shifts and rectifies in ``d``'s memory. Backward keeps none of these
 # input-sized arrays: it recomputes ``xhat`` from the input, its parent,
 # and the ReLU mask from its own output (``relu(z) > 0`` exactly where
-# ``z > 0``). The tape holds the input and the output only.
+# ``z > 0``). The tape holds the input and the output only. Every
+# per-channel sum, forward and backward, is ``_channel_sum``.
 
 BN_MOMENTUM = 0.1   # weight of the batch statistics in the running buffers
 BN_EPS = 1e-5       # added to the variance before the square root
@@ -549,16 +638,15 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mode: str,
     c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"gamma/beta must have shape ({c},)")
-    red_axes = (0,) + tuple(range(2, x.ndim))
     bshape = (1, c) + (1,) * (x.ndim - 2)
     n = x.size // c
 
     if mode == "train":
         if n <= 1:
             raise ShapeError("batch statistics are degenerate: one value per channel")
-        mean = x.data.mean(axis=red_axes)
+        mean = _channel_sum(x.data) / n
         d = x.data - mean.reshape(bshape)
-        var = np.square(d).sum(axis=red_axes) / n
+        var = _channel_sum(np.square(d)) / n
         if running_mean is not None:
             running_mean *= 1.0 - BN_MOMENTUM
             running_mean += BN_MOMENTUM * mean
@@ -581,12 +669,12 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mode: str,
         if relu:
             g = g * (y > 0)
         want_x, want_gamma = needs_grad(x), needs_grad(gamma)
-        g_sum = g.sum(axis=red_axes)
+        g_sum = _channel_sum(g)
         if want_gamma or (want_x and mode == "train"):
             xhat = x.data - mean.reshape(bshape)
             xhat /= std
             gxhat = g * xhat
-            gxhat_sum = gxhat.sum(axis=red_axes)
+            gxhat_sum = _channel_sum(gxhat)
         if want_x:
             gs = gamma.data.reshape(bshape) / std
             if mode == "train":

@@ -211,7 +211,7 @@ def regress_disparity(cost: Tensor, d_max: int, out_hw: Tuple[int, int]) -> Tens
     # negates every product and so every sum exactly.
     neg_md = -md
     taps_w = ops._interp_taps(wl, w)
-    lo, hi, w_lo, w_hi = ops._interp_taps(hl, h)
+    lo, hi, w_lo, w_hi = ops._interp_taps(hl, h)[:4]
     tiles = []
     for r0, r1 in ops._row_runs(h, 8 * b * d_max * w):
         a, z = lo[r0], hi[r1 - 1] + 1     # the low-resolution rows the tile reads
@@ -232,8 +232,8 @@ def regress_disparity(cost: Tensor, d_max: int, out_hw: Tuple[int, int]) -> Tens
         for out_rows, rows, taps_h in tiles:
             gt = _cost_grad(probabilities(rows, taps_h), g[:, out_rows])
             gt = (md.T @ gt.reshape(b, d_max, -1)).reshape(b, dl, -1, w)
-            gt = ops._lerp_adjoint(gt, taps_w, wl, axis=3)
-            gc[:, :, rows] += ops._lerp_adjoint(gt, taps_h, rows.stop - rows.start, axis=2)
+            gt = ops._lerp_adjoint(gt, ops._two_taps(*taps_h, rows.stop - rows.start), axis=2)
+            gc[:, :, rows] += ops._lerp_adjoint(gt, taps_w, axis=3)
         accumulate_grad(cost, gc.reshape(cost.shape))
 
     return make_op(y, (cost,), bwd)

@@ -279,24 +279,34 @@ def _load_dataset(directory: str) -> List[ddata.StereoSample]:
     return [ddata.load_sample(directory, i) for i in indices]
 
 
+def _views(samples: Sequence[ddata.StereoSample], idx: Sequence[int]):
+    """The left and right views of ``samples[i]`` for ``i`` in ``idx``,
+    each stacked into one [B, 3, H, W] tensor."""
+    return (Tensor(np.stack([samples[i].left.data for i in idx])),
+            Tensor(np.stack([samples[i].right.data for i in idx])))
+
+
 def _batch_arrays(samples: Sequence[ddata.StereoSample], idx: Sequence[int],
-                  flip_rng: Optional[np.random.Generator] = None):
-    left = np.stack([samples[i].left.data for i in idx])
-    right = np.stack([samples[i].right.data for i in idx])
+                  flip_rng: Optional[np.random.Generator] = None,
+                  edge_maps: Optional[Dict[int, np.ndarray]] = None):
+    """Views, disparity, valid mask and depth-edge map of a training batch,
+    each sample flipped vertically by ``flip_rng``. ``edge_maps`` keeps
+    each sample's edge map by index, so a caller that passes the same
+    dict computes each map once."""
+    edge_maps = {} if edge_maps is None else edge_maps
+    for i in idx:
+        if i not in edge_maps:
+            edge_maps[i] = ddata.depth_edge_gt(samples[i].instance, samples[i].semantic)
+    left, right = _views(samples, idx)
     disp = np.stack([samples[i].disparity.data for i in idx])
     valid = np.stack([samples[i].valid for i in idx])
-    edges = np.stack([
-        ddata.depth_edge_gt(samples[i].instance, samples[i].semantic)
-        for i in idx])
+    edges = np.stack([edge_maps[i] for i in idx])
     if flip_rng is not None:
         # vertical flips keep the epipolar geometry (disparity is horizontal)
         for b in np.nonzero(flip_rng.uniform(size=len(idx)) < 0.5)[0]:
-            left[b] = left[b, :, ::-1]
-            right[b] = right[b, :, ::-1]
-            disp[b] = disp[b, ::-1]
-            valid[b] = valid[b, ::-1]
-            edges[b] = edges[b, ::-1]
-    return Tensor(left), Tensor(right), disp, valid, edges
+            for a in (left.data, right.data, disp, valid, edges):
+                a[b] = a[b, ..., ::-1, :]
+    return left, right, disp, valid, edges
 
 
 def compute_losses(outputs: Dict[str, Tensor], disp: np.ndarray, valid: np.ndarray,
@@ -329,8 +339,7 @@ def recalibrate_norm_stats(params: ModelParams, net: NetworkConfig,
     with no_grad():
         for _ in range(batches):
             idx = rng.choice(len(samples), size=n, replace=False)
-            left, right, *_ = _batch_arrays(samples, idx)
-            network.forward(left, right, params, net, "stats")
+            network.forward(*_views(samples, idx), params, net, "stats")
 
 
 def train(cfg: TrainConfig) -> Dict[str, object]:
@@ -348,6 +357,7 @@ def train(cfg: TrainConfig) -> Dict[str, object]:
     last_path = os.path.join(cfg.out_dir, "last.ckpt")
     best_epe = np.inf
     order: List[int] = []
+    edge_maps: Dict[int, np.ndarray] = {}
 
     def next_batch():
         nonlocal order
@@ -360,7 +370,7 @@ def train(cfg: TrainConfig) -> Dict[str, object]:
         for step in range(1, cfg.steps + 1):
             state.lr = _lr_at(cfg.lr_schedule, step - 1)
             idx = next_batch()
-            left, right, disp, valid, edges = _batch_arrays(samples, idx, flip_rng)
+            left, right, disp, valid, edges = _batch_arrays(samples, idx, flip_rng, edge_maps)
             outputs = network.forward(left, right, params, cfg.network, "train")
             parts = compute_losses(outputs, disp, valid, edges,
                                    cfg.loss_weights, cfg.network)
@@ -418,8 +428,7 @@ def predict_batch(params: ModelParams, cfg: NetworkConfig,
     eval-mode batch-norm and every contraction act per sample. Raises
     ValueError when weights that overflow the forward pass leave a
     non-finite disparity."""
-    left = Tensor(np.stack([s.left.data for s in samples]))
-    right = Tensor(np.stack([s.right.data for s in samples]))
+    left, right = _views(samples, range(len(samples)))
     # overflowing weights are named by the check below, not by numpy warnings
     with no_grad(), np.errstate(over="ignore", invalid="ignore"):
         disp = network.forward(left, right, params, cfg, "infer")["d3"].data

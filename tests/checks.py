@@ -235,6 +235,51 @@ def out_of_place_batch_norm(x, gamma, beta, mode, running_mean=None, running_var
     return make_op(y, (x, gamma, beta), bwd)
 
 
+def scattering_conv_grads(x, w, g, stride, dilation, pad):
+    """Input and weight gradients of ``ops._corr_forward(x, w, ...)`` for
+    the cotangent ``g``, the input gradient by scattering and the weight
+    gradient by gathering the input.
+
+    The input gradient runs one GEMM ``[Cin*K, Cout] x [Cout, N_block]``
+    per sample and block and adds each tap's columns back into the input
+    positions it reads, blocks from the last rows to the first; the weight
+    gradient sums ``g_block x cols_blockᵀ`` over the input's columns.
+    """
+    cout, cin = w.shape[:2]
+    kernel = w.shape[2:]
+    plan, blocks = ops._blocks(cin, x.shape[2:], kernel, stride, dilation, pad)
+    wt = ops._kept_weight(w, plan).T
+    gx = np.zeros(x.shape)
+    for gb, gxb in zip(g, gx):
+        for blk in reversed(blocks):
+            cols = wt @ gb[:, blk.rows].reshape(cout, int(np.prod(blk.out)))
+            cols = cols.reshape((cin,) + plan.kept + blk.out)
+            for src, dst in blk.moves:
+                gxb[src] += cols[dst]
+    return gx, gathering_weight_grad(x, g, kernel, stride, dilation, pad)
+
+
+def gathering_weight_grad(x, g, kernel, stride, dilation, pad):
+    """Weight gradient of the correlation of ``x`` for the cotangent ``g``:
+    over the batch, then the blocks, ``g_block x cols_blockᵀ`` of ``x``'s
+    columns."""
+    plan, blocks = ops._blocks(x.shape[1], x.shape[2:], kernel, stride, dilation, pad)
+    cout, cin = g.shape[1], x.shape[1]
+    gk = np.zeros((cout, cin * int(np.prod(plan.kept))))
+    for b, blk, cols in ops._gather(x, plan, blocks):
+        gk += g[b, :, blk.rows].reshape(cout, int(np.prod(blk.out))) @ cols.T
+    gw = np.zeros((cout, cin) + tuple(kernel))
+    gw[(slice(None), slice(None)) + plan.taps] = gk.reshape((cout, cin) + plan.kept)
+    return gw
+
+
+def separate_transposed_grads(x, w, g, stride, dilation, pad):
+    """Input and weight gradients of ``ops.conv3d_transposed(x, w, ...)``
+    for the cotangent ``g``, each from its own gather of ``g``."""
+    return (ops._corr_forward(g, w, stride, dilation, pad),
+            gathering_weight_grad(g, x, w.shape[2:], stride, dilation, pad))
+
+
 def chained_regress_disparity(cost, d_max, out_hw):
     """``stereo.regress_disparity`` as the two ops it fuses: the trilinear
     upsample of the whole cost, then the soft-argmin."""

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from checks import (fd_check, naive_conv, out_of_place_batch_norm, pad_zero,
                     padded_corr_forward, padded_corr_weight_grad, rand_tensor,
+                    scattering_conv_grads, separate_transposed_grads,
                     stuffed_corr_input_grad)
 from edgedisp import ops, stereo
 from edgedisp.ops import ConvSpec, ShapeError
@@ -315,6 +316,18 @@ _BLOCKED_CASES = [
 ]
 
 
+def _backward_blocks(x_shape, w_shape, spec):
+    """The blocks over which a conv's backward gathers its cotangent, or
+    over which it scatters the input gradient where it cannot gather."""
+    nd = len(w_shape) - 2
+    s, d, p = spec.resolved(nd)
+    back = tuple(di * (k - 1) - pi for k, di, pi in zip(w_shape[2:], d, p))
+    if s != (1,) * nd or min(back) < 0:
+        return ops._blocks(x_shape[1], x_shape[2:], w_shape[2:], s, d, p)[1]
+    out = ops._tap_plan(x_shape[2:], w_shape[2:], s, d, p).out
+    return ops._blocks(w_shape[0], out, w_shape[2:], s, d, back)[1]
+
+
 def _block_count(name, x_shape, w_shape, spec, output_size):
     s, d, p = spec.resolved(len(w_shape) - 2)
     if name == "conv3d_transposed":
@@ -345,25 +358,33 @@ class TestBlockedPasses:
 
     @pytest.mark.parametrize("spec", [ConvSpec(padding=1), ConvSpec(stride=2, padding=1)])
     def test_blocks_leave_forward_and_input_grad_bit_identical(self, monkeypatch, spec):
-        """The forward GEMMs compute the same columns; the input gradient
-        adds every position's terms in tap order, as from one block. At a
-        network-like size: OpenBLAS takes other kernels for GEMMs only a few
-        columns wide, which change the last bits of the forward."""
+        """The forward GEMMs compute the same columns; so do the GEMMs of
+        the input gradient at stride 1, which gathers the cotangent; at
+        stride 2 the input gradient adds every position's terms in tap
+        order, as from one block. At a network-like size: OpenBLAS takes
+        other kernels for GEMMs only a few columns wide, which change the
+        last bits of the forward."""
         rng = np.random.default_rng(32)
         x, w = rng.normal(size=(2, 8, 8, 32, 32)), rng.normal(size=(4, 8, 3, 3, 3))
         s, d, p = spec.resolved(3)
 
         def passes():
-            y = ops._corr_forward(x, w, s, d, p)
+            xt = Tensor(x, requires_grad=True)
+            y = ops.conv3d(xt, Tensor(w), spec=spec)
             g = np.random.default_rng(33).normal(size=y.shape)
-            return y, ops._corr_input_grad(g, w, s, d, p, x.shape[2:])
+            (y * Tensor(g)).sum().backward()
+            return y.data, xt.grad
+
+        def blocks():
+            return (len(ops._blocks(8, x.shape[2:], w.shape[2:], s, d, p)[1]),
+                    len(_backward_blocks(x.shape, w.shape, spec)))
 
         monkeypatch.setattr(ops, "_WORK_BUDGET", 1 << 40)
-        plan, blocks = ops._blocks(8, x.shape[2:], w.shape[2:], s, d, p)
-        assert len(blocks) == 1
+        plan = ops._tap_plan(x.shape[2:], w.shape[2:], s, d, p)
+        assert blocks() == (1, 1)
         one = passes()
         monkeypatch.setattr(ops, "_WORK_BUDGET", 2 * 8 * 8 * 27 * int(np.prod(plan.out[1:])))
-        assert len(ops._blocks(8, x.shape[2:], w.shape[2:], s, d, p)[1]) >= 2
+        assert min(blocks()) >= 2
         for a, b in zip(passes(), one):
             np.testing.assert_array_equal(a, b)
 
@@ -435,6 +456,134 @@ class TestBlockedPasses:
         assert y.shape == (1, 8) + plan.out
         assert len(blocks) > 1
         bound = x.data.nbytes + w.data.nbytes + y.data.nbytes + block + slack
+        assert peak < bound, (peak, bound)
+
+
+# (name, x shape, w shape, spec, budget in bytes or None): stride-1 convs,
+# whose backward gathers the cotangent once for both gradients.
+_GATHERED_CASES = [
+    ("conv2d", (2, 3, 6, 7), (5, 3, 1, 1), ConvSpec(), None),
+    ("conv3d", (2, 4, 3, 5, 6), (2, 4, 1, 1, 1), ConvSpec(), None),
+    ("conv2d", (2, 3, 4, 4), (5, 3, 3, 3), ConvSpec(dilation=16, padding=16), None),
+    ("conv3d", (2, 3, 1, 4, 4), (4, 3, 3, 3, 3), ConvSpec(dilation=16, padding=16), None),
+    # Cin > Cout, then Cout > Cin
+    ("conv2d", (2, 6, 7, 5), (2, 6, 3, 3), ConvSpec(dilation=(1, 2), padding=(0, 1)), None),
+    ("conv3d", (2, 6, 3, 5, 4), (2, 6, 3, 3, 3), ConvSpec(padding=1), None),
+    ("conv2d", (2, 2, 5, 6), (6, 2, 3, 3), ConvSpec(dilation=2, padding=2), None),
+    ("conv3d", (2, 2, 4, 3, 5), (5, 2, 3, 3, 3), ConvSpec(padding=(1, 0, 1)), None),
+    # at least three blocks of rows
+    ("conv2d", (2, 3, 12, 6), (4, 3, 3, 3), ConvSpec(padding=1), 2 * 4 * 9 * 6 * 8),
+    ("conv3d", (2, 2, 8, 4, 4), (3, 2, 3, 3, 3), ConvSpec(dilation=2, padding=2), 1),
+]
+
+# (x shape, w shape, spec, output_size, budget in bytes or None)
+_TRANSPOSED_CASES = [
+    ((2, 3, 2, 3, 3), (3, 4, 3, 3, 3), ConvSpec(stride=2, padding=1), (4, 6, 6), None),
+    ((2, 3, 1, 2, 2), (3, 4, 3, 3, 3), ConvSpec(dilation=4, padding=4), (1, 2, 2), None),
+    ((2, 3, 5, 3, 3), (3, 2, 3, 3, 3), ConvSpec(stride=2, padding=1), (10, 6, 6), 1),
+]
+
+
+class TestGatheredBackward:
+    """A stride-1 conv's backward and ``conv3d_transposed``'s backward
+    take both gradients from one gather of the cotangent; the earlier
+    backward (scattered input gradient, gathered input for the weight
+    gradient; one gather per gradient for the transposed conv) is the
+    reference."""
+
+    @staticmethod
+    def _assert_close(got, want):
+        for what, a, r in zip(("input grad", "weight grad", "bias grad"), got, want):
+            assert a.shape == r.shape, what
+            assert np.abs(a - r).max() <= 1e-12 * np.abs(r).max(), what
+
+    @pytest.mark.parametrize("name, x_shape, w_shape, spec, budget", _GATHERED_CASES)
+    def test_matches_scattering_backward(self, monkeypatch, name, x_shape, w_shape, spec,
+                                         budget):
+        if budget is not None:
+            monkeypatch.setattr(ops, "_WORK_BUDGET", budget)
+            assert len(_backward_blocks(x_shape, w_shape, spec)) >= 3
+        nd = len(w_shape) - 2
+        s, d, p = spec.resolved(nd)
+        assert s == (1,) * nd and all(di * (k - 1) >= pi for k, di, pi in zip(w_shape[2:], d, p))
+        rng = np.random.default_rng(41)
+        x, w, b = rng.normal(size=x_shape), rng.normal(size=w_shape), rng.normal(size=w_shape[0])
+        g, (_, gx, gw, gb) = _conv_with_grads(name, x, w, b, spec, None, rng)
+        want_x, want_w = scattering_conv_grads(x, w, g, s, d, p)
+        self._assert_close((gx, gw, gb),
+                           (want_x, want_w, g.sum(axis=(0,) + tuple(range(2, 2 + nd)))))
+
+    @pytest.mark.parametrize("x_shape, w_shape, spec, output_size, budget", _TRANSPOSED_CASES)
+    def test_transposed_matches_separate_gathers(self, monkeypatch, x_shape, w_shape, spec,
+                                                 output_size, budget):
+        if budget is not None:
+            monkeypatch.setattr(ops, "_WORK_BUDGET", budget)
+            assert _block_count("conv3d_transposed", x_shape, w_shape, spec, output_size) >= 3
+        rng = np.random.default_rng(42)
+        x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
+        g, (_, gx, gw, _) = _conv_with_grads("conv3d_transposed", x, w, None, spec,
+                                             output_size, rng)
+        self._assert_close((gx, gw), separate_transposed_grads(x, w, g, *spec.resolved(3)))
+
+    @pytest.mark.parametrize("name, x_shape, w_shape, spec", [
+        ("conv2d", (4, 3, 9, 8), (5, 3, 3, 3), ConvSpec(padding=1)),
+        ("conv3d", (4, 4, 3, 6, 5), (2, 4, 3, 3, 3), ConvSpec(dilation=2, padding=2)),
+        ("conv2d", (4, 3, 9, 8), (5, 3, 3, 3), ConvSpec(stride=2, padding=1)),
+    ])
+    def test_input_grad_is_batch_invariant(self, name, x_shape, w_shape, spec):
+        """Each sample's input gradient is the same bits alone, in the
+        batch and in the batch reordered."""
+        rng = np.random.default_rng(43)
+        x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
+        conv = getattr(ops, name)
+        g = rng.normal(size=conv(Tensor(x), Tensor(w), spec=spec).shape)
+
+        def input_grad(order):
+            xt = Tensor(x[order], requires_grad=True)
+            y = conv(xt, Tensor(w, requires_grad=True), spec=spec)
+            (y * Tensor(g[order])).sum().backward()
+            return xt.grad
+
+        order = [2, 0, 3, 1]
+        batch, shuffled = input_grad([0, 1, 2, 3]), input_grad(order)
+        for i in range(4):
+            alone = input_grad([i])[0]
+            np.testing.assert_array_equal(batch[i], alone)
+            np.testing.assert_array_equal(shuffled[order.index(i)], alone)
+
+    @pytest.mark.parametrize("shape", [(4, 8, 64, 64), (2, 3, 5, 7), (3, 5, 1, 1), (1, 1, 3, 3),
+                                       (4, 8, 4, 16, 16), (1, 24, 8, 32, 64), (2, 3, 1, 4, 5)])
+    def test_channel_sum_equals_multi_axis_sum(self, shape):
+        a = np.random.default_rng(44).normal(size=shape)
+        np.testing.assert_array_equal(ops._channel_sum(a),
+                                      a.sum(axis=(0,) + tuple(range(2, a.ndim))))
+
+    def test_default_budget_bounds_backward_memory(self):
+        """The backward of the cost-volume stem's first conv3d at 128x256,
+        d_max 32, peaks below its input, cotangent, both gradients, one
+        block of the cotangent's column matrix and a slack for the
+        flipped weight and [Cin, N_block] products."""
+        slack = 1 << 20
+        x_shape, w_shape = (1, 24, 8, 32, 64), (8, 24, 3, 3, 3)
+        spec = ConvSpec(padding=1)
+        blocks = _backward_blocks(x_shape, w_shape, spec)
+        block = 8 * 8 * 27 * max(int(np.prod(blk.out)) for blk in blocks)
+        assert len(blocks) > 1
+        rng = np.random.default_rng(45)
+        tracemalloc.start()
+        try:
+            x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+            w = Tensor(rng.normal(size=w_shape), requires_grad=True)
+            y = ops.conv3d(x, w, spec=spec)
+            g = rng.normal(size=y.shape)
+            backward = y._backward
+            del y
+            tracemalloc.reset_peak()
+            backward(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 2 * x.data.nbytes + g.nbytes + w.data.nbytes + block + slack
         assert peak < bound, (peak, bound)
 
 
@@ -563,6 +712,19 @@ class TestPoolingAndUpsampling:
 
         ref = interp_axis(interp_axis(interp_axis(x, 6, 2), 8, 3), 8, 4)
         assert np.abs(y - ref).max() < 1e-12
+
+    @pytest.mark.parametrize("n_in, n_out", [(16, 64), (64, 16), (1, 16), (5, 5), (3, 7),
+                                             (7, 3), (6, 13), (32, 16)])
+    @pytest.mark.parametrize("axis", [2, 3])
+    def test_lerp_adjoint_is_the_matrix_transpose(self, n_in, n_out, axis):
+        shape = [2, 3, 4, 5]
+        shape[axis] = n_out
+        g = np.random.default_rng(9).normal(size=shape)
+        want = np.moveaxis(np.tensordot(g, ops._interp_matrix(n_in, n_out), axes=([axis], [0])),
+                           -1, axis)
+        got = ops._lerp_adjoint(g, ops._interp_taps(n_in, n_out), axis)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_bilinear_downsample_shape(self):
         x = Tensor(np.arange(32.0).reshape(1, 2, 4, 4))
