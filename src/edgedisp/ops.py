@@ -19,35 +19,29 @@ the block's output slices that read them, from the landings of the
 block's rows on the first axis and of every output on the others. A
 pass's working memory is one block, not the whole ``[Cin*K, N]`` matrix.
 
-Gather (forward, every weight gradient, and the input gradient at stride
-1): per sample, then per block, the block's kept taps are copied from an
-array into its column matrix. One buffer per call, zeroed once, serves
-every block and sample; before a block is refilled over another block's
-columns, the rows its taps skip are zeroed again, so the columns of taps
-that read padding stay zero. The forward pass runs one GEMM ``[Cout,
-Cin*K] x [Cin*K, N_block]`` per sample and block, written into the
-block's rows; the weight gradient adds ``gy_block [Cout, N_block] x
-cols_blockᵀ`` in batch, then block order.
+Gather (every pass): per sample, then per block, the block's kept taps
+are copied from an array into its column matrix. One buffer per call,
+zeroed once, serves every block and sample; before a block is refilled
+over another block's columns, the rows its taps skip are zeroed again, so
+the columns of taps that read padding stay zero. The forward pass runs one
+GEMM ``[Cout, Cin*K] x [Cin*K, N_block]`` per sample and block, written
+into the block's rows; the weight gradient adds ``gy_block [Cout,
+N_block] x cols_blockᵀ`` in batch, then block order.
 
-At stride 1 the input gradient is the correlation of the cotangent with
-the flipped, channel-swapped kernel (``_flipped``), padded by
-``dilation*(k-1) - pad`` (Dumoulin & Visin, arXiv 1603.07285). When the
-input needs a gradient, backward gathers the cotangent once
-(``_corr_weight_grad`` with a weight): per sample and block the columns
-give ``gx = W_flip x cols`` and add ``x_block x colsᵀ`` to the weight
-gradient of the flipped kernel, which flips back into the weight's. For
-a same-padded conv that geometry is the forward's, so backward reuses
-the forward's plans. ``conv3d_transposed`` takes both its gradients from
-one gather of its cotangent in the forward geometry, at any stride.
-
-Scatter (the input gradient at stride 2 or where ``pad`` exceeds
-``dilation*(k-1)``, and the transposed convolution's forward): per
-sample and block, one GEMM ``[Cin*K, Cout] x [Cout, N_block]`` gives the
-block's columns of every kept tap, and each move of the block adds its
-columns, in tap order, back into the input positions it reads. The blocks
-run from the last rows to the first, so every input position gets its
-terms in tap order, whatever the blocks. Scatter is the exact adjoint of
-gather over the same moves; nothing is zero-stuffed or margin-padded.
+Phases (every input gradient, and the forward of ``conv3d_transposed``,
+the input gradient of the conv it transposes): on each axis, input phase
+``r`` (positions ``r, r+s, ...``) is read by the taps with ``t*d - p ≡ r
+(mod s)``, a run of the kernel with step ``s/gcd(s,d)``. Its gradient is
+the stride-1 correlation of the cotangent with those taps, flipped and
+channel-swapped, at dilation ``d/gcd(s,d)``, left offset ``(t_last*d - p
+- r)/s`` and ``ceil((n-r)/s)`` outputs (``_phases``; Shi et al., arXiv
+1609.05158; Dumoulin & Visin, arXiv 1603.07285): the adjoint's MACs,
+nothing zero-stuffed; a phase no tap reads gets exact zeros. Per phase,
+one ``_corr_weight_grad`` gathers the cotangent once for the phase's
+input gradient and, against the input phase, its taps' weight gradient.
+Stride 1 is one phase, written straight into the input gradient; a
+same-padded conv's shares the forward's plans. ``conv3d_transposed``'s
+backward gathers its cotangent once, in the forward geometry.
 
 Each op computes its result eagerly and returns
 ``tensor.make_op(result, parents, backward)``; the ``backward`` closure
@@ -117,7 +111,7 @@ def conv_out_extent(n: int, k: int, stride: int, dilation: int, pad: int) -> int
     return out
 
 
-# -- tap plan, gather and scatter ---------------------------------------------
+# -- tap plan, gather and phases ----------------------------------------------
 
 
 class _TapPlan(NamedTuple):
@@ -140,15 +134,18 @@ def _lands(n: int, k: int, s: int, d: int, p: int, r0: int, r1: int) -> dict:
     return lands
 
 
-# A network at one image size needs a few dozen plans: the default
-# configuration needs 23 tap plans, and 23 block plans at 64x64, 34 at
-# 128x256 with d_max 32, 52 at 256x512 with d_max 64. The bounds keep a
-# service fed many image sizes finite.
+# A network at one image size needs a few dozen plans. A batch-4 train step
+# of the default configuration at 64x64 holds 69 tap plans (most under two
+# keys: output extents by default and given), 44 block plans and 22 phase
+# sets; predict holds 49 block plans at 128x256/d_max 32, 68 at
+# 256x512/d_max 64. The bounds keep a service fed many image sizes finite.
 @functools.lru_cache(maxsize=256)
-def _tap_plan(in_spatial, kernel, stride, dilation, pad) -> _TapPlan:
-    """The output extents and, per axis, the kept tap range: from the first
-    to the last tap that reads any input (``_lands`` over every output)."""
-    out = tuple(conv_out_extent(*a) for a in zip(in_spatial, kernel, stride, dilation, pad))
+def _tap_plan(in_spatial, kernel, stride, dilation, pad, out=None) -> _TapPlan:
+    """The output extents, ``out`` or by ``conv_out_extent``, and, per axis,
+    the kept tap range: from the first to the last tap that reads any input
+    (``_lands`` over every output)."""
+    if out is None:
+        out = tuple(conv_out_extent(*a) for a in zip(in_spatial, kernel, stride, dilation, pad))
     lands = [_lands(n, k, s, d, p, 0, m)
              for n, k, s, d, p, m in zip(in_spatial, kernel, stride, dilation, pad, out)]
     taps = tuple(slice(min(a), max(a) + 1) if a else slice(0, 0) for a in lands)
@@ -184,19 +181,15 @@ class _Block(NamedTuple):
 
 
 @functools.lru_cache(maxsize=1024)
-def _block_plan(in_spatial, kernel, stride, dilation, pad, rows) -> _Block:
+def _block_plan(in_spatial, kernel, stride, dilation, pad, rows, out=None) -> _Block:
     """The moves of output rows ``rows = (r0, r1)`` of the first spatial
     axis: for each kept tap, in row-major order, that reads input on every
     axis for some output of the block, a move pairs the index of what it
     reads in one sample ``[Cin, *in_spatial]`` with the index of its
-    columns in the block's ``[Cin, *kept, r1 - r0, *out[1:]]``.
-
-    ``clear`` lists, for each kept tap of the first axis, the rows of the
-    block it does not land in. Those columns hold zeros in a fresh buffer;
-    a buffer that another block of the same extents filled before must be
-    zeroed there again.
-    """
-    plan = _tap_plan(in_spatial, kernel, stride, dilation, pad)
+    columns in the block's ``[Cin, *kept, r1 - r0, *out[1:]]``. ``clear``
+    lists, for each kept tap of the first axis, the rows of the block it
+    does not land in, whose columns a reused buffer must zero again."""
+    plan = _tap_plan(in_spatial, kernel, stride, dilation, pad, out)
     r0, r1 = rows
     spans = (rows,) + tuple((0, m) for m in plan.out[1:])
     lands = [_lands(n, k, s, d, p, *span)
@@ -218,25 +211,22 @@ def _block_plan(in_spatial, kernel, stride, dilation, pad, rows) -> _Block:
     return _Block(slice(r0, r1), (n,) + plan.out[1:], tuple(moves), tuple(clear))
 
 
-def _blocks(cin: int, in_spatial, kernel, stride, dilation, pad):
+def _blocks(cin: int, in_spatial, kernel, stride, dilation, pad, out=None):
     """The tap plan and its blocks: runs of whole output rows of the first
     spatial axis whose ``[Cin*K, N]`` column matrix fits ``_WORK_BUDGET``."""
-    plan = _tap_plan(in_spatial, kernel, stride, dilation, pad)
+    plan = _tap_plan(in_spatial, kernel, stride, dilation, pad, out)
     row = 8 * cin * math.prod(plan.kept) * math.prod(plan.out[1:])
-    return plan, [_block_plan(in_spatial, kernel, stride, dilation, pad, rows)
+    return plan, [_block_plan(in_spatial, kernel, stride, dilation, pad, rows, plan.out)
                   for rows in _row_runs(plan.out[0], row)]
 
 
 def _gather(x: np.ndarray, plan: _TapPlan, blocks):
     """Per sample in batch order, then per block: the sample index, the
-    block, and its ``[Cin*K, N_block]`` column matrix.
-
-    One buffer, zeroed once, serves every block; each yielded matrix is
-    overwritten by the next. Refilling the block that filled it last
-    rewrites the same positions. Before a block of the same extents, the
-    rows its taps skip are zeroed; before a block of other extents, the
-    whole matrix is.
-    """
+    block, and its ``[Cin*K, N_block]`` column matrix, in one buffer,
+    zeroed once, that the next block overwrites. Refilling the block that
+    filled it last rewrites the same positions; before another block of
+    the same extents the rows its taps skip are zeroed, before a block of
+    other extents the whole matrix."""
     cin, k = x.shape[1], math.prod(plan.kept)
     buf = np.zeros(cin * k * max(math.prod(blk.out) for blk in blocks))
     last = None
@@ -257,18 +247,21 @@ def _gather(x: np.ndarray, plan: _TapPlan, blocks):
 
 
 def _rows(a: np.ndarray, b: int, blk: _Block) -> np.ndarray:
-    """Sample ``b``'s rows of ``blk`` in ``a`` [B, C, *spatial] as a
-    ``[C, N_block]`` view: a block's rows are whole rows of the first
-    spatial axis, contiguous within each channel."""
+    """Sample ``b``'s rows of ``blk`` in ``a`` [B, C, *spatial] as a ``[C,
+    N_block]`` view of whole first-axis rows, contiguous per channel."""
     return a[b, :, blk.rows].reshape(a.shape[1], math.prod(blk.out))
 
 
-def _corr_forward(x: np.ndarray, w: np.ndarray, stride, dilation, pad) -> np.ndarray:
+def _corr_forward(x: np.ndarray, w: np.ndarray, stride, dilation, pad,
+                  y: Optional[np.ndarray] = None) -> np.ndarray:
     """Per sample and block, one GEMM ``[Cout, Cin*K] x [Cin*K, N_block]``
-    over the kept taps, written into the block's output rows."""
-    plan, blocks = _blocks(x.shape[1], x.shape[2:], w.shape[2:], stride, dilation, pad)
+    over the kept taps, written into the block's rows of ``y`` or, by
+    default, of a new array."""
+    plan, blocks = _blocks(x.shape[1], x.shape[2:], w.shape[2:], stride, dilation, pad,
+                           None if y is None else y.shape[2:])
     wk = _kept_weight(w, plan)
-    y = np.empty((x.shape[0], w.shape[0]) + plan.out)
+    if y is None:
+        y = np.empty((x.shape[0], w.shape[0]) + plan.out)
     for b, blk, cols in _gather(x, plan, blocks):
         np.matmul(wk, cols, out=_rows(y, b, blk))
     return y
@@ -280,13 +273,9 @@ def _corr_weight_grad(x: np.ndarray, gy: np.ndarray, kernel, stride, dilation, p
     """Gradient of the ``[Cout, Cin, *kernel]`` weight of the correlation
     of ``x`` for the cotangent ``gy`` of its output: the sum over the
     batch, then the blocks, in order, of ``gy_block [Cout, N_block] x
-    cols_blockᵀ``.
-
-    With ``y``, the same columns also give the correlation of ``x`` with
-    the weight ``w``, written into ``y``: the other gradient of a backward
-    pass that gathers its cotangent once.
-    """
-    plan, blocks = _blocks(x.shape[1], x.shape[2:], kernel, stride, dilation, pad)
+    cols_blockᵀ``. With ``y``, the same columns also give the correlation
+    of ``x`` with ``w``, written into ``y``."""
+    plan, blocks = _blocks(x.shape[1], x.shape[2:], kernel, stride, dilation, pad, gy.shape[2:])
     cout, cin = gy.shape[1], x.shape[1]
     wk = None if y is None else _kept_weight(w, plan)
     gk = np.zeros((cout, cin * math.prod(plan.kept)))
@@ -299,35 +288,49 @@ def _corr_weight_grad(x: np.ndarray, gy: np.ndarray, kernel, stride, dilation, p
     return gw
 
 
-def _corr_input_grad(gy: np.ndarray, w: np.ndarray, stride, dilation, pad,
-                     in_spatial) -> np.ndarray:
-    """Adjoint of _corr_forward w.r.t. the input (= transposed convolution).
-
-    Per sample and block, one GEMM ``[Cin*K, Cout] x [Cout, N_block]``
-    gives the block's columns of every kept tap; each move of the block
-    then adds, in tap order, its columns back into the input positions its
-    tap reads. The blocks run from the last rows to the first: a later tap
-    of the first axis reaches an input row from an earlier output row, so
-    every input position gets its terms in tap order, as from one block.
-    """
-    cout, cin = w.shape[:2]
-    plan, blocks = _blocks(cin, in_spatial, w.shape[2:], stride, dilation, pad)
-    wt = _kept_weight(w, plan).T
-    gx = np.zeros((gy.shape[0], cin) + in_spatial)
-    for g, gxb in zip(gy, gx):
-        for blk in reversed(blocks):
-            cols = wt @ g[:, blk.rows].reshape(cout, math.prod(blk.out))
-            cols = cols.reshape((cin,) + plan.kept + blk.out)
-            for src, dst in blk.moves:
-                gxb[src] += cols[dst]
-    return gx
+class _Phase(NamedTuple):
+    at: tuple      # its input positions in [B, C, *spatial]: r::s per axis
+    taps: tuple    # its taps in [Cout, Cin, *kernel], last first
+    geom: tuple    # (kernel, stride, dilation, pad) of its correlation of the cotangent
+    out: Tuple[int, ...]   # its number of input positions per axis
 
 
-def _flipped(w: np.ndarray) -> np.ndarray:
-    """``w`` [Cout, Cin, *k] as [Cin, Cout, *k] with every spatial axis
-    reversed; its own inverse."""
-    flip = (slice(None, None, -1),) * (w.ndim - 2)
-    return np.ascontiguousarray(w.swapaxes(0, 1)[(slice(None), slice(None)) + flip])
+@functools.lru_cache(maxsize=256)
+def _phases(in_spatial, kernel, stride, dilation, pad) -> tuple:
+    """The phases of the input positions that some tap reads, in row-major
+    order, each with its taps and the geometry of its correlation."""
+    axes = []
+    for n, k, s, d, p in zip(in_spatial, kernel, stride, dilation, pad):
+        g = math.gcd(s, d)
+        taps = [[t for t in range(k) if (t * d - p - r) % s == 0] for r in range(min(s, n))]
+        axes.append([(slice(r, None, s), slice(t[-1], t[0] - 1 if t[0] else None, -(s // g)),
+                      len(t), d // g, (t[-1] * d - p - r) // s, -(-(n - r) // s))
+                     for r, t in enumerate(taps) if t])
+    chan = (slice(None),) * 2
+    return tuple(_Phase(chan + at, chan + taps, (k, (1,) * len(k), d, p), out)
+                 for at, taps, k, d, p, out in (zip(*c) for c in itertools.product(*axes)))
+
+
+def _input_grad(gy: np.ndarray, w: np.ndarray, stride, dilation, pad, in_spatial,
+                x: Optional[np.ndarray] = None):
+    """The input gradient of the correlation with ``w`` [Cout, Cin, *k] for
+    the cotangent ``gy``, phase by phase; with the input ``x``, ``(gx,
+    gw)``, the weight gradient from the same gathers."""
+    phases = _phases(in_spatial, w.shape[2:], stride, dilation, pad)
+    shape = (gy.shape[0], w.shape[1]) + in_spatial
+    whole = len(phases) == 1 and phases[0].out == in_spatial
+    gx = np.empty(shape) if whole else np.zeros(shape)
+    gw = None if x is None else np.zeros(w.shape)
+    for ph in phases:
+        v = w[ph.taps].swapaxes(0, 1)
+        part = gx if whole else np.empty(shape[:2] + ph.out)
+        if x is None:
+            _corr_forward(gy, v, *ph.geom[1:], part)
+        else:
+            gw[ph.taps] = _corr_weight_grad(gy, x[ph.at], *ph.geom, v, part).swapaxes(0, 1)
+        if not whole:
+            gx[ph.at] = part
+    return gx if x is None else (gx, gw)
 
 
 def _channel_sum(a: np.ndarray) -> np.ndarray:
@@ -359,23 +362,13 @@ def _convnd(x: Tensor, w: Tensor, bias: Optional[Tensor], spec: ConvSpec, nd: in
             raise ShapeError(f"bias shape {bias.shape} != ({w.shape[0]},)")
         y += bias.data.reshape((1, -1) + (1,) * nd)
     parents = (x, w) if bias is None else (x, w, bias)
-    kernel = w.shape[2:]
-    # At stride 1 the input gradient is the correlation of the cotangent
-    # with the flipped, channel-swapped kernel, padded by d*(k-1) - p.
-    back = tuple(d * (k - 1) - p for k, d, p in zip(kernel, dilation, pad))
-    gather = stride == (1,) * nd and min(back) >= 0
 
     def bwd(g):
-        if gather and needs_grad(x):
-            gx = np.empty(x.shape)
-            gw = _flipped(_corr_weight_grad(g, x.data, kernel, stride, dilation, back,
-                                            _flipped(w.data), gx))
-        else:   # the input gradient scatters; a weight gradient alone gathers x
-            gx = (_corr_input_grad(g, w.data, stride, dilation, pad, x.shape[2:])
-                  if needs_grad(x) else None)
-            gw = _corr_weight_grad(x.data, g, kernel, stride, dilation, pad)
-        if gx is not None:
+        if needs_grad(x):
+            gx, gw = _input_grad(g, w.data, stride, dilation, pad, x.shape[2:], x.data)
             accumulate_grad(x, gx)
+        else:
+            gw = _corr_weight_grad(x.data, g, w.shape[2:], stride, dilation, pad)
         accumulate_grad(w, gw)
         if bias is not None and needs_grad(bias):
             accumulate_grad(bias, _channel_sum(g))
@@ -412,7 +405,7 @@ def conv3d_transposed(x: Tensor, w: Tensor, spec: ConvSpec = ConvSpec(), *,
     if back != x.shape[2:]:
         raise ShapeError(f"output_size {output_size} convolves back to {back}, "
                          f"not to the input extents {x.shape[2:]}")
-    y = _corr_input_grad(x.data, w.data, stride, dilation, pad, output_size)
+    y = _input_grad(x.data, w.data, stride, dilation, pad, output_size)
 
     def bwd(g):
         gx = np.empty(x.shape) if needs_grad(x) else None

@@ -252,6 +252,8 @@ class TrainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1 or self.steps < 0:
             raise ValueError("batch size must be >= 1 and steps >= 0")
+        if self.network.norm_enabled and self.batch_size < 2:
+            raise ValueError(f"batch_size must be >= 2 with norm_enabled, got {self.batch_size}")
         if self.eval_interval < 1:
             raise ValueError(f"eval_interval must be >= 1, got {self.eval_interval}")
         if not self.lr_schedule:
@@ -344,8 +346,11 @@ def recalibrate_norm_stats(params: ModelParams, net: NetworkConfig,
 
 def train(cfg: TrainConfig) -> Dict[str, object]:
     """Deterministic training run; writes JSONL log plus best/last checkpoints."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
     samples = _load_dataset(cfg.data_dir)
+    if cfg.steps and cfg.network.norm_enabled and len(samples) < 2:
+        raise ValueError(f"training directory {cfg.data_dir!r} holds {len(samples)} sample; "
+                         "batch statistics need at least 2 with network.norm_enabled")
+    os.makedirs(cfg.out_dir, exist_ok=True)
     val_samples = _load_dataset(cfg.val_dir) if cfg.val_dir else None
     params = network.init_params(cfg.network, cfg.seed)
     state = OptimizerState(lr=_lr_at(cfg.lr_schedule, 0))

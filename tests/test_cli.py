@@ -298,6 +298,39 @@ class TestPipeline:
         assert code == 2
         assert message in stderr and "Traceback" not in stderr and stdout == ""
 
+    @pytest.mark.parametrize("count, flags, message", [
+        (2, ["--batch-size", "1"], "batch_size must be >= 2 with norm_enabled, got 1"),
+        (1, ["--batch-size", "2"], "holds 1 sample; batch statistics need at least 2"),
+    ])
+    def test_degenerate_batch_norm_batches_exit_2_before_logging(self, tmp_path, capsys,
+                                                                 count, flags, message):
+        data_dir, run_dir = str(tmp_path / "d"), tmp_path / "r"
+        code, _, _ = run(capsys, "gen-data", "--out", data_dir, "--count", str(count),
+                         "--height", "16", "--width", "32", "--dmax", "8")
+        assert code == 0
+        cfg_path = str(tmp_path / "cfg.json")
+        with open(cfg_path, "w") as f:
+            json.dump({"network": TINY_NET}, f)
+        code, stdout, stderr = run(capsys, "train", "--config", cfg_path, "--data", data_dir,
+                                   "--out", str(run_dir), "--steps", "3", *flags)
+        assert code == 2
+        assert message in stderr and "Traceback" not in stderr and stdout == ""
+        assert count > 1 or data_dir in stderr
+        assert not (run_dir / "log.jsonl").exists()
+
+    def test_zero_step_run_accepts_one_sample(self, tmp_path, capsys):
+        """A zero-step run takes no batch statistics: it writes the
+        initial checkpoint from a one-sample set."""
+        data_dir = str(tmp_path / "d")
+        run(capsys, "gen-data", "--out", data_dir, "--count", "1",
+            "--height", "16", "--width", "32", "--dmax", "8")
+        cfg_path = str(tmp_path / "cfg.json")
+        with open(cfg_path, "w") as f:
+            json.dump({"network": TINY_NET}, f)
+        code, stdout, _ = run(capsys, "train", "--config", cfg_path, "--data", data_dir,
+                              "--out", str(tmp_path / "r"), "--steps", "0")
+        assert code == 0 and os.path.exists(json.loads(stdout)["last"])
+
     def test_train_runtime_error_exits_2(self, tmp_path, capsys, monkeypatch):
         def fail(cfg):
             raise RuntimeError("non-finite loss at step 1")

@@ -251,6 +251,16 @@ _CONV_CASES = [
 ]
 
 
+def _phases_with_taps(x_shape, w_shape, spec):
+    """The phases of a conv's input positions that some tap reads: the
+    product over the axes of the residues ``r < n`` modulo the stride that
+    some ``t*dilation - pad`` hits."""
+    count = 1
+    for n, k, s, d, p in zip(x_shape[2:], w_shape[2:], *spec.resolved(len(w_shape) - 2)):
+        count *= len({(t * d - p) % s for t in range(k)} & set(range(n)))
+    return count
+
+
 class TestTapPlan:
     """Every pass runs over one cached geometry, and the weight gradient of
     every convolution op goes through ``ops._corr_weight_grad``, which the
@@ -294,7 +304,10 @@ class TestTapPlan:
         monkeypatch.setattr(ops, "_corr_weight_grad", shifted)
         _, (_, _, gw_shifted, _) = _conv_with_grads(name, x, w, b, spec, output_size,
                                                     np.random.default_rng(15))
-        assert len(calls) == 1
+        # one call per phase of the input gradient; the transposed conv's
+        # backward gathers its cotangent once
+        assert len(calls) == (1 if name == "conv3d_transposed"
+                              else _phases_with_taps(x_shape, w_shape, spec))
         np.testing.assert_array_equal(gw_shifted, gw + 1.0)
 
 
@@ -317,15 +330,12 @@ _BLOCKED_CASES = [
 
 
 def _backward_blocks(x_shape, w_shape, spec):
-    """The blocks over which a conv's backward gathers its cotangent, or
-    over which it scatters the input gradient where it cannot gather."""
-    nd = len(w_shape) - 2
-    s, d, p = spec.resolved(nd)
-    back = tuple(di * (k - 1) - pi for k, di, pi in zip(w_shape[2:], d, p))
-    if s != (1,) * nd or min(back) < 0:
-        return ops._blocks(x_shape[1], x_shape[2:], w_shape[2:], s, d, p)[1]
+    """The blocks over which a conv's backward gathers its cotangent: those
+    of each phase of the input gradient, phase after phase."""
+    s, d, p = spec.resolved(len(w_shape) - 2)
     out = ops._tap_plan(x_shape[2:], w_shape[2:], s, d, p).out
-    return ops._blocks(w_shape[0], out, w_shape[2:], s, d, back)[1]
+    return [blk for ph in ops._phases(x_shape[2:], w_shape[2:], s, d, p)
+            for blk in ops._blocks(w_shape[0], out, *ph.geom, ph.out)[1]]
 
 
 def _block_count(name, x_shape, w_shape, spec, output_size):
@@ -359,11 +369,9 @@ class TestBlockedPasses:
     @pytest.mark.parametrize("spec", [ConvSpec(padding=1), ConvSpec(stride=2, padding=1)])
     def test_blocks_leave_forward_and_input_grad_bit_identical(self, monkeypatch, spec):
         """The forward GEMMs compute the same columns; so do the GEMMs of
-        the input gradient at stride 1, which gathers the cotangent; at
-        stride 2 the input gradient adds every position's terms in tap
-        order, as from one block. At a network-like size: OpenBLAS takes
-        other kernels for GEMMs only a few columns wide, which change the
-        last bits of the forward."""
+        each phase of the input gradient, which gathers the cotangent. At
+        a network-like size: OpenBLAS takes other kernels for GEMMs only a
+        few columns wide, which change the last bits of the forward."""
         rng = np.random.default_rng(32)
         x, w = rng.normal(size=(2, 8, 8, 32, 32)), rng.normal(size=(4, 8, 3, 3, 3))
         s, d, p = spec.resolved(3)
@@ -375,15 +383,18 @@ class TestBlockedPasses:
             (y * Tensor(g)).sum().backward()
             return y.data, xt.grad
 
+        phases = len(ops._phases(x.shape[2:], w.shape[2:], s, d, p))
+
         def blocks():
+            """Forward blocks, and backward blocks per phase."""
             return (len(ops._blocks(8, x.shape[2:], w.shape[2:], s, d, p)[1]),
-                    len(_backward_blocks(x.shape, w.shape, spec)))
+                    len(_backward_blocks(x.shape, w.shape, spec)) / phases)
 
         monkeypatch.setattr(ops, "_WORK_BUDGET", 1 << 40)
-        plan = ops._tap_plan(x.shape[2:], w.shape[2:], s, d, p)
         assert blocks() == (1, 1)
         one = passes()
-        monkeypatch.setattr(ops, "_WORK_BUDGET", 2 * 8 * 8 * 27 * int(np.prod(plan.out[1:])))
+        # one output row a block: 1024 columns at stride 1, 256 at stride 2
+        monkeypatch.setattr(ops, "_WORK_BUDGET", 1)
         assert min(blocks()) >= 2
         for a, b in zip(passes(), one):
             np.testing.assert_array_equal(a, b)
@@ -459,8 +470,8 @@ class TestBlockedPasses:
         assert peak < bound, (peak, bound)
 
 
-# (name, x shape, w shape, spec, budget in bytes or None): stride-1 convs,
-# whose backward gathers the cotangent once for both gradients.
+# (name, x shape, w shape, spec, budget in bytes or None): convs whose
+# backward gathers the cotangent once per phase for both gradients.
 _GATHERED_CASES = [
     ("conv2d", (2, 3, 6, 7), (5, 3, 1, 1), ConvSpec(), None),
     ("conv3d", (2, 4, 3, 5, 6), (2, 4, 1, 1, 1), ConvSpec(), None),
@@ -474,6 +485,22 @@ _GATHERED_CASES = [
     # at least three blocks of rows
     ("conv2d", (2, 3, 12, 6), (4, 3, 3, 3), ConvSpec(padding=1), 2 * 4 * 9 * 6 * 8),
     ("conv3d", (2, 2, 8, 4, 4), (3, 2, 3, 3, 3), ConvSpec(dilation=2, padding=2), 1),
+    # stride 2: the geometries of shared.l1.a, shared.l1.proj and an AGM's enc1
+    ("conv2d", (2, 4, 12, 10), (4, 4, 3, 3), ConvSpec(stride=2, padding=1), None),
+    ("conv2d", (2, 4, 12, 10), (4, 4, 1, 1), ConvSpec(stride=2), None),
+    ("conv3d", (2, 4, 4, 6, 8), (8, 4, 3, 3, 3), ConvSpec(stride=2, padding=1), None),
+    ("conv3d", (2, 3, 9, 5, 6), (4, 3, 3, 3, 3), ConvSpec(stride=2, padding=1), 1),
+    # stride 3, with a kernel shorter than the stride on the last axis
+    ("conv2d", (2, 3, 10, 11), (4, 3, 3, 2), ConvSpec(stride=3, padding=(1, 0)), None),
+    ("conv3d", (2, 2, 7, 6, 8), (3, 2, 3, 3, 3), ConvSpec(stride=3, padding=1), None),
+    # stride 2, dilation 2: every tap reads even positions, odd ones get zero
+    ("conv2d", (2, 3, 9, 8), (4, 3, 3, 3), ConvSpec(stride=2, dilation=2, padding=2), None),
+    # pad > dilation*(k-1): a negative left offset
+    ("conv2d", (2, 3, 5, 6), (4, 3, 3, 3), ConvSpec(padding=3), None),
+    ("conv3d", (2, 2, 3, 4, 5), (3, 2, 3, 3, 3), ConvSpec(stride=2, padding=(3, 1, 4)), None),
+    # an extent smaller than the stride: phases with no input positions
+    ("conv2d", (2, 3, 1, 5), (4, 3, 3, 3), ConvSpec(stride=(3, 2), padding=1), None),
+    ("conv3d", (2, 2, 1, 2, 5), (3, 2, 3, 3, 3), ConvSpec(stride=(2, 3, 2), padding=1), None),
 ]
 
 # (x shape, w shape, spec, output_size, budget in bytes or None)
@@ -485,11 +512,11 @@ _TRANSPOSED_CASES = [
 
 
 class TestGatheredBackward:
-    """A stride-1 conv's backward and ``conv3d_transposed``'s backward
-    take both gradients from one gather of the cotangent; the earlier
-    backward (scattered input gradient, gathered input for the weight
-    gradient; one gather per gradient for the transposed conv) is the
-    reference."""
+    """A conv's backward takes both gradients from one gather of the
+    cotangent per phase, and ``conv3d_transposed``'s backward from one
+    gather of its cotangent; the earlier backward (scattered input
+    gradient, gathered input for the weight gradient; one gather per
+    gradient for the transposed conv) is the reference."""
 
     @staticmethod
     def _assert_close(got, want):
@@ -505,13 +532,23 @@ class TestGatheredBackward:
             assert len(_backward_blocks(x_shape, w_shape, spec)) >= 3
         nd = len(w_shape) - 2
         s, d, p = spec.resolved(nd)
-        assert s == (1,) * nd and all(di * (k - 1) >= pi for k, di, pi in zip(w_shape[2:], d, p))
         rng = np.random.default_rng(41)
         x, w, b = rng.normal(size=x_shape), rng.normal(size=w_shape), rng.normal(size=w_shape[0])
         g, (_, gx, gw, gb) = _conv_with_grads(name, x, w, b, spec, None, rng)
         want_x, want_w = scattering_conv_grads(x, w, g, s, d, p)
         self._assert_close((gx, gw, gb),
                            (want_x, want_w, g.sum(axis=(0,) + tuple(range(2, 2 + nd)))))
+
+    def test_phase_no_tap_reads_gets_exact_zeros(self):
+        """At stride 2 and dilation 2 with even padding no tap reads an
+        odd input position: their gradient is exactly zero."""
+        rng = np.random.default_rng(46)
+        x, w, b = rng.normal(size=(2, 3, 9, 8)), rng.normal(size=(4, 3, 3, 3)), np.zeros(4)
+        spec = ConvSpec(stride=2, dilation=2, padding=2)
+        _, (_, gx, _, _) = _conv_with_grads("conv2d", x, w, b, spec, None, rng)
+        odd = np.ones(gx.shape, dtype=bool)
+        odd[:, :, ::2, ::2] = False
+        assert np.all(gx[odd] == 0.0) and np.all(gx[:, :, ::2, ::2] != 0.0)
 
     @pytest.mark.parametrize("x_shape, w_shape, spec, output_size, budget", _TRANSPOSED_CASES)
     def test_transposed_matches_separate_gathers(self, monkeypatch, x_shape, w_shape, spec,
@@ -584,6 +621,57 @@ class TestGatheredBackward:
         finally:
             tracemalloc.stop()
         bound = 2 * x.data.nbytes + g.nbytes + w.data.nbytes + block + slack
+        assert peak < bound, (peak, bound)
+
+    def test_default_budget_bounds_strided_backward_memory(self):
+        """The backward of an AGM's stride-2 enc1 at 128x256, d_max 32,
+        peaks below its input, cotangent, both gradients, one block of a
+        phase's column matrix and a slack for one phase's input gradient,
+        the flipped taps and [Cin, N_block] products."""
+        slack = 1 << 20
+        x_shape, w_shape = (1, 8, 8, 32, 64), (16, 8, 3, 3, 3)
+        spec = ConvSpec(stride=2, padding=1)
+        blocks = _backward_blocks(x_shape, w_shape, spec)
+        # a phase of a stride-2 3x3x3 kernel keeps at most 2 taps per axis
+        block = 8 * 16 * 8 * max(int(np.prod(blk.out)) for blk in blocks)
+        rng = np.random.default_rng(47)
+        tracemalloc.start()
+        try:
+            x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+            w = Tensor(rng.normal(size=w_shape), requires_grad=True)
+            y = ops.conv3d(x, w, spec=spec)
+            g = rng.normal(size=y.shape)
+            backward = y._backward
+            del y
+            tracemalloc.reset_peak()
+            backward(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 2 * x.data.nbytes + g.nbytes + w.data.nbytes + block + slack
+        assert peak < bound, (peak, bound)
+
+    def test_default_budget_bounds_transposed_forward_memory(self):
+        """The forward of an AGM's dec2 at 128x256, d_max 32, peaks below
+        its input, weight, output, one block of a phase's column matrix
+        and a slack for one phase's output and the flipped taps."""
+        slack = 1 << 20
+        x_shape, w_shape, size = (1, 16, 4, 16, 32), (16, 8, 3, 3, 3), (8, 32, 64)
+        spec = ConvSpec(stride=2, padding=1)
+        blocks = _backward_blocks((1, 8) + size, w_shape, spec)
+        # a phase of a stride-2 3x3x3 kernel keeps at most 2 taps per axis
+        block = 8 * 16 * 8 * max(int(np.prod(blk.out)) for blk in blocks)
+        rng = np.random.default_rng(48)
+        tracemalloc.start()
+        try:
+            x, w = Tensor(rng.normal(size=x_shape)), Tensor(rng.normal(size=w_shape))
+            tracemalloc.reset_peak()
+            y = ops.conv3d_transposed(x, w, spec=spec, output_size=size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert y.shape == (1, 8) + size
+        bound = x.data.nbytes + w.data.nbytes + y.data.nbytes + block + slack
         assert peak < bound, (peak, bound)
 
 

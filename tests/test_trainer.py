@@ -386,10 +386,14 @@ class TestTrainConfig:
         ({"lr_schedule": ((0, 1e-3), (5, math.inf))}, "lr_schedule rates must be finite"),
         ({"lr_schedule": ((1, 1e-3),)}, "lr_schedule breakpoints must start at 0"),
         ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"batch_size": 1}, "batch_size must be >= 2 with norm_enabled, got 1"),
     ])
     def test_malformed_schedule_rejected(self, kw, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             TrainConfig(**kw)
+
+    def test_batch_of_one_accepted_without_norm(self):
+        assert TrainConfig(batch_size=1, network=NetworkConfig(norm_enabled=False)).batch_size == 1
 
     def test_smallest_valid_schedule_accepted(self):
         cfg = TrainConfig(eval_interval=1, lr_schedule=((0, 1e-9),))
