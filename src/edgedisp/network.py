@@ -60,8 +60,6 @@ class NetworkConfig:
         if self.base_channels % self.groups != 0:
             raise ValueError(
                 f"base_channels {self.base_channels} not divisible by groups {self.groups}")
-        if (2 * self.base_channels) % self.groups != 0:
-            raise ValueError("bottleneck channels (2x base) must divide into the groups")
         if self.use_dedge_spp and not self.use_edge_branch:
             raise ValueError("edge-aware pyramid fusion needs the edge branch enabled")
         if self.k_top < 1:

@@ -3,21 +3,23 @@
 Convolutions are cross-correlations (deep-learning convention) with
 zero-fill padding. On each spatial axis, tap ``t`` reads the input
 positions ``o*stride + t*dilation - pad`` that lie inside the input
-(``_lands``). The tap plan, ``_tap_plan``, cached per input extents,
-kernel, stride, dilation and padding, keeps on each axis the taps from the
-first to the last that read any. A tap outside the kept range reads only
-zero padding: its products are exact zeros and its weight gradient is
-exactly zero, so leaving it out removes only zero terms from each sum.
+(``_lands``).
 
-Blocks: every pass splits the output along its first spatial axis into
+Plan: every pass runs over one ``_Plan`` from ``_plan``, cached per input
+channels, input extents, kernel, stride, dilation, padding and output
+extents. From each axis's landings over every output, it keeps the taps
+from the first to the last that read any. A tap outside the kept range
+reads only zero padding: its products are exact zeros and its weight
+gradient is exactly zero, so leaving it out removes only zero terms from
+each sum. It cuts the output along its first spatial axis into blocks,
 runs of whole rows (``_row_runs``) whose ``[Cin*K, N_block]`` column
 matrix (K kept taps, N_block output positions of the block) fits
-``_WORK_BUDGET`` bytes. ``_block_plan``, cached per geometry and row
-range, lists the block's moves: for each kept tap that reads input on
-every axis for some output of the block, the input slices it reads and
-the block's output slices that read them, from the landings of the
-block's rows on the first axis and of every output on the others. A
-pass's working memory is one block, not the whole ``[Cin*K, N]`` matrix.
+``_WORK_BUDGET`` bytes, and lists each block's moves: for each kept tap
+that reads input on every axis for some output of the block, the input
+slices it reads and the block's output slices that read them, from the
+landings of the block's rows on the first axis and the shared landings of
+the others. A pass's working memory is one block, not the whole
+``[Cin*K, N]`` matrix.
 
 Gather (every pass): per sample, then per block, the block's kept taps
 are copied from an array into its column matrix. One buffer per call,
@@ -40,8 +42,9 @@ nothing zero-stuffed; a phase no tap reads gets exact zeros. Per phase,
 one ``_corr_weight_grad`` gathers the cotangent once for the phase's
 input gradient and, against the input phase, its taps' weight gradient.
 Stride 1 is one phase, written straight into the input gradient; a
-same-padded conv's shares the forward's plans. ``conv3d_transposed``'s
-backward gathers its cotangent once, in the forward geometry.
+same-padded conv with as many input as output channels shares the
+forward's plan. ``conv3d_transposed``'s backward gathers its cotangent
+once, in the forward geometry.
 
 Each op computes its result eagerly and returns
 ``tensor.make_op(result, parents, backward)``; the ``backward`` closure
@@ -111,13 +114,7 @@ def conv_out_extent(n: int, k: int, stride: int, dilation: int, pad: int) -> int
     return out
 
 
-# -- tap plan, gather and phases ----------------------------------------------
-
-
-class _TapPlan(NamedTuple):
-    out: Tuple[int, ...]       # output extent per spatial axis
-    taps: Tuple[slice, ...]    # kept tap range per spatial axis
-    kept: Tuple[int, ...]      # number of kept taps per spatial axis
+# -- plan, gather and phases --------------------------------------------------
 
 
 def _lands(n: int, k: int, s: int, d: int, p: int, r0: int, r1: int) -> dict:
@@ -132,30 +129,6 @@ def _lands(n: int, k: int, s: int, d: int, p: int, r0: int, r1: int) -> dict:
             first = a * s + off
             lands[t] = (slice(first, first + (b - a - 1) * s + 1, s), slice(a - r0, b - r0))
     return lands
-
-
-# A network at one image size needs a few dozen plans. A batch-4 train step
-# of the default configuration at 64x64 holds 69 tap plans (most under two
-# keys: output extents by default and given), 44 block plans and 22 phase
-# sets; predict holds 49 block plans at 128x256/d_max 32, 68 at
-# 256x512/d_max 64. The bounds keep a service fed many image sizes finite.
-@functools.lru_cache(maxsize=256)
-def _tap_plan(in_spatial, kernel, stride, dilation, pad, out=None) -> _TapPlan:
-    """The output extents, ``out`` or by ``conv_out_extent``, and, per axis,
-    the kept tap range: from the first to the last tap that reads any input
-    (``_lands`` over every output)."""
-    if out is None:
-        out = tuple(conv_out_extent(*a) for a in zip(in_spatial, kernel, stride, dilation, pad))
-    lands = [_lands(n, k, s, d, p, 0, m)
-             for n, k, s, d, p, m in zip(in_spatial, kernel, stride, dilation, pad, out)]
-    taps = tuple(slice(min(a), max(a) + 1) if a else slice(0, 0) for a in lands)
-    return _TapPlan(out, taps, tuple(t.stop - t.start for t in taps))
-
-
-def _kept_weight(w: np.ndarray, plan: _TapPlan) -> np.ndarray:
-    """The kept taps of w, flattened to [w.shape[0], w.shape[1]*K]."""
-    kept = w[(slice(None), slice(None)) + plan.taps]
-    return kept.reshape(w.shape[0], w.shape[1] * math.prod(plan.kept))
 
 
 # Bytes one run of rows may take: a conv block's column matrix or a
@@ -180,58 +153,81 @@ class _Block(NamedTuple):
     clear: tuple               # column indices of rows a kept first-axis tap skips
 
 
-@functools.lru_cache(maxsize=1024)
-def _block_plan(in_spatial, kernel, stride, dilation, pad, rows, out=None) -> _Block:
+class _Plan(NamedTuple):
+    out: Tuple[int, ...]       # output extent per spatial axis
+    taps: Tuple[slice, ...]    # kept tap range per spatial axis
+    kept: Tuple[int, ...]      # number of kept taps per spatial axis
+    blocks: Tuple[_Block, ...]  # runs of whole output rows of the first spatial axis
+
+
+def _block(taps, lands, rows, out) -> _Block:
     """The moves of output rows ``rows = (r0, r1)`` of the first spatial
-    axis: for each kept tap, in row-major order, that reads input on every
-    axis for some output of the block, a move pairs the index of what it
-    reads in one sample ``[Cin, *in_spatial]`` with the index of its
-    columns in the block's ``[Cin, *kept, r1 - r0, *out[1:]]``. ``clear``
-    lists, for each kept tap of the first axis, the rows of the block it
-    does not land in, whose columns a reused buffer must zero again."""
-    plan = _tap_plan(in_spatial, kernel, stride, dilation, pad, out)
-    r0, r1 = rows
-    spans = (rows,) + tuple((0, m) for m in plan.out[1:])
-    lands = [_lands(n, k, s, d, p, *span)
-             for n, k, s, d, p, span in zip(in_spatial, kernel, stride, dilation, pad, spans)]
+    axis, from ``lands``, each axis's landings: the block's rows on the
+    first, every output on the others. For each kept tap, in row-major
+    order, that reads input on every axis for some output of the block, a
+    move pairs the index of what it reads in one sample ``[Cin,
+    *in_spatial]`` with the index of its columns in the block's ``[Cin,
+    *kept, r1 - r0, *out[1:]]``. ``clear`` lists, for each kept tap of the
+    first axis, the rows of the block it does not land in, whose columns a
+    reused buffer must zero again."""
     moves = []
-    for tap in itertools.product(*(range(t.start, t.stop) for t in plan.taps)):
+    for tap in itertools.product(*(range(t.start, t.stop) for t in taps)):
         pick = [a.get(t) for a, t in zip(lands, tap)]
         if None not in pick:
-            kept = tuple(t - r.start for t, r in zip(tap, plan.taps))
+            kept = tuple(t - r.start for t, r in zip(tap, taps))
             moves.append(((slice(None),) + tuple(i for i, _ in pick),
                           (slice(None),) + kept + tuple(o for _, o in pick)))
-    lead = (slice(None),) * (len(kernel) - 1)
-    n, first = r1 - r0, plan.taps[0]
+    lead = (slice(None),) * (len(taps) - 1)
+    r0, r1 = rows
+    n, first = r1 - r0, taps[0]
     clear = []
     for t in range(first.start, first.stop):
         o = lands[0][t][1] if t in lands[0] else slice(n, n)
         clear += [(slice(None), t - first.start) + lead + (slice(lo, hi),)
                   for lo, hi in ((0, o.start), (o.stop, n)) if lo < hi]
-    return _Block(slice(r0, r1), (n,) + plan.out[1:], tuple(moves), tuple(clear))
+    return _Block(slice(r0, r1), (n,) + out[1:], tuple(moves), tuple(clear))
 
 
-def _blocks(cin: int, in_spatial, kernel, stride, dilation, pad, out=None):
-    """The tap plan and its blocks: runs of whole output rows of the first
-    spatial axis whose ``[Cin*K, N]`` column matrix fits ``_WORK_BUDGET``."""
-    plan = _tap_plan(in_spatial, kernel, stride, dilation, pad, out)
-    row = 8 * cin * math.prod(plan.kept) * math.prod(plan.out[1:])
-    return plan, [_block_plan(in_spatial, kernel, stride, dilation, pad, rows, plan.out)
-                  for rows in _row_runs(plan.out[0], row)]
+# A network at one image size needs a few dozen plans. A batch-4 train step
+# of the default configuration at 64x64 holds 57 plans and 22 phase sets;
+# predict holds 41 plans at 128x256/d_max 32 and 41 at 256x512/d_max 64.
+# The bounds keep a service fed many image sizes finite. ``_WORK_BUDGET``
+# is read when a plan is built, so a new budget reaches only new plans.
+@functools.lru_cache(maxsize=256)
+def _plan(cin: int, in_spatial, kernel, stride, dilation, pad, out) -> _Plan:
+    """The plan of a pass over ``cin`` input channels with output extents
+    ``out``: per axis, the kept tap range, from the first to the last tap
+    that reads any input (``_lands`` over every output), and the blocks,
+    runs of whole output rows of the first spatial axis whose ``[Cin*K,
+    N]`` column matrix fits ``_WORK_BUDGET``."""
+    geom = list(zip(in_spatial, kernel, stride, dilation, pad))
+    lands = [_lands(*g, 0, m) for g, m in zip(geom, out)]
+    taps = tuple(slice(min(a), max(a) + 1) if a else slice(0, 0) for a in lands)
+    kept = tuple(t.stop - t.start for t in taps)
+    row = 8 * cin * math.prod(kept) * math.prod(out[1:])
+    blocks = tuple(_block(taps, [_lands(*geom[0], *rows)] + lands[1:], rows, out)
+                   for rows in _row_runs(out[0], row))
+    return _Plan(out, taps, kept, blocks)
 
 
-def _gather(x: np.ndarray, plan: _TapPlan, blocks):
-    """Per sample in batch order, then per block: the sample index, the
-    block, and its ``[Cin*K, N_block]`` column matrix, in one buffer,
-    zeroed once, that the next block overwrites. Refilling the block that
-    filled it last rewrites the same positions; before another block of
-    the same extents the rows its taps skip are zeroed, before a block of
-    other extents the whole matrix."""
+def _kept_weight(w: np.ndarray, plan: _Plan) -> np.ndarray:
+    """The kept taps of w, flattened to [w.shape[0], w.shape[1]*K]."""
+    kept = w[(slice(None), slice(None)) + plan.taps]
+    return kept.reshape(w.shape[0], w.shape[1] * math.prod(plan.kept))
+
+
+def _gather(x: np.ndarray, plan: _Plan):
+    """Per sample in batch order, then per block of ``plan``: the sample
+    index, the block, and its ``[Cin*K, N_block]`` column matrix, in one
+    buffer, zeroed once, that the next block overwrites. Refilling the
+    block that filled it last rewrites the same positions; before another
+    block of the same extents the rows its taps skip are zeroed, before a
+    block of other extents the whole matrix."""
     cin, k = x.shape[1], math.prod(plan.kept)
-    buf = np.zeros(cin * k * max(math.prod(blk.out) for blk in blocks))
+    buf = np.zeros(cin * k * max(math.prod(blk.out) for blk in plan.blocks))
     last = None
     for b, xb in enumerate(x):
-        for blk in blocks:
+        for blk in plan.blocks:
             n = math.prod(blk.out)
             cols = buf[:cin * k * n].reshape((cin,) + plan.kept + blk.out)
             if last is not None and last is not blk:
@@ -257,12 +253,13 @@ def _corr_forward(x: np.ndarray, w: np.ndarray, stride, dilation, pad,
     """Per sample and block, one GEMM ``[Cout, Cin*K] x [Cin*K, N_block]``
     over the kept taps, written into the block's rows of ``y`` or, by
     default, of a new array."""
-    plan, blocks = _blocks(x.shape[1], x.shape[2:], w.shape[2:], stride, dilation, pad,
-                           None if y is None else y.shape[2:])
-    wk = _kept_weight(w, plan)
+    kernel = w.shape[2:]
     if y is None:
-        y = np.empty((x.shape[0], w.shape[0]) + plan.out)
-    for b, blk, cols in _gather(x, plan, blocks):
+        y = np.empty((x.shape[0], w.shape[0]) + tuple(
+            conv_out_extent(*a) for a in zip(x.shape[2:], kernel, stride, dilation, pad)))
+    plan = _plan(x.shape[1], x.shape[2:], kernel, stride, dilation, pad, y.shape[2:])
+    wk = _kept_weight(w, plan)
+    for b, blk, cols in _gather(x, plan):
         np.matmul(wk, cols, out=_rows(y, b, blk))
     return y
 
@@ -275,11 +272,11 @@ def _corr_weight_grad(x: np.ndarray, gy: np.ndarray, kernel, stride, dilation, p
     batch, then the blocks, in order, of ``gy_block [Cout, N_block] x
     cols_blockᵀ``. With ``y``, the same columns also give the correlation
     of ``x`` with ``w``, written into ``y``."""
-    plan, blocks = _blocks(x.shape[1], x.shape[2:], kernel, stride, dilation, pad, gy.shape[2:])
+    plan = _plan(x.shape[1], x.shape[2:], kernel, stride, dilation, pad, gy.shape[2:])
     cout, cin = gy.shape[1], x.shape[1]
     wk = None if y is None else _kept_weight(w, plan)
     gk = np.zeros((cout, cin * math.prod(plan.kept)))
-    for b, blk, cols in _gather(x, plan, blocks):
+    for b, blk, cols in _gather(x, plan):
         gk += _rows(gy, b, blk) @ cols.T
         if y is not None:
             np.matmul(wk, cols, out=_rows(y, b, blk))
@@ -342,7 +339,8 @@ def _channel_sum(a: np.ndarray) -> np.ndarray:
 
 def _check_conv_shapes(x: Tensor, w: Tensor, nd: int, cin_axis: int) -> None:
     """Ranks, and the input's channels against the weight's ``cin_axis``.
-    Extents that leave no output raise when the pass builds its tap plan."""
+    Extents that leave no output raise in ``conv_out_extent`` when the
+    forward derives its output extents."""
     if x.ndim != nd + 2:
         raise ShapeError(f"input must have rank {nd + 2}, got {x.ndim}")
     if w.ndim != nd + 2:
@@ -401,7 +399,7 @@ def conv3d_transposed(x: Tensor, w: Tensor, spec: ConvSpec = ConvSpec(), *,
     output_size = tuple(output_size)
     if min(output_size) < 1:
         raise ShapeError(f"output_size {output_size} has an extent below 1")
-    back = _tap_plan(output_size, kernel, stride, dilation, pad).out
+    back = tuple(conv_out_extent(*a) for a in zip(output_size, kernel, stride, dilation, pad))
     if back != x.shape[2:]:
         raise ShapeError(f"output_size {output_size} convolves back to {back}, "
                          f"not to the input extents {x.shape[2:]}")

@@ -136,17 +136,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        a, b = self, _as_tensor(other)
-
-        def bwd(g):
-            if needs_grad(a):
-                accumulate_grad(a, _unbroadcast(g / b.data, a.data.shape))
-            if needs_grad(b):
-                accumulate_grad(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-        return make_op(np.divide(a.data, b.data), (a, b), bwd)
-
     # -- nonlinearities -------------------------------------------------------
     # Masks and signs that only the gradient needs are built inside the
     # closure, so an untaped forward does not compute them.

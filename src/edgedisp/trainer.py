@@ -350,8 +350,8 @@ def train(cfg: TrainConfig) -> Dict[str, object]:
     if cfg.steps and cfg.network.norm_enabled and len(samples) < 2:
         raise ValueError(f"training directory {cfg.data_dir!r} holds {len(samples)} sample; "
                          "batch statistics need at least 2 with network.norm_enabled")
-    os.makedirs(cfg.out_dir, exist_ok=True)
     val_samples = _load_dataset(cfg.val_dir) if cfg.val_dir else None
+    os.makedirs(cfg.out_dir, exist_ok=True)
     params = network.init_params(cfg.network, cfg.seed)
     state = OptimizerState(lr=_lr_at(cfg.lr_schedule, 0))
     rng = np.random.default_rng(cfg.seed)

@@ -247,11 +247,11 @@ def scattering_conv_grads(x, w, g, stride, dilation, pad):
     """
     cout, cin = w.shape[:2]
     kernel = w.shape[2:]
-    plan, blocks = ops._blocks(cin, x.shape[2:], kernel, stride, dilation, pad)
+    plan = ops._plan(cin, x.shape[2:], kernel, stride, dilation, pad, g.shape[2:])
     wt = ops._kept_weight(w, plan).T
     gx = np.zeros(x.shape)
     for gb, gxb in zip(g, gx):
-        for blk in reversed(blocks):
+        for blk in reversed(plan.blocks):
             cols = wt @ gb[:, blk.rows].reshape(cout, int(np.prod(blk.out)))
             cols = cols.reshape((cin,) + plan.kept + blk.out)
             for src, dst in blk.moves:
@@ -263,10 +263,10 @@ def gathering_weight_grad(x, g, kernel, stride, dilation, pad):
     """Weight gradient of the correlation of ``x`` for the cotangent ``g``:
     over the batch, then the blocks, ``g_block x cols_blockᵀ`` of ``x``'s
     columns."""
-    plan, blocks = ops._blocks(x.shape[1], x.shape[2:], kernel, stride, dilation, pad)
+    plan = ops._plan(x.shape[1], x.shape[2:], kernel, stride, dilation, pad, g.shape[2:])
     cout, cin = g.shape[1], x.shape[1]
     gk = np.zeros((cout, cin * int(np.prod(plan.kept))))
-    for b, blk, cols in ops._gather(x, plan, blocks):
+    for b, blk, cols in ops._gather(x, plan):
         gk += g[b, :, blk.rows].reshape(cout, int(np.prod(blk.out))) @ cols.T
     gw = np.zeros((cout, cin) + tuple(kernel))
     gw[(slice(None), slice(None)) + plan.taps] = gk.reshape((cout, cin) + plan.kept)

@@ -331,6 +331,24 @@ class TestPipeline:
                               "--out", str(tmp_path / "r"), "--steps", "0")
         assert code == 0 and os.path.exists(json.loads(stdout)["last"])
 
+    @pytest.mark.parametrize("make_val_dir", [True, False], ids=["empty", "missing"])
+    def test_bad_validation_set_exits_2_before_the_run_directory(self, tmp_path, capsys,
+                                                                  make_val_dir):
+        data_dir, val_dir, run_dir = str(tmp_path / "d"), tmp_path / "v", tmp_path / "r"
+        run(capsys, "gen-data", "--out", data_dir, "--count", "2",
+            "--height", "16", "--width", "32", "--dmax", "8")
+        if make_val_dir:
+            val_dir.mkdir()
+        cfg_path = str(tmp_path / "cfg.json")
+        with open(cfg_path, "w") as f:
+            json.dump({"network": TINY_NET}, f)
+        code, stdout, stderr = run(capsys, "train", "--config", cfg_path, "--data", data_dir,
+                                   "--val-data", str(val_dir), "--out", str(run_dir),
+                                   "--steps", "1")
+        assert code == 2
+        assert str(val_dir) in stderr and "Traceback" not in stderr and stdout == ""
+        assert not run_dir.exists()
+
     def test_train_runtime_error_exits_2(self, tmp_path, capsys, monkeypatch):
         def fail(cfg):
             raise RuntimeError("non-finite loss at step 1")

@@ -261,8 +261,23 @@ def _phases_with_taps(x_shape, w_shape, spec):
     return count
 
 
+def _forward_plan(cin, in_spatial, kernel, stride, dilation, pad):
+    """The plan of a conv's forward pass, over the output extents that its
+    geometry gives."""
+    out = tuple(ops.conv_out_extent(*a) for a in zip(in_spatial, kernel, stride, dilation, pad))
+    return ops._plan(cin, in_spatial, kernel, stride, dilation, pad, out)
+
+
+def _set_budget(monkeypatch, nbytes):
+    """Set ``ops._WORK_BUDGET`` for one test. Plans are cached without the
+    budget, so each budget gets a plan cache of its own, and the module's
+    cache comes back with the module's budget."""
+    monkeypatch.setattr(ops, "_WORK_BUDGET", nbytes)
+    monkeypatch.setattr(ops, "_plan", functools.lru_cache(maxsize=None)(ops._plan.__wrapped__))
+
+
 class TestTapPlan:
-    """Every pass runs over one cached geometry, and the weight gradient of
+    """Every pass runs over one cached plan, and the weight gradient of
     every convolution op goes through ``ops._corr_weight_grad``, which the
     benchmark self-test perturbs."""
 
@@ -275,17 +290,39 @@ class TestTapPlan:
                 _conv_with_grads(name, x, w, b, spec, size, rng)
 
         passes()
-        misses = ops._tap_plan.cache_info().misses, ops._block_plan.cache_info().misses
+        misses = ops._plan.cache_info().misses, ops._phases.cache_info().misses
         passes()
-        assert (ops._tap_plan.cache_info().misses, ops._block_plan.cache_info().misses) == misses
+        assert (ops._plan.cache_info().misses, ops._phases.cache_info().misses) == misses
 
     def test_repeat_pass_adds_no_plan(self):
         self._assert_repeat_pass_adds_no_plan()
 
     def test_repeat_blocked_pass_adds_no_plan(self, monkeypatch):
         # a one-byte budget cuts every pass into blocks of one output row
-        monkeypatch.setattr(ops, "_WORK_BUDGET", 1)
+        _set_budget(monkeypatch, 1)
         self._assert_repeat_pass_adds_no_plan()
+
+    def test_one_plan_lookup_per_pass(self):
+        """A forward looks its plan up once, a stride-1 backward once more,
+        and a strided backward once per phase that some tap reads."""
+        def lookups():
+            info = ops._plan.cache_info()
+            return info.hits + info.misses
+
+        rng = np.random.default_rng(16)
+        x = Tensor(rng.normal(size=(2, 3, 8, 8)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        start = lookups()
+        y = ops.conv2d(x, w, spec=ConvSpec(padding=1))
+        assert lookups() - start == 1
+        y.sum().backward()
+        assert lookups() - start == 2
+        spec, w_shape = ConvSpec(stride=2, padding=1), (3, 2, 3, 3, 3)
+        x = Tensor(rng.normal(size=(2, 2, 5, 6, 6)), requires_grad=True)
+        y = ops.conv3d(x, Tensor(rng.normal(size=w_shape), requires_grad=True), spec=spec)
+        start = lookups()
+        y.sum().backward()
+        assert lookups() - start == _phases_with_taps(x.shape, w_shape, spec) == 8
 
     @pytest.mark.parametrize("name, x_shape, w_shape, spec, output_size", _CONV_CASES)
     def test_weight_grad_goes_through_corr_weight_grad(self, monkeypatch, name, x_shape,
@@ -333,16 +370,16 @@ def _backward_blocks(x_shape, w_shape, spec):
     """The blocks over which a conv's backward gathers its cotangent: those
     of each phase of the input gradient, phase after phase."""
     s, d, p = spec.resolved(len(w_shape) - 2)
-    out = ops._tap_plan(x_shape[2:], w_shape[2:], s, d, p).out
+    out = _forward_plan(x_shape[1], x_shape[2:], w_shape[2:], s, d, p).out
     return [blk for ph in ops._phases(x_shape[2:], w_shape[2:], s, d, p)
-            for blk in ops._blocks(w_shape[0], out, *ph.geom, ph.out)[1]]
+            for blk in ops._plan(w_shape[0], out, *ph.geom, ph.out).blocks]
 
 
 def _block_count(name, x_shape, w_shape, spec, output_size):
     s, d, p = spec.resolved(len(w_shape) - 2)
     if name == "conv3d_transposed":
-        return len(ops._blocks(w_shape[1], output_size, w_shape[2:], s, d, p)[1])
-    return len(ops._blocks(x_shape[1], x_shape[2:], w_shape[2:], s, d, p)[1])
+        return len(ops._plan(w_shape[1], output_size, w_shape[2:], s, d, p, x_shape[2:]).blocks)
+    return len(_forward_plan(x_shape[1], x_shape[2:], w_shape[2:], s, d, p).blocks)
 
 
 class TestBlockedPasses:
@@ -353,7 +390,7 @@ class TestBlockedPasses:
                              _BLOCKED_CASES)
     def test_matches_reference(self, monkeypatch, name, x_shape, w_shape, spec,
                                output_size, budget):
-        monkeypatch.setattr(ops, "_WORK_BUDGET", budget)
+        _set_budget(monkeypatch, budget)
         assert _block_count(name, x_shape, w_shape, spec, output_size) >= 3
         rng = np.random.default_rng(31)
         x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
@@ -387,14 +424,14 @@ class TestBlockedPasses:
 
         def blocks():
             """Forward blocks, and backward blocks per phase."""
-            return (len(ops._blocks(8, x.shape[2:], w.shape[2:], s, d, p)[1]),
+            return (len(_forward_plan(8, x.shape[2:], w.shape[2:], s, d, p).blocks),
                     len(_backward_blocks(x.shape, w.shape, spec)) / phases)
 
-        monkeypatch.setattr(ops, "_WORK_BUDGET", 1 << 40)
+        _set_budget(monkeypatch, 1 << 40)
         assert blocks() == (1, 1)
         one = passes()
         # one output row a block: 1024 columns at stride 1, 256 at stride 2
-        monkeypatch.setattr(ops, "_WORK_BUDGET", 1)
+        _set_budget(monkeypatch, 1)
         assert min(blocks()) >= 2
         for a, b in zip(passes(), one):
             np.testing.assert_array_equal(a, b)
@@ -418,9 +455,14 @@ class TestBlockedPasses:
         the block."""
         geom = tuple(tuple(a[:nd]) for a in (extent, kernel, stride, dilation, padding))
         assume(all(n + 2 * p - d * (k - 1) - 1 >= 0 for n, k, _, d, p in zip(*geom)))
+        # uncached: the plan cache does not key on the budget
+        build = ops._plan.__wrapped__
+        out = tuple(ops.conv_out_extent(*a) for a in zip(*geom))
         with mock.patch.object(ops, "_WORK_BUDGET", budget):
-            plan, blocks = ops._blocks(2, *geom)
-        whole = ops._block_plan(*geom, (0, plan.out[0]))
+            plan = build(2, *geom, out)
+        with mock.patch.object(ops, "_WORK_BUDGET", 1 << 62):
+            whole, = build(2, *geom, out).blocks
+        blocks = plan.blocks
         order = {dst[1:1 + nd]: i for i, (_, dst) in enumerate(whole.moves)}
         joined = {tap: ([], []) for tap in order}
 
@@ -454,7 +496,8 @@ class TestBlockedPasses:
         [Cout, N_block] products and the cropped weight."""
         slack = 1 << 20
         x_shape, w_shape = (1, 24, 8, 32, 64), (8, 24, 3, 3, 3)
-        plan, blocks = ops._blocks(24, x_shape[2:], w_shape[2:], (1,) * 3, (1,) * 3, (1,) * 3)
+        plan = _forward_plan(24, x_shape[2:], w_shape[2:], (1,) * 3, (1,) * 3, (1,) * 3)
+        blocks = plan.blocks
         block = 8 * 24 * 27 * max(int(np.prod(blk.out)) for blk in blocks)
         tracemalloc.start()
         try:
@@ -528,7 +571,7 @@ class TestGatheredBackward:
     def test_matches_scattering_backward(self, monkeypatch, name, x_shape, w_shape, spec,
                                          budget):
         if budget is not None:
-            monkeypatch.setattr(ops, "_WORK_BUDGET", budget)
+            _set_budget(monkeypatch, budget)
             assert len(_backward_blocks(x_shape, w_shape, spec)) >= 3
         nd = len(w_shape) - 2
         s, d, p = spec.resolved(nd)
@@ -554,7 +597,7 @@ class TestGatheredBackward:
     def test_transposed_matches_separate_gathers(self, monkeypatch, x_shape, w_shape, spec,
                                                  output_size, budget):
         if budget is not None:
-            monkeypatch.setattr(ops, "_WORK_BUDGET", budget)
+            _set_budget(monkeypatch, budget)
             assert _block_count("conv3d_transposed", x_shape, w_shape, spec, output_size) >= 3
         rng = np.random.default_rng(42)
         x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
@@ -701,11 +744,11 @@ class TestWorkBudget:
         def results():
             return ops.conv3d(x, w, spec=spec).data, stereo.regress_disparity(cost, d_max, out_hw).data
 
-        monkeypatch.setattr(ops, "_WORK_BUDGET", 1 << 40)
+        _set_budget(monkeypatch, 1 << 40)
         conv_one, head_one = results()
         # two rows of the conv's column matrix; 54 rows of the head's cost
-        monkeypatch.setattr(ops, "_WORK_BUDGET", 2 * 8 * 8 * 27 * 32 * 32)
-        assert len(ops._blocks(8, x.shape[2:], w.shape[2:], s, d, p)[1]) == 4
+        _set_budget(monkeypatch, 2 * 8 * 8 * 27 * 32 * 32)
+        assert len(_forward_plan(8, x.shape[2:], w.shape[2:], s, d, p).blocks) == 4
         assert len(ops._row_runs(out_hw[0], 8 * d_max * out_hw[1])) == 3
         conv_split, head_split = results()
         np.testing.assert_array_equal(conv_split, conv_one)
