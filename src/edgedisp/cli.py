@@ -82,10 +82,6 @@ def cmd_gen_gt(args) -> int:
     _require_at_least(args, {"dilate": 0})
     inst, _ = ddata.read_pgm(args.inst)
     sem, _ = ddata.read_pgm(args.sem)
-    if inst.shape != sem.shape:
-        print(f"error: mask extents differ: {inst.shape} vs {sem.shape}",
-              file=sys.stderr)
-        return 2
     edges = ddata.depth_edge_gt(inst, sem, args.dilate)
     ddata.write_pgm(args.out, edges, maxval=255)
     print(json.dumps({"out": args.out, "edge_pixels": int(edges.sum()),

@@ -35,19 +35,10 @@ class FormatError(ValueError):
 
 
 def _label_differs_from_neighbor(mask: np.ndarray) -> np.ndarray:
-    """True where any existing 8-neighbor carries a different label."""
-    h, w = mask.shape
-    out = np.zeros((h, w), dtype=bool)
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            if dy == 0 and dx == 0:
-                continue
-            ys = slice(max(dy, 0), h + min(dy, 0))
-            xs = slice(max(dx, 0), w + min(dx, 0))
-            ysn = slice(max(-dy, 0), h + min(-dy, 0))
-            xsn = slice(max(-dx, 0), w + min(-dx, 0))
-            out[ys, xs] |= mask[ys, xs] != mask[ysn, xsn]
-    return out
+    """True where any existing 8-neighbor carries a different label: where
+    the edge-replicated 3x3 window holds more than one label."""
+    return (ndimage.maximum_filter(mask, size=3, mode="nearest")
+            != ndimage.minimum_filter(mask, size=3, mode="nearest"))
 
 
 def instance_boundaries(mask: np.ndarray) -> np.ndarray:
@@ -218,8 +209,8 @@ def read_pfm(path: str) -> np.ndarray:
         scale = float(stok)
     except ValueError:
         raise FormatError(f"bad scale field {stok!r}", soff) from None
-    if scale == 0:
-        raise FormatError("scale must be nonzero", soff)
+    if scale == 0 or not np.isfinite(scale):
+        raise FormatError(f"scale must be finite and nonzero, got {stok!r}", soff)
     pos += 1  # single whitespace after the scale line
     payload = raw[pos:]
     expected = w * h * 4
@@ -239,6 +230,8 @@ def write_pgm(path: str, values: np.ndarray, maxval: int = 255) -> None:
     values = np.asarray(values)
     if values.ndim != 2:
         raise ValueError(f"PGM images are 2-D, got rank {values.ndim}")
+    if not 1 <= maxval <= 65535:
+        raise ValueError(f"PGM maxval {maxval} outside [1, 65535]")
     if values.min() < 0 or values.max() > maxval:
         raise ValueError(f"values outside [0, {maxval}]")
     h, w = values.shape

@@ -473,13 +473,26 @@ class _Taps(NamedTuple):
     w_reads: np.ndarray    # [n_in, L] their weights, 0 where a row has fewer
 
 
-def _two_taps(lo, hi, w_lo, w_hi, n_in: int) -> _Taps:
-    """The taps ``(lo, hi, w_lo, w_hi)`` with their adjoint: for each input
-    position, the outputs that give it a nonzero weight, in output order,
-    padded with zero weights to the longest such list. Read-only."""
+def _taps(m: np.ndarray) -> _Taps:
+    """The two-tap rows of an interpolation matrix ``m`` [n_out, n_in], or
+    of a block of its rows and the columns they read, with their adjoint.
+
+    ``lo`` is each row's first nonzero column and ``hi = min(lo + 1,
+    n_in - 1)``; both never decrease along the rows. Where a row is
+    clamped to one column (``hi == lo``), that column's whole weight is
+    ``w_lo`` and ``w_hi`` is 0. The adjoint lists, for each column, the
+    rows that give it a nonzero weight, in row order, padded with zero
+    weights to the longest such list. Read-only.
+    """
+    n_out, n_in = m.shape
+    rows = np.arange(n_out)
+    lo = (m != 0.0).argmax(axis=1)
+    hi = np.minimum(lo + 1, n_in - 1)
+    w_lo = m[rows, lo]
+    w_hi = np.where(hi == lo, 0.0, m[rows, hi])
     col = np.concatenate([lo, hi])
     wt = np.concatenate([w_lo, w_hi])
-    out = np.concatenate([np.arange(len(lo))] * 2)
+    out = np.concatenate([rows, rows])
     keep = np.flatnonzero(wt)
     order = keep[np.lexsort((out[keep], col[keep]))]
     col, out, wt = col[order], out[order], wt[order]
@@ -497,31 +510,19 @@ def _two_taps(lo, hi, w_lo, w_hi, n_in: int) -> _Taps:
 
 @functools.lru_cache(maxsize=256)
 def _interp_taps(n_in: int, n_out: int) -> _Taps:
-    """The two nonzero columns of each row of ``_interp_matrix(n_in, n_out)``
-    and their weights, with the adjoint's gather (``_two_taps``).
-
-    ``lo`` and ``hi = min(lo + 1, n_in - 1)`` never decrease along the
-    rows. Where a row is clamped to one column (``hi == lo``) that column's
-    whole weight is ``w_lo`` and ``w_hi`` is 0. Cached and read-only.
-    """
-    m = _interp_matrix(n_in, n_out)
-    rows = np.arange(n_out)
-    lo = (m != 0.0).argmax(axis=1)
-    hi = np.minimum(lo + 1, n_in - 1)
-    return _two_taps(lo, hi, m[rows, lo], np.where(hi == lo, 0.0, m[rows, hi]), n_in)
+    """``_taps(_interp_matrix(n_in, n_out))``, cached."""
+    return _taps(_interp_matrix(n_in, n_out))
 
 
-def _lerp(x: np.ndarray, taps, axis: int) -> np.ndarray:
-    """Resample ``x`` along ``axis`` by two-tap rows ``(lo, hi, w_lo, w_hi)``,
-    the first four fields of ``taps``: ``y[o] = w_lo[o]*x[lo[o]] +
-    w_hi[o]*x[hi[o]]``, the nonzero terms of row ``o`` of the
-    interpolation matrix."""
-    lo, hi, w_lo, w_hi = taps[:4]
+def _lerp(x: np.ndarray, taps: _Taps, axis: int) -> np.ndarray:
+    """Resample ``x`` along ``axis`` by the two-tap rows of ``taps``:
+    ``y[o] = w_lo[o]*x[lo[o]] + w_hi[o]*x[hi[o]]``, the nonzero terms of
+    row ``o`` of the interpolation matrix."""
     shape = (-1,) + (1,) * (x.ndim - 1 - axis)
-    y = np.take(x, lo, axis=axis)
-    y *= w_lo.reshape(shape)
-    far = np.take(x, hi, axis=axis)
-    far *= w_hi.reshape(shape)
+    y = np.take(x, taps.lo, axis=axis)
+    y *= taps.w_lo.reshape(shape)
+    far = np.take(x, taps.hi, axis=axis)
+    far *= taps.w_hi.reshape(shape)
     y += far
     return y
 

@@ -187,10 +187,12 @@ def regress_disparity(cost: Tensor, d_max: int, out_hw: Tuple[int, int]) -> Tens
     ``ops._WORK_BUDGET`` bytes. Each tile reads only the low-resolution rows
     its rows interpolate from and resamples them along H and W from the two
     nonzero taps of each row of the interpolation matrices (a dense matrix
-    would cost W/4 products per output at real widths), then along D by
+    would cost W/4 products per output at real widths); its H taps, for
+    forward and backward, are ``ops._taps`` of its block of the H matrix,
+    the tile's rows and the columns they read. It then resamples along D by
     one GEMM per sample with the D matrix (D is d_max/4 levels; a gather
     was slower), and takes the softmax and the expected level in place.
-    Backward keeps nothing of the tiles: it recomputes each tile's
+    Backward keeps only the tiles' taps: it recomputes each tile's
     probabilities from the low-resolution cost, its parent, and adds the
     tile's resampled cotangent into the rows it read (recompute for
     memory, Chen et al., arXiv 1604.06174). A tile's working memory is
@@ -211,12 +213,12 @@ def regress_disparity(cost: Tensor, d_max: int, out_hw: Tuple[int, int]) -> Tens
     # negates every product and so every sum exactly.
     neg_md = -md
     taps_w = ops._interp_taps(wl, w)
-    lo, hi, w_lo, w_hi = ops._interp_taps(hl, h)[:4]
+    mh = ops._interp_matrix(hl, h)
+    lo, hi = ops._interp_taps(hl, h)[:2]
     tiles = []
     for r0, r1 in ops._row_runs(h, 8 * b * d_max * w):
         a, z = lo[r0], hi[r1 - 1] + 1     # the low-resolution rows the tile reads
-        tiles.append((slice(r0, r1), slice(a, z),
-                      (lo[r0:r1] - a, hi[r0:r1] - a, w_lo[r0:r1], w_hi[r0:r1])))
+        tiles.append((slice(r0, r1), slice(a, z), ops._taps(mh[r0:r1, a:z])))
 
     def probabilities(rows, taps_h):
         c = ops._lerp(ops._lerp(cost.data[:, 0, :, rows], taps_h, axis=2), taps_w, axis=3)
@@ -232,7 +234,7 @@ def regress_disparity(cost: Tensor, d_max: int, out_hw: Tuple[int, int]) -> Tens
         for out_rows, rows, taps_h in tiles:
             gt = _cost_grad(probabilities(rows, taps_h), g[:, out_rows])
             gt = (md.T @ gt.reshape(b, d_max, -1)).reshape(b, dl, -1, w)
-            gt = ops._lerp_adjoint(gt, ops._two_taps(*taps_h, rows.stop - rows.start), axis=2)
+            gt = ops._lerp_adjoint(gt, taps_h, axis=2)
             gc[:, :, rows] += ops._lerp_adjoint(gt, taps_w, axis=3)
         accumulate_grad(cost, gc.reshape(cost.shape))
 

@@ -148,10 +148,6 @@ class Tensor:
         y = 1.0 / (1.0 + np.exp(-self.data))
         return make_op(y, (self,), lambda g: accumulate_grad(self, g * y * (1.0 - y)))
 
-    def exp(self):
-        y = np.exp(self.data)
-        return make_op(y, (self,), lambda g: accumulate_grad(self, g * y))
-
     def log(self):
         return make_op(np.log(self.data), (self,),
                        lambda g: accumulate_grad(self, g / self.data))

@@ -185,6 +185,13 @@ class TestPfm:
         with pytest.raises(FormatError, match="offset 0"):
             read_pfm(str(path))
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_scale_rejected(self, tmp_path, scale):
+        path = tmp_path / "scale.pfm"
+        path.write_bytes(f"Pf\n2 1\n{scale}\n".encode() + np.array([1.5, 2.5], "<f4").tobytes())
+        with pytest.raises(FormatError, match="scale.*offset 7"):
+            read_pfm(str(path))
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "short.pfm"
         path.write_bytes(b"Pf\n3 3\n-1.0\n" + b"\x00" * 10)
@@ -223,6 +230,14 @@ class TestPgm:
         path.write_bytes(f"P5\n2 2\n{maxval}\n".encode() + bytes(8))
         with pytest.raises(FormatError, match="maxval"):
             read_pgm(str(path))
+
+
+    @pytest.mark.parametrize("maxval", [0, 65536, 70000])
+    def test_write_rejects_maxval_read_refuses(self, tmp_path, maxval):
+        path = tmp_path / "x.pgm"
+        with pytest.raises(ValueError, match="maxval"):
+            write_pgm(str(path), np.zeros((2, 2), dtype=np.int64), maxval=maxval)
+        assert not path.exists()
 
 
 class TestDatasetLayout:

@@ -851,11 +851,32 @@ class TestPoolingAndUpsampling:
         shape = [2, 3, 4, 5]
         shape[axis] = n_out
         g = np.random.default_rng(9).normal(size=shape)
-        want = np.moveaxis(np.tensordot(g, ops._interp_matrix(n_in, n_out), axes=([axis], [0])),
-                           -1, axis)
-        got = ops._lerp_adjoint(g, ops._interp_taps(n_in, n_out), axis)
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        m, taps = ops._interp_matrix(n_in, n_out), ops._interp_taps(n_in, n_out)
+
+        def check(g, m, taps):
+            want = np.moveaxis(np.tensordot(g, m, axes=([axis], [0])), -1, axis)
+            got = ops._lerp_adjoint(g, taps, axis)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+        check(g, m, taps)
+        if n_out > n_in:
+            # the edge blocks below hold a row clamped to the last column
+            # and a first row whose hi weight is 0
+            assert taps.hi[-1] == taps.lo[-1] and taps.w_hi[0] == 0.0
+        # a run of output rows and the input columns they read, as a tile
+        # of the regression head takes them
+        k = max(1, n_out // 3)
+        for r0, r1 in {(0, k), (k, max(k, n_out - k)), (n_out - k, n_out)}:
+            if r0 == r1:
+                continue
+            a, z = taps.lo[r0], taps.hi[r1 - 1] + 1
+            block = ops._taps(m[r0:r1, a:z])
+            np.testing.assert_array_equal(block.lo, taps.lo[r0:r1] - a)
+            np.testing.assert_array_equal(block.hi, taps.hi[r0:r1] - a)
+            np.testing.assert_array_equal(block.w_lo, taps.w_lo[r0:r1])
+            np.testing.assert_array_equal(block.w_hi, taps.w_hi[r0:r1])
+            check(np.take(g, range(r0, r1), axis=axis), m[r0:r1, a:z], block)
 
     def test_bilinear_downsample_shape(self):
         x = Tensor(np.arange(32.0).reshape(1, 2, 4, 4))
@@ -919,10 +940,9 @@ class TestElementwise:
         assert y.shape == (3, 5)
         assert y.data.sum() == 6.0
 
-    def test_abs_and_exp(self):
+    def test_abs(self):
         x = Tensor([-2.0, 3.0])
         np.testing.assert_array_equal(x.abs().data, [2.0, 3.0])
-        np.testing.assert_allclose(x.exp().data, np.exp([-2.0, 3.0]))
 
 
 class TestBatchNorm:
@@ -1063,7 +1083,7 @@ class TestBackward:
         x = rand_tensor(rng, (3, 4))
         fd_check(lambda t: ((t.relu() + t.sigmoid() * t.abs()).sum()), [x], rng)
         y = rand_tensor(rng, (3, 4), scale=0.5)
-        fd_check(lambda t: (t.exp() + (t * t + 1.0).log()).sum(), [y], rng)
+        fd_check(lambda t: (t * t + 1.0).log().sum(), [y], rng)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_finite_differences_softmax_and_norm(self, seed):
