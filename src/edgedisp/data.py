@@ -232,6 +232,11 @@ def write_pgm(path: str, values: np.ndarray, maxval: int = 255) -> None:
         raise ValueError(f"PGM images are 2-D, got rank {values.ndim}")
     if not 1 <= maxval <= 65535:
         raise ValueError(f"PGM maxval {maxval} outside [1, 65535]")
+    if values.dtype.kind not in "biu":
+        if not np.isfinite(values).all():
+            raise ValueError("PGM values must be finite")
+        if (values != np.floor(values)).any():
+            raise ValueError("PGM values must be integers")
     if values.min() < 0 or values.max() > maxval:
         raise ValueError(f"values outside [0, {maxval}]")
     h, w = values.shape

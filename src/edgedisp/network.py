@@ -6,6 +6,12 @@ Parameters live in a flat name -> Tensor mapping partitioned by prefix:
 ``shared.`` (feature extractor used by both views and both tasks),
 ``edge.`` (depth-edge branch), ``disp.`` (disparity branch). Batch-norm
 running statistics are stored alongside as non-gradient buffers.
+
+The stem's first 3-D conv runs over the dual cost volume in two parts:
+its ``|diff|`` channels through ``ops.conv3d``, its concatenation channels
+from the two feature maps through ``stereo.concat_volume_conv``
+(``pre_stem``). Outside training each batch-norm is folded into the conv
+before it (``_conv_weights``).
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ PARTITIONS = ("shared", "edge", "disp")
 
 # Forward modes: "train" and "stats" normalise with batch statistics,
 # "infer" (and any other mode a building block is called with) with the
-# running buffers.
+# running buffers, folded into the convs.
 MODES = ("train", "stats", "infer")
 
 # The extractor's two stride-2 stages: features and the cost volume are at
@@ -121,7 +127,8 @@ def _conv_specs(name: str, cin: int, cout: int, k: int, nd: int = 2, norm: bool 
     """Weight, then batch-norm parameters and buffers, or else a bias.
 
     A transposed conv weight is laid out [Cin, Cout, k...]; it never gets a
-    bias, because ``ops.conv3d_transposed`` takes none.
+    bias parameter: only a folded batch-norm gives ``ops.conv3d_transposed``
+    a bias.
     """
     yield name + ".w", ((cin, cout) if transposed else (cout, cin)) + (k,) * nd, cin * k ** nd
     if norm:
@@ -211,31 +218,66 @@ def init_params(cfg: NetworkConfig, seed: int) -> ModelParams:
 
 
 # -- forward building blocks --------------------------------------------------
+#
+# In "train" and "stats" a batch-norm normalises with batch statistics. In
+# any other mode it normalises with the running buffers, an affine map per
+# output channel of the conv before it, so it is folded into that conv
+# (Jacob et al., arXiv 1712.05877, section 3.2): the weight is scaled by
+# s = gamma / sqrt(rvar + eps) along its output-channel axis, the bias is
+# beta - rmean * s, and the ReLU runs in place; no batch-norm pass runs.
+# The folded weight and bias are recorded ops on w, gamma and beta, built
+# at every call, so a backward reaches all three and no folded weight
+# outlives a weight update.
+
+
+def _batch_statistics(mode: str) -> bool:
+    return mode in ("train", "stats")
+
+
+def _conv_weights(p: ModelParams, name: str, mode: str,
+                  out_axis: int = 0) -> Tuple[Tensor, Optional[Tensor]]:
+    """The weight and bias (or None) that conv ``name`` runs with in
+    ``mode``: its own, or with its batch-norm folded in. ``out_axis`` is
+    the weight's output-channel axis (1 for a transposed conv)."""
+    w, bias = p[name + ".w"], p.get(name + ".b")
+    if name + ".gamma" not in p or _batch_statistics(mode):
+        return w, bias
+    scale = p[name + ".gamma"] * (1.0 / np.sqrt(p[name + ".rvar"].data + ops.BN_EPS))
+    shape = [1] * w.ndim
+    shape[out_axis] = -1
+    return w * scale.reshape(shape), p[name + ".beta"] + scale * -p[name + ".rmean"].data
+
+
+def _activate(p: ModelParams, name: str, y: Tensor, mode: str, relu: bool) -> Tensor:
+    """What follows conv ``name``'s output ``y``: batch-norm on batch
+    statistics when the layer has it and ``mode`` takes them (fused with
+    the ReLU), else the ReLU, in place, when ``relu``."""
+    if name + ".gamma" in p and _batch_statistics(mode):
+        return ops.batch_norm(y, p[name + ".gamma"], p[name + ".beta"],
+                              p[name + ".rmean"].data, p[name + ".rvar"].data, relu=relu)
+    return y.relu_() if relu else y
 
 
 def _conv_block(p: ModelParams, name: str, x: Tensor, mode: str, nd: int = 2,
                 stride: int = 1, dilation: int = 1, relu: bool = True,
                 output_size: Optional[Tuple[int, int, int]] = None) -> Tensor:
-    """Conv padded by dilation*(k-1)//2, batch norm when the layer has it,
-    optional ReLU (fused into the batch-norm op when there is one).
+    """Conv padded by dilation*(k-1)//2, batch norm when the layer has it
+    (folded into the conv outside "train"/"stats"), optional ReLU.
 
     With ``output_size`` the conv is the 3-D transposed conv that upsamples
     to that extent.
     """
-    w = p[name + ".w"]
+    transposed = output_size is not None
+    w, bias = _conv_weights(p, name, mode, out_axis=1 if transposed else 0)
     k = w.shape[-1]
     pad = dilation * (k - 1) // 2
     spec = ConvSpec(stride=stride, dilation=dilation, padding=pad)
-    if output_size is not None:
-        y = ops.conv3d_transposed(x, w, spec=spec, output_size=output_size)
+    if transposed:
+        y = ops.conv3d_transposed(x, w, bias, spec=spec, output_size=output_size)
     else:
         conv = ops.conv2d if nd == 2 else ops.conv3d
-        y = conv(x, w, p.get(name + ".b"), spec=spec)
-    if name + ".gamma" in p:
-        bn_mode = "train" if mode in ("train", "stats") else "eval"
-        return ops.batch_norm(y, p[name + ".gamma"], p[name + ".beta"], bn_mode,
-                              p[name + ".rmean"].data, p[name + ".rvar"].data, relu=relu)
-    return y.relu() if relu else y
+        y = conv(x, w, bias, spec=spec)
+    return _activate(p, name, y, mode, relu)
 
 
 def _resblock(p: ModelParams, name: str, x: Tensor, mode: str,
@@ -317,6 +359,27 @@ def dedge_spp(f_l2: Tensor, f_l4: Tensor, edge_feats: Optional[Tensor],
     return _conv_block(p, "disp.spp.fuse_b", fused, mode, relu=False)
 
 
+def pre_stem(f_left: Tensor, f_right: Tensor, p: ModelParams, cfg: NetworkConfig,
+             mode: str) -> Tensor:
+    """The dual cost volume of the fused features and the 3-D stem over it:
+    ``disp.pre.a``, then ``disp.pre.b`` with a residual.
+
+    ``disp.pre.a`` convolves the volume's 3C channels in two parts that
+    share its weight and bias: the ``|diff|`` channels ``[2C:]`` by
+    ``ops.conv3d`` on the volume, and the concatenation channels ``[:2C]``,
+    which are linear in the two feature maps, by
+    ``stereo.concat_volume_conv`` from the feature maps.
+    """
+    c = f_left.shape[1]
+    cv = stereo.build_cost_volume(f_left, f_right, cfg.d_levels)
+    w, bias = _conv_weights(p, "disp.pre.a", mode)
+    y = ops.conv3d(cv[:, 2 * c:], w[:, 2 * c:], bias, spec=ConvSpec(padding=1))
+    del cv   # untaped, the volume is freed here, before the rest of the stem
+    y = stereo.concat_volume_conv(f_left, f_right, w[:, :2 * c], cfg.d_levels, base=y)
+    v = _activate(p, "disp.pre.a", y, mode, relu=True)
+    return (_conv_block(p, "disp.pre.b", v, mode, nd=3, relu=False) + v).relu()
+
+
 def agm_module(volume: Tensor, p: ModelParams, prefix: str, cfg: NetworkConfig,
                mode: str) -> Tensor:
     """Hourglass aggregation with a parallel dilated granular bottleneck.
@@ -372,7 +435,8 @@ def forward(left: Tensor, right: Tensor, p: ModelParams, cfg: NetworkConfig,
     ``"train"`` returns the disparity maps ``d1``-``d3`` (one per
     aggregation stage) plus the edge probability, with batch-norm on batch
     statistics taken per view (one ``_view`` call each). ``"infer"``
-    returns ``d3`` only, with batch-norm on the running buffers; the two
+    returns ``d3`` only, with batch-norm on the running buffers folded
+    into the convs; the two
     views go through the extractor, the edge branch and pyramid fusion
     (``_view``) as one batch. ``"stats"`` updates the batch-norm running
     buffers exactly as ``"train"`` does and returns nothing: it stops
@@ -398,9 +462,7 @@ def forward(left: Tensor, right: Tensor, p: ModelParams, cfg: NetworkConfig,
                               head=mode == "train")
         _, fr = _view(right, p, cfg, mode, edge=cfg.use_dedge_spp, head=False)
 
-    cv = stereo.build_cost_volume(fl, fr, cfg.d_levels)
-    v = _conv_block(p, "disp.pre.a", cv, mode, nd=3)
-    v = (_conv_block(p, "disp.pre.b", v, mode, nd=3, relu=False) + v).relu()
+    v = pre_stem(fl, fr, p, cfg, mode)
 
     out: Dict[str, Tensor] = {}
     for i in range(STAGES):

@@ -133,7 +133,7 @@ def _lands(n: int, k: int, s: int, d: int, p: int, r0: int, r1: int) -> dict:
 
 # Bytes one run of rows may take: a conv block's column matrix or a
 # regression tile's full-resolution cost (``stereo.regress_disparity``).
-# The default network at 64x64 runs its largest column matrix (5.3 MB) as
+# The default network at 64x64 runs its largest column matrix (1.8 MB) as
 # one block and each batch-4 head (2 MB) as one tile.
 _WORK_BUDGET = 8 << 20
 
@@ -189,8 +189,8 @@ def _block(taps, lands, rows, out) -> _Block:
 
 
 # A network at one image size needs a few dozen plans. A batch-4 train step
-# of the default configuration at 64x64 holds 57 plans and 22 phase sets;
-# predict holds 41 plans at 128x256/d_max 32 and 41 at 256x512/d_max 64.
+# of the default configuration at 64x64 holds 61 plans and 24 phase sets;
+# predict holds 42 plans at 128x256/d_max 32 and 42 at 256x512/d_max 64.
 # The bounds keep a service fed many image sizes finite. ``_WORK_BUDGET``
 # is read when a plan is built, so a new budget reaches only new plans.
 @functools.lru_cache(maxsize=256)
@@ -351,14 +351,19 @@ def _check_conv_shapes(x: Tensor, w: Tensor, nd: int, cin_axis: int) -> None:
             f"weight expects {w.shape[cin_axis]}")
 
 
+def _add_bias(y: np.ndarray, bias: Optional[Tensor]) -> np.ndarray:
+    """``y`` [B, Cout, *spatial] plus ``bias`` per channel, in place."""
+    if bias is not None:
+        if bias.shape != y.shape[1:2]:
+            raise ShapeError(f"bias shape {bias.shape} != ({y.shape[1]},)")
+        y += bias.data.reshape((1, -1) + (1,) * (y.ndim - 2))
+    return y
+
+
 def _convnd(x: Tensor, w: Tensor, bias: Optional[Tensor], spec: ConvSpec, nd: int) -> Tensor:
     stride, dilation, pad = spec.resolved(nd)
     _check_conv_shapes(x, w, nd, cin_axis=1)
-    y = _corr_forward(x.data, w.data, stride, dilation, pad)
-    if bias is not None:
-        if bias.shape != (w.shape[0],):
-            raise ShapeError(f"bias shape {bias.shape} != ({w.shape[0]},)")
-        y += bias.data.reshape((1, -1) + (1,) * nd)
+    y = _add_bias(_corr_forward(x.data, w.data, stride, dilation, pad), bias)
     parents = (x, w) if bias is None else (x, w, bias)
 
     def bwd(g):
@@ -386,9 +391,11 @@ def conv3d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
     return _convnd(x, w, bias, spec, 3)
 
 
-def conv3d_transposed(x: Tensor, w: Tensor, spec: ConvSpec = ConvSpec(), *,
+def conv3d_transposed(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
+                      spec: ConvSpec = ConvSpec(), *,
                       output_size: Tuple[int, int, int]) -> Tensor:
-    """Adjoint of conv3d; weight layout is [Cin, Cout, kd, kh, kw].
+    """Adjoint of conv3d, plus ``bias`` per output channel when given;
+    weight layout is [Cin, Cout, kd, kh, kw].
 
     ``output_size`` is the spatial result; with a stride several extents
     convolve back to the input's, so the caller names the one it wants.
@@ -403,7 +410,7 @@ def conv3d_transposed(x: Tensor, w: Tensor, spec: ConvSpec = ConvSpec(), *,
     if back != x.shape[2:]:
         raise ShapeError(f"output_size {output_size} convolves back to {back}, "
                          f"not to the input extents {x.shape[2:]}")
-    y = _input_grad(x.data, w.data, stride, dilation, pad, output_size)
+    y = _add_bias(_input_grad(x.data, w.data, stride, dilation, pad, output_size), bias)
 
     def bwd(g):
         gx = np.empty(x.shape) if needs_grad(x) else None
@@ -411,8 +418,10 @@ def conv3d_transposed(x: Tensor, w: Tensor, spec: ConvSpec = ConvSpec(), *,
                                              w.data, gx))
         if gx is not None:
             accumulate_grad(x, gx)
+        if bias is not None and needs_grad(bias):
+            accumulate_grad(bias, _channel_sum(g))
 
-    return make_op(y, (x, w), bwd)
+    return make_op(y, (x, w) if bias is None else (x, w, bias), bwd)
 
 
 # -- pooling and resampling ---------------------------------------------------
@@ -602,54 +611,45 @@ def softmax(x: Tensor, axis: int) -> Tensor:
 # -- normalization ------------------------------------------------------------
 #
 # ``batch_norm`` is one recorded op, with the ReLU that follows it in the
-# network fused in. The forward takes one deviation ``d = x - mean`` for
-# both the variance (the same array ``np.var`` squares, so the statistics
-# are bit-identical to ``np.var``'s) and ``xhat``, then normalises, scales,
-# shifts and rectifies in ``d``'s memory. Backward keeps none of these
-# input-sized arrays: it recomputes ``xhat`` from the input, its parent,
-# and the ReLU mask from its own output (``relu(z) > 0`` exactly where
-# ``z > 0``). The tape holds the input and the output only. Every
-# per-channel sum, forward and backward, is ``_channel_sum``.
+# network fused in. It normalises with batch statistics; outside training
+# the network folds the running buffers into the conv before each
+# batch-norm instead (``network._conv_weights``). The forward takes one
+# deviation ``d = x - mean`` for both the variance (the same array
+# ``np.var`` squares, so the statistics are bit-identical to ``np.var``'s)
+# and ``xhat``, then normalises, scales, shifts and rectifies in ``d``'s
+# memory. Backward keeps none of these input-sized arrays: it recomputes
+# ``xhat`` from the input, its parent, and the ReLU mask from its own
+# output (``relu(z) > 0`` exactly where ``z > 0``). The tape holds the
+# input and the output only. Every per-channel sum, forward and backward,
+# is ``_channel_sum``.
 
 BN_MOMENTUM = 0.1   # weight of the batch statistics in the running buffers
 BN_EPS = 1e-5       # added to the variance before the square root
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mode: str,
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: Optional[np.ndarray] = None,
                running_var: Optional[np.ndarray] = None, relu: bool = False) -> Tensor:
-    """Per-channel normalization over axis 1 of [B,C,*spatial], followed by
-    a ReLU when ``relu`` is set.
-
-    ``train`` uses batch statistics and, when running buffers are passed,
-    updates them in place with momentum ``BN_MOMENTUM``. ``eval``
-    normalizes with the running buffers.
+    """Per-channel normalization over axis 1 of [B,C,*spatial] with batch
+    statistics, followed by a ReLU when ``relu`` is set. Running buffers,
+    when passed, are updated in place with momentum ``BN_MOMENTUM``.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"gamma/beta must have shape ({c},)")
     bshape = (1, c) + (1,) * (x.ndim - 2)
     n = x.size // c
-
-    if mode == "train":
-        if n <= 1:
-            raise ShapeError("batch statistics are degenerate: one value per channel")
-        mean = _channel_sum(x.data) / n
-        d = x.data - mean.reshape(bshape)
-        var = _channel_sum(np.square(d)) / n
-        if running_mean is not None:
-            running_mean *= 1.0 - BN_MOMENTUM
-            running_mean += BN_MOMENTUM * mean
-        if running_var is not None:
-            running_var *= 1.0 - BN_MOMENTUM
-            running_var += BN_MOMENTUM * var
-    else:
-        if running_mean is None or running_var is None:
-            raise ValueError("eval mode requires running statistics")
-        mean, var = running_mean, running_var
-        d = x.data - mean.reshape(bshape)
+    if n <= 1:
+        raise ShapeError("batch statistics are degenerate: one value per channel")
+    mean = _channel_sum(x.data) / n
+    d = x.data - mean.reshape(bshape)
+    var = _channel_sum(np.square(d)) / n
+    if running_mean is not None:
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean
+    if running_var is not None:
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var
 
     std = np.sqrt(var + BN_EPS).reshape(bshape)
     d /= std                                    # xhat
@@ -662,22 +662,19 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mode: str,
             g = g * (y > 0)
         want_x, want_gamma = needs_grad(x), needs_grad(gamma)
         g_sum = _channel_sum(g)
-        if want_gamma or (want_x and mode == "train"):
+        if want_gamma or want_x:
             xhat = x.data - mean.reshape(bshape)
             xhat /= std
             gxhat = g * xhat
             gxhat_sum = _channel_sum(gxhat)
         if want_x:
+            # gs * (g - mean(g) - xhat * mean(g * xhat)), in gxhat's memory
             gs = gamma.data.reshape(bshape) / std
-            if mode == "train":
-                # gs * (g - mean(g) - xhat * mean(g * xhat)), in gxhat's memory
-                xhat *= (gxhat_sum / n).reshape(bshape)
-                gx = np.subtract(g, (g_sum / n).reshape(bshape), out=gxhat)
-                gx -= xhat
-                gx *= gs
-                accumulate_grad(x, gx)
-            else:
-                accumulate_grad(x, gs * g)
+            xhat *= (gxhat_sum / n).reshape(bshape)
+            gx = np.subtract(g, (g_sum / n).reshape(bshape), out=gxhat)
+            gx -= xhat
+            gx *= gs
+            accumulate_grad(x, gx)
         if want_gamma:
             accumulate_grad(gamma, gxhat_sum)
         if needs_grad(beta):

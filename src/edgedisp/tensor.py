@@ -144,6 +144,13 @@ class Tensor:
         return make_op(np.maximum(self.data, 0.0), (self,),
                        lambda g: accumulate_grad(self, g * (self.data > 0)))
 
+    def relu_(self):
+        """``relu`` written over this tensor's own values: for a result that
+        no other op reads. Backward takes the mask from the output, which is
+        positive exactly where the input was."""
+        y = np.maximum(self.data, 0.0, out=self.data)
+        return make_op(y, (self,), lambda g: accumulate_grad(self, g * (y > 0)))
+
     def sigmoid(self):
         y = 1.0 / (1.0 + np.exp(-self.data))
         return make_op(y, (self,), lambda g: accumulate_grad(self, g * y * (1.0 - y)))

@@ -1,6 +1,8 @@
 """Shared test utilities: finite-difference checks and naive oracles."""
 
+import contextlib
 import struct
+from unittest import mock
 
 import numpy as np
 
@@ -111,6 +113,15 @@ def loop_cost_volume(f_left, f_right, d_levels):
     return ops.concat([ops.concat(concat, axis=2), ops.concat(dist, axis=2)], axis=1)
 
 
+def materialised_concat_conv(f_left, f_right, w, d_levels):
+    """``stereo.concat_volume_conv`` as the conv of the materialised
+    volume: ``ops.conv3d`` over the concatenation channels of
+    ``build_cost_volume``."""
+    c = f_left.shape[1]
+    cv = stereo.build_cost_volume(f_left, f_right, d_levels)
+    return ops.conv3d(cv[:, :2 * c], w, spec=ops.ConvSpec(padding=1))
+
+
 # -- convolution kernels before tap cropping and the per-tap adjoint ----------
 
 
@@ -177,9 +188,7 @@ def infer_views_apart(left, right, p, cfg):
         _, feats_r = network.dedge_branch(taps_r, p, cfg, mode, with_head=False)
     fl = network.dedge_spp(taps_l["F_L2"], taps_l["F_L4"], feats_l, p, mode)
     fr = network.dedge_spp(taps_r["F_L2"], taps_r["F_L4"], feats_r, p, mode)
-    cv = stereo.build_cost_volume(fl, fr, cfg.d_levels)
-    v = network._conv_block(p, "disp.pre.a", cv, mode, nd=3)
-    v = (network._conv_block(p, "disp.pre.b", v, mode, nd=3, relu=False) + v).relu()
+    v = network.pre_stem(fl, fr, p, cfg, mode)
     for i in range(network.STAGES):
         v = network.agm_module(v, p, f"disp.agm{i}", cfg, mode)
     return network.output_module(v, p, f"disp.out{network.STAGES - 1}", left.shape[2:],
@@ -203,7 +212,9 @@ def retaining_backward(loss):
 def out_of_place_batch_norm(x, gamma, beta, mode, running_mean=None, running_var=None):
     """``ops.batch_norm`` without the ReLU, with the statistics from
     ``np.mean``/``np.var`` and ``xhat`` and ``y`` built by out-of-place
-    arithmetic and kept for backward."""
+    arithmetic and kept for backward. ``"eval"`` normalises with the
+    running buffers: the batch-norm that the network folds into its convs
+    outside training (``unfolded_batch_norm``)."""
     red_axes = (0,) + tuple(range(2, x.ndim))
     bshape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
     if mode == "train":
@@ -233,6 +244,40 @@ def out_of_place_batch_norm(x, gamma, beta, mode, running_mean=None, running_var
             accumulate_grad(beta, g.sum(axis=red_axes))
 
     return make_op(y, (x, gamma, beta), bwd)
+
+
+def randomise_batch_norm(params, rng):
+    """Draw every batch-norm's gamma, beta and running buffers away from
+    their initial values, at which folding them is nearly the identity."""
+    for name, t in params.tensors.items():
+        suffix = name.rsplit(".", 1)[1]
+        if suffix in ("gamma", "rvar"):
+            t.data[...] = rng.uniform(0.5, 1.5, size=t.shape)
+        elif suffix in ("beta", "rmean"):
+            t.data[...] = rng.normal(0.0, 0.2, size=t.shape)
+
+
+@contextlib.contextmanager
+def unfolded_batch_norm():
+    """Run ``network`` outside "train"/"stats" without folding batch-norm
+    into the convs: each conv with its own weight and bias, then the
+    batch-norm on the running buffers (``out_of_place_batch_norm`` in
+    ``"eval"`` mode), then the ReLU."""
+    activate = network._activate
+
+    def weights(p, name, mode, out_axis=0):
+        return p[name + ".w"], p.get(name + ".b")
+
+    def unfolded(p, name, y, mode, relu):
+        if name + ".gamma" not in p or network._batch_statistics(mode):
+            return activate(p, name, y, mode, relu)
+        y = out_of_place_batch_norm(y, p[name + ".gamma"], p[name + ".beta"], "eval",
+                                    p[name + ".rmean"].data, p[name + ".rvar"].data)
+        return y.relu() if relu else y
+
+    with mock.patch.object(network, "_conv_weights", weights), \
+            mock.patch.object(network, "_activate", unfolded):
+        yield
 
 
 def scattering_conv_grads(x, w, g, stride, dilation, pad):

@@ -143,8 +143,8 @@ def test_criterion_1_gradient_suite():
         x = T(rng, (3, 2, 4, 4))
         gamma, beta = T(rng, (2,)), T(rng, (2,))
         worst["batch_norm"] = max(worst.get("batch_norm", 0), _fd_max_rel(
-            lambda a, g, b: (ops.batch_norm(a, g, b, "train")
-                             * ops.batch_norm(a, g, b, "train")).sum(),
+            lambda a, g, b: (ops.batch_norm(a, g, b)
+                             * ops.batch_norm(a, g, b)).sum(),
             [x, gamma, beta], rng))
 
         y = (rng.uniform(size=(2, 4, 4)) < 0.4).astype(float)

@@ -239,6 +239,23 @@ class TestPgm:
             write_pgm(str(path), np.zeros((2, 2), dtype=np.int64), maxval=maxval)
         assert not path.exists()
 
+    @pytest.mark.parametrize("values, match", [
+        ([[1.7, 254.9]], "integers"),
+        ([[0.0, np.nan]], "finite"),
+        ([[np.inf, 1.0]], "finite"),
+    ])
+    def test_write_refuses_values_it_cannot_store(self, tmp_path, values, match):
+        path = tmp_path / "x.pgm"
+        with pytest.raises(ValueError, match=match):
+            write_pgm(str(path), np.array(values))
+        assert not path.exists()
+
+    def test_integer_valued_floats_written(self, tmp_path):
+        path = str(tmp_path / "f.pgm")
+        write_pgm(path, np.array([[0.0, 1.0], [254.0, 255.0]]))
+        back, _ = read_pgm(path)
+        np.testing.assert_array_equal(back, [[0, 1], [254, 255]])
+
 
 class TestDatasetLayout:
     def test_save_load_roundtrip(self, tmp_path):

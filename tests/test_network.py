@@ -1,16 +1,21 @@
+import contextlib
 import hashlib
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from edgedisp.network import (ModelParams, NetworkConfig, agm_module,
+from edgedisp import data, ops, trainer
+from edgedisp.network import (ModelParams, NetworkConfig, _conv_block, agm_module,
                               dedge_branch, dedge_spp, feature_extract,
-                              forward, init_params, output_module)
+                              forward, init_params, output_module, pre_stem)
 from edgedisp.ops import ShapeError
 from edgedisp.stereo import granular_param_count, standard_param_count
-from edgedisp.tensor import Tensor
+from edgedisp.tensor import Tensor, no_grad
 
-from checks import fd_check, infer_views_apart
+from checks import (fd_check, infer_views_apart, randomise_batch_norm,
+                    unfolded_batch_norm)
 
 TINY = NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=2,
                      dilation_rates=(1, 2))
@@ -364,3 +369,77 @@ class TestForward:
         out["d3"].sum().backward()
         assert p["edge.cls0.w"].grad is None
         assert p["edge.a1.w"].grad is not None  # via the fused pyramid
+
+
+class TestPreStem:
+    def test_working_memory_holds_one_block_of_c_channels(self):
+        """One untaped stem at 128x256, d_max 32, peaks below its inputs,
+        the volume it builds, its output, one block of a column matrix over
+        C channels (the |diff| block; the concatenation channels never reach
+        one) and a slack."""
+        cfg = NetworkConfig(d_max=32)
+        p = init_params(cfg, seed=0)
+        c = cfg.base_channels
+        shape, volume = (1, c, 32, 64), (1, 3 * c, cfg.d_levels, 32, 64)
+        plan = ops._plan(c, volume[2:], (3,) * 3, (1,) * 3, (1,) * 3, (1,) * 3, volume[2:])
+        block = 8 * c * 27 * max(math.prod(blk.out) for blk in plan.blocks)
+        slack = 1 << 20
+        tracemalloc.start()
+        try:
+            rng = np.random.default_rng(35)
+            fl, fr = Tensor(rng.normal(size=shape)), Tensor(rng.normal(size=shape))
+            with no_grad():
+                v = pre_stem(fl, fr, p, cfg, "infer")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert v.shape == (1, c) + volume[2:]
+        assert len(plan.blocks) > 1
+        bound = 2 * fl.data.nbytes + 8 * math.prod(volume) + v.data.nbytes + block + slack
+        assert peak < bound, (peak, bound)
+
+
+class TestFoldedBatchNorm:
+    """Outside "train" and "stats" each batch-norm is folded into its conv;
+    ``checks.unfolded_batch_norm`` applies it after the conv instead. The
+    batch-norm state is drawn first: at its initial values the fold is
+    nearly the identity."""
+
+    @pytest.mark.parametrize("h, w, d_max", [(64, 64, 16), (128, 256, 32), (256, 512, 64)])
+    def test_predict_matches_unfolded(self, h, w, d_max):
+        cfg = NetworkConfig(d_max=d_max)
+        p = init_params(cfg, seed=0)
+        randomise_batch_norm(p, np.random.default_rng(h))
+        sample = data.synth_stereogram(1, {"H": h, "W": w, "D_max": d_max, "n_objects": 2})
+        got = trainer.predict(p, cfg, sample)
+        with unfolded_batch_norm():
+            want = trainer.predict(p, cfg, sample)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name, x_shape, kwargs", [
+        ("shared.conv0", (2, 3, 8, 8), {}),
+        ("disp.pre.b", (2, 8, 3, 4, 5), {"nd": 3}),
+        ("disp.agm0.dec1", (2, 16, 2, 2, 3),
+         {"stride": 2, "relu": False, "output_size": (3, 4, 5)}),
+    ])
+    def test_eval_backward_reaches_weight_and_affine(self, name, x_shape, kwargs):
+        cfg = NetworkConfig()
+        p = init_params(cfg, seed=0)
+        rng = np.random.default_rng(36)
+        randomise_batch_norm(p, rng)
+        x0 = rng.normal(size=x_shape)
+        cot = None
+        results = []
+        for context in (contextlib.nullcontext, unfolded_batch_norm):
+            p.zero_grad()
+            x = Tensor(x0, requires_grad=True)
+            with context():
+                y = _conv_block(p, name, x, "eval", **kwargs)
+            if cot is None:
+                cot = Tensor(rng.normal(size=y.shape))
+            (y * cot).sum().backward()
+            results.append([y.data, x.grad] + [p[name + s].grad
+                                               for s in (".w", ".gamma", ".beta")])
+        for got, want in zip(*results):
+            assert got is not None
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

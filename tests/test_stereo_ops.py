@@ -4,7 +4,7 @@ import pytest
 import tracemalloc
 
 from checks import (chained_regress_disparity, fd_check, granular_kernels,
-                    loop_cost_volume, rand_tensor)
+                    loop_cost_volume, materialised_concat_conv, rand_tensor)
 from edgedisp import ops, stereo
 from edgedisp.ops import ConvSpec, ShapeError
 from edgedisp.stereo import (build_cost_volume, granular_conv, granular_param_count,
@@ -319,6 +319,73 @@ class TestCostVolumeAgainstLoop:
         fr = Tensor(rng.normal(size=(1, 2, 3, 6)))
         (build_cost_volume(fl, fr, 4).sum()).backward()
         assert fr.grad is None and fl.grad is not None
+
+
+def _rel_err(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+class TestConcatVolumeConv:
+    """concat_volume_conv against the conv of the materialised volume."""
+
+    @pytest.mark.parametrize("shape, d_levels", LOOP_CASES + [((1, 8, 32, 64), 8)])
+    def test_matches_materialised_volume(self, shape, d_levels):
+        # the network's geometry last: 128x256 images at d_max 32
+        rng = np.random.default_rng(24)
+        arrays = [rng.normal(size=shape), rng.normal(size=shape),
+                  rng.normal(size=(5, 2 * shape[1], 3, 3, 3))]
+        cot = Tensor(rng.normal(size=(shape[0], 5, d_levels) + shape[2:]))
+        results = []
+        for conv in (lambda fl, fr, w: stereo.concat_volume_conv(fl, fr, w, d_levels),
+                     lambda fl, fr, w: materialised_concat_conv(fl, fr, w, d_levels)):
+            ts = [Tensor(a, requires_grad=True) for a in arrays]
+            y = conv(*ts)
+            (y * cot).sum().backward()
+            results.append([y.data] + [t.grad for t in ts])
+        for got, want in zip(*results):
+            assert _rel_err(got, want) <= 1e-12
+
+    def test_adds_base(self):
+        rng = np.random.default_rng(25)
+        fl, fr = (rand_tensor(rng, (2, 3, 4, 7)) for _ in range(2))
+        w = rand_tensor(rng, (4, 6, 3, 3, 3))
+        base = rand_tensor(rng, (2, 4, 5, 4, 7))
+        cot = rng.normal(size=base.shape)
+        y = stereo.concat_volume_conv(fl, fr, w, 5, base=base)
+        (y * Tensor(cot)).sum().backward()
+        alone = stereo.concat_volume_conv(fl, fr, w, 5).data
+        assert _rel_err(y.data - base.data, alone) <= 1e-12
+        np.testing.assert_array_equal(base.grad, cot)
+
+    def test_batch_order_invariance(self):
+        rng = np.random.default_rng(26)
+        fl, fr = rng.normal(size=(3, 4, 5, 9)), rng.normal(size=(3, 4, 5, 9))
+        w = Tensor(rng.normal(size=(6, 8, 3, 3, 3)))
+        y = stereo.concat_volume_conv(Tensor(fl), Tensor(fr), w, 6).data
+        order = [2, 0, 1]
+        shuffled = stereo.concat_volume_conv(Tensor(fl[order]), Tensor(fr[order]), w, 6).data
+        assert np.array_equal(y[order], shuffled)
+
+    def test_records_one_node_whatever_the_levels(self):
+        rng = np.random.default_rng(27)
+        fl, fr = rand_tensor(rng, (1, 2, 3, 6)), rand_tensor(rng, (1, 2, 3, 6))
+        w = rand_tensor(rng, (3, 4, 3, 3, 3))
+        for d in (1, 3, 6, 9):
+            tape = _collect_tape(stereo.concat_volume_conv(fl, fr, w, d))
+            assert sum(1 for t in tape if t._parents) == 1, d
+
+    def test_right_features_without_gradient(self):
+        rng = np.random.default_rng(28)
+        fl, w = rand_tensor(rng, (1, 2, 3, 6)), rand_tensor(rng, (3, 4, 3, 3, 3))
+        fr = Tensor(rng.normal(size=(1, 2, 3, 6)))
+        stereo.concat_volume_conv(fl, fr, w, 4).sum().backward()
+        assert fr.grad is None and fl.grad is not None and w.grad is not None
+
+    def test_weight_shape_rejected(self):
+        rng = np.random.default_rng(29)
+        fl, fr = rand_tensor(rng, (1, 2, 3, 6)), rand_tensor(rng, (1, 2, 3, 6))
+        with pytest.raises(ShapeError, match="weight shape"):
+            stereo.concat_volume_conv(fl, fr, rand_tensor(rng, (3, 6, 3, 3, 3)), 4)
 
 
 class TestSoftArgmin:

@@ -12,7 +12,7 @@ from checks import (fd_check, naive_conv, out_of_place_batch_norm, pad_zero,
                     padded_corr_forward, padded_corr_weight_grad, rand_tensor,
                     scattering_conv_grads, separate_transposed_grads,
                     stuffed_corr_input_grad)
-from edgedisp import ops, stereo
+from edgedisp import network, ops, stereo
 from edgedisp.ops import ConvSpec, ShapeError
 from edgedisp.tensor import Tensor, _collect_tape, accumulate_grad, make_op, no_grad
 
@@ -950,13 +950,13 @@ class TestBatchNorm:
         rng = np.random.default_rng(9)
         x = rng.normal(size=(8, 3, 5, 5))
         x = (x - x.mean(axis=(0, 2, 3), keepdims=True)) / x.std(axis=(0, 2, 3), keepdims=True)
-        y = ops.batch_norm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)), "train")
+        y = ops.batch_norm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)))
         assert np.abs(y.data - x).max() < 1e-4
 
     def test_zero_gamma_gives_constant_beta(self):
         rng = np.random.default_rng(10)
         x = Tensor(rng.normal(size=(2, 2, 3, 3)))
-        y = ops.batch_norm(x, Tensor(np.zeros(2)), Tensor(np.full(2, 5.0)), "train")
+        y = ops.batch_norm(x, Tensor(np.zeros(2)), Tensor(np.full(2, 5.0)))
         np.testing.assert_array_equal(y.data, np.full((2, 2, 3, 3), 5.0))
 
     def test_matches_formula_oracle(self):
@@ -964,7 +964,7 @@ class TestBatchNorm:
         x = rng.normal(size=(4, 3, 6, 6))
         gamma = rng.normal(size=3)
         beta = rng.normal(size=3)
-        y = ops.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), "train").data
+        y = ops.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta)).data
         mean = x.mean(axis=(0, 2, 3), keepdims=True)
         var = x.var(axis=(0, 2, 3), keepdims=True)
         ref = gamma.reshape(1, 3, 1, 1) * (x - mean) / np.sqrt(var + 1e-5) \
@@ -974,31 +974,36 @@ class TestBatchNorm:
     def test_train_statistics_normalized(self):
         rng = np.random.default_rng(12)
         x = rng.normal(3.0, 2.0, size=(8, 2, 8, 8))
-        y = ops.batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), "train").data
+        y = ops.batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2))).data
         assert np.abs(y.mean(axis=(0, 2, 3))).max() < 1e-6
         assert np.abs(y.var(axis=(0, 2, 3)) - 1.0).max() < 1e-3
 
     def test_degenerate_batch_rejected(self):
         x = Tensor(np.zeros((1, 3, 1, 1)))
         with pytest.raises(ShapeError):
-            ops.batch_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), "train")
+            ops.batch_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)))
 
     def test_running_stats_update_and_eval(self):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(4, 2, 4, 4))
         rm = np.zeros(2)
         rv = np.ones(2)
-        ops.batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), "train",
+        ops.batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
                        running_mean=rm, running_var=rv)
         assert np.abs(rm - 0.1 * x.mean(axis=(0, 2, 3))).max() < 1e-12
-        y = ops.batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), "eval",
-                           running_mean=rm, running_var=rv).data
+        # outside training the buffers are folded into the conv before the
+        # batch-norm: a 1x1 identity conv block normalises with them
+        p = network.ModelParams()
+        p.add("disp.n.w", Tensor(np.eye(2).reshape(2, 2, 1, 1)))
+        for suffix, value in (("gamma", np.ones(2)), ("beta", np.zeros(2)),
+                              ("rmean", rm), ("rvar", rv)):
+            p.add("disp.n." + suffix, Tensor(value))
+        y = network._conv_block(p, "disp.n", Tensor(x), "infer", relu=False).data
         ref = (x - rm.reshape(1, 2, 1, 1)) / np.sqrt(rv.reshape(1, 2, 1, 1) + 1e-5)
         assert np.abs(y - ref).max() < 1e-12
 
-    @pytest.mark.parametrize("mode", ["train", "eval"])
     @pytest.mark.parametrize("shape", [(4, 3, 6, 5), (2, 3, 4, 5, 6)])
-    def test_in_place_forward_matches_out_of_place(self, mode, shape):
+    def test_in_place_forward_matches_out_of_place(self, shape):
         """With and without the fused ReLU, the op equals the out-of-place
         batch norm, then ``Tensor.relu``: outputs, all three gradients and
         the updated running buffers, bit for bit."""
@@ -1013,10 +1018,11 @@ class TestBatchNorm:
                 return y.relu() if relu else y
 
             results = []
-            for bn in (functools.partial(ops.batch_norm, relu=relu), reference):
+            for bn in (functools.partial(ops.batch_norm, relu=relu),
+                       functools.partial(reference, mode="train")):
                 ts = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
                 bufs = rm.copy(), rv.copy()
-                y = bn(*ts, mode, running_mean=bufs[0], running_var=bufs[1])
+                y = bn(*ts, running_mean=bufs[0], running_var=bufs[1])
                 (y * c).sum().backward()
                 results.append([y.data] + [t.grad for t in ts] + list(bufs))
             assert (results[0][0] == 0.0).any() == relu
@@ -1026,7 +1032,7 @@ class TestBatchNorm:
     def test_relu_records_one_node(self):
         rng = np.random.default_rng(34)
         x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
-        y = ops.batch_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), "train", relu=True)
+        y = ops.batch_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), relu=True)
         assert [n for n in _collect_tape(y) if n._parents] == [y]
 
 
@@ -1095,8 +1101,8 @@ class TestBackward:
         g = rand_tensor(rng, (2,))
         b = rand_tensor(rng, (2,))
         tgt = Tensor(rng.normal(size=(3, 2, 4)))
-        fd_check(lambda t, gg, bb: ((ops.batch_norm(t, gg, bb, "train") - tgt)
-                                    * (ops.batch_norm(t, gg, bb, "train") - tgt)).sum(),
+        fd_check(lambda t, gg, bb: ((ops.batch_norm(t, gg, bb) - tgt)
+                                    * (ops.batch_norm(t, gg, bb) - tgt)).sum(),
                  [xb, g, b], rng)
 
 
