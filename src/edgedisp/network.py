@@ -5,7 +5,7 @@ regression heads.
 Parameters live in a flat name -> Tensor mapping partitioned by prefix:
 ``shared.`` (feature extractor used by both views and both tasks),
 ``edge.`` (depth-edge branch), ``disp.`` (disparity branch). Batch-norm
-running statistics are stored alongside as non-gradient buffers.
+running statistics are non-gradient buffers that only ``update_buffers`` writes.
 
 The stem's first 3-D conv runs over the dual cost volume in two parts:
 its ``|diff|`` channels through ``ops.conv3d``, its concatenation channels
@@ -16,6 +16,7 @@ before it (``_conv_weights``).
 
 from __future__ import annotations
 
+import contextvars
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -234,6 +235,21 @@ def _batch_statistics(mode: str) -> bool:
     return mode in ("train", "stats")
 
 
+# Where "train"/"stats" batch-norms put their moments, open while ``forward`` runs.
+_sink: contextvars.ContextVar = contextvars.ContextVar("batch_moments", default=None)
+BN_MOMENTUM = 0.1   # weight of the batch statistics in the running buffers
+
+
+def update_buffers(p: ModelParams, stats: Dict[str, list]) -> None:
+    """Fold ``forward``'s ``out["stats"]`` into the running buffers, per
+    layer in call order: ``r <- (1 - BN_MOMENTUM) * r + BN_MOMENTUM * s``."""
+    for name, moments in stats.items():
+        for mean, var in moments:
+            for r, s in ((p[name + ".rmean"].data, mean), (p[name + ".rvar"].data, var)):
+                r *= 1.0 - BN_MOMENTUM
+                r += BN_MOMENTUM * s
+
+
 def _conv_weights(p: ModelParams, name: str, mode: str,
                   out_axis: int = 0) -> Tuple[Tensor, Optional[Tensor]]:
     """The weight and bias (or None) that conv ``name`` runs with in
@@ -250,11 +266,12 @@ def _conv_weights(p: ModelParams, name: str, mode: str,
 
 def _activate(p: ModelParams, name: str, y: Tensor, mode: str, relu: bool) -> Tensor:
     """What follows conv ``name``'s output ``y``: batch-norm on batch
-    statistics when the layer has it and ``mode`` takes them (fused with
-    the ReLU), else the ReLU, in place, when ``relu``."""
+    statistics, its moments to ``_sink``, when the layer has it and ``mode``
+    takes them (fused with the ReLU), else the ReLU, in place, when ``relu``."""
     if name + ".gamma" in p and _batch_statistics(mode):
-        return ops.batch_norm(y, p[name + ".gamma"], p[name + ".beta"],
-                              p[name + ".rmean"].data, p[name + ".rvar"].data, relu=relu)
+        sink = _sink.get()
+        return ops.batch_norm(y, p[name + ".gamma"], p[name + ".beta"], relu=relu,
+                              moments=None if sink is None else sink.setdefault(name, []))
     return y.relu_() if relu else y
 
 
@@ -429,48 +446,47 @@ def _view(image: Tensor, p: ModelParams, cfg: NetworkConfig, mode: str,
 
 
 def forward(left: Tensor, right: Tensor, p: ModelParams, cfg: NetworkConfig,
-            mode: str) -> Dict[str, Tensor]:
-    """Run the whole pipeline on a rectified pair.
+            mode: str) -> Dict[str, object]:
+    """Run the whole pipeline on a rectified pair; no tensor of ``p`` changes.
 
-    ``"train"`` returns the disparity maps ``d1``-``d3`` (one per
-    aggregation stage) plus the edge probability, with batch-norm on batch
-    statistics taken per view (one ``_view`` call each). ``"infer"``
-    returns ``d3`` only, with batch-norm on the running buffers folded
-    into the convs; the two
-    views go through the extractor, the edge branch and pyramid fusion
-    (``_view``) as one batch. ``"stats"`` updates the batch-norm running
-    buffers exactly as ``"train"`` does and returns nothing: it stops
-    after the last batch-norm on each path, so the edge classifier head
-    and everything after ``disp.out{i}.a`` in the regression heads are
-    skipped.
-    """
+    ``"train"`` returns the disparities ``d1``-``d3`` (one per stage), the
+    edge probability and ``"stats"``: each batch-norm's batch ``(mean, var)``
+    per call (one ``_view`` per view), by layer in call order, for
+    ``update_buffers``. ``"stats"`` returns that alone, stopping after the
+    last batch-norm of each path. ``"infer"`` returns ``d3``, batch-norm on
+    the running buffers folded into the convs, both views through ``_view``
+    as one batch."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if left.shape != right.shape:
         raise ShapeError(f"pair shapes differ: {left.shape} vs {right.shape}")
     out_hw = left.shape[2:]
+    stats = {} if _batch_statistics(mode) else None
+    token = _sink.set(stats)
+    try:
+        if mode == "infer":
+            # Exact only because eval-mode batch-norm and every contraction
+            # are per sample; batch statistics would mix the two views.
+            b = left.shape[0]
+            edge_prob, fused = _view(ops.concat([left, right], axis=0), p, cfg, mode,
+                                     edge=cfg.use_dedge_spp, head=False)
+            fl, fr = fused[:b], fused[b:]
+        else:
+            edge_prob, fl = _view(left, p, cfg, mode, edge=cfg.use_edge_branch,
+                                  head=mode == "train")
+            _, fr = _view(right, p, cfg, mode, edge=cfg.use_dedge_spp, head=False)
 
-    if mode == "infer":
-        # Exact only because eval-mode batch-norm and every contraction
-        # are per sample; batch statistics would mix the two views.
-        b = left.shape[0]
-        edge_prob, fused = _view(ops.concat([left, right], axis=0), p, cfg, mode,
-                                 edge=cfg.use_dedge_spp, head=False)
-        fl, fr = fused[:b], fused[b:]
-    else:
-        edge_prob, fl = _view(left, p, cfg, mode, edge=cfg.use_edge_branch,
-                              head=mode == "train")
-        _, fr = _view(right, p, cfg, mode, edge=cfg.use_dedge_spp, head=False)
+        v = pre_stem(fl, fr, p, cfg, mode)
 
-    v = pre_stem(fl, fr, p, cfg, mode)
-
-    out: Dict[str, Tensor] = {}
-    for i in range(STAGES):
-        v = agm_module(v, p, f"disp.agm{i}", cfg, mode)
-        if mode == "stats":
-            _conv_block(p, f"disp.out{i}.a", v, mode, nd=3)
-        elif mode == "train" or i == STAGES - 1:
-            out[f"d{i + 1}"] = output_module(v, p, f"disp.out{i}", out_hw, cfg.d_max, mode)
+        out: Dict[str, object] = {}
+        for i in range(STAGES):
+            v = agm_module(v, p, f"disp.agm{i}", cfg, mode)
+            if mode == "stats":
+                _conv_block(p, f"disp.out{i}.a", v, mode, nd=3)
+            elif mode == "train" or i == STAGES - 1:
+                out[f"d{i + 1}"] = output_module(v, p, f"disp.out{i}", out_hw, cfg.d_max, mode)
+    finally:
+        _sink.reset(token)
     if edge_prob is not None:
         out["edge_prob"] = edge_prob
-    return out
+    return out if stats is None else dict(out, stats=stats)

@@ -71,7 +71,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -611,9 +611,10 @@ def softmax(x: Tensor, axis: int) -> Tensor:
 # -- normalization ------------------------------------------------------------
 #
 # ``batch_norm`` is one recorded op, with the ReLU that follows it in the
-# network fused in. It normalises with batch statistics; outside training
-# the network folds the running buffers into the conv before each
-# batch-norm instead (``network._conv_weights``). The forward takes one
+# network fused in. It normalises with batch statistics and hands them back
+# (``moments``): the network folds them into its running buffers, and those
+# into the conv before each batch-norm outside training
+# (``network.update_buffers``, ``network._conv_weights``). The forward takes one
 # deviation ``d = x - mean`` for both the variance (the same array
 # ``np.var`` squares, so the statistics are bit-identical to ``np.var``'s)
 # and ``xhat``, then normalises, scales, shifts and rectifies in ``d``'s
@@ -623,16 +624,14 @@ def softmax(x: Tensor, axis: int) -> Tensor:
 # input and the output only. Every per-channel sum, forward and backward,
 # is ``_channel_sum``.
 
-BN_MOMENTUM = 0.1   # weight of the batch statistics in the running buffers
 BN_EPS = 1e-5       # added to the variance before the square root
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
-               running_mean: Optional[np.ndarray] = None,
-               running_var: Optional[np.ndarray] = None, relu: bool = False) -> Tensor:
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, relu: bool = False,
+               moments: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None) -> Tensor:
     """Per-channel normalization over axis 1 of [B,C,*spatial] with batch
-    statistics, followed by a ReLU when ``relu`` is set. Running buffers,
-    when passed, are updated in place with momentum ``BN_MOMENTUM``.
+    statistics, followed by a ReLU when ``relu`` is set. The batch's
+    per-channel ``(mean, var)`` is appended to ``moments`` when given.
     """
     c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
@@ -644,12 +643,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     mean = _channel_sum(x.data) / n
     d = x.data - mean.reshape(bshape)
     var = _channel_sum(np.square(d)) / n
-    if running_mean is not None:
-        running_mean *= 1.0 - BN_MOMENTUM
-        running_mean += BN_MOMENTUM * mean
-    if running_var is not None:
-        running_var *= 1.0 - BN_MOMENTUM
-        running_var += BN_MOMENTUM * var
+    if moments is not None:
+        moments.append((mean, var))
 
     std = np.sqrt(var + BN_EPS).reshape(bshape)
     d /= std                                    # xhat

@@ -328,20 +328,20 @@ def compute_losses(outputs: Dict[str, Tensor], disp: np.ndarray, valid: np.ndarr
 def recalibrate_norm_stats(params: ModelParams, net: NetworkConfig,
                            samples: Sequence[ddata.StereoSample],
                            batch_size: int, seed: int, batches: int = 16) -> None:
-    """Refresh batch-norm running buffers by streaming training batches.
-
-    The exponential running estimates lag the weights after aggressive
-    updates; forwarding a few frozen-weight batches with batch statistics
-    pulls the buffers onto the current activation statistics before
-    evaluation. The ``"stats"`` forward records no tape and leaves the
-    buffers as the full training forward would.
-    """
+    """Pull the batch-norm running buffers, which lag fast-moving weights,
+    onto ``batches`` training batches: untaped ``"stats"`` forwards map the
+    batches to their statistics, folded into the buffers in batch order as
+    taped training forwards would. Without batch-norm no forward runs."""
+    if not net.norm_enabled:
+        return
     rng = np.random.default_rng(seed)
     n = min(batch_size, len(samples))
+    draws = (rng.choice(len(samples), size=n, replace=False) for _ in range(batches))
     with no_grad():
-        for _ in range(batches):
-            idx = rng.choice(len(samples), size=n, replace=False)
-            network.forward(*_views(samples, idx), params, net, "stats")
+        stats = [network.forward(*_views(samples, idx), params, net, "stats")["stats"]
+                 for idx in draws]
+    for s in stats:
+        network.update_buffers(params, s)
 
 
 def train(cfg: TrainConfig) -> Dict[str, object]:
@@ -377,6 +377,7 @@ def train(cfg: TrainConfig) -> Dict[str, object]:
             idx = next_batch()
             left, right, disp, valid, edges = _batch_arrays(samples, idx, flip_rng, edge_maps)
             outputs = network.forward(left, right, params, cfg.network, "train")
+            network.update_buffers(params, outputs["stats"])
             parts = compute_losses(outputs, disp, valid, edges,
                                    cfg.loss_weights, cfg.network)
             record = {k: v.item() for k, v in parts.items()}

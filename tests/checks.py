@@ -209,20 +209,27 @@ def retaining_backward(loss):
             node._backward(node.grad)
 
 
+def in_place_ema(buf, stat):
+    """The running-buffer update batch-norm once made inside its forward:
+    ``buf <- (1 - m) * buf + m * stat`` in two in-place steps."""
+    buf *= 1.0 - network.BN_MOMENTUM
+    buf += network.BN_MOMENTUM * stat
+
+
 def out_of_place_batch_norm(x, gamma, beta, mode, running_mean=None, running_var=None):
     """``ops.batch_norm`` without the ReLU, with the statistics from
     ``np.mean``/``np.var`` and ``xhat`` and ``y`` built by out-of-place
-    arithmetic and kept for backward. ``"eval"`` normalises with the
-    running buffers: the batch-norm that the network folds into its convs
-    outside training (``unfolded_batch_norm``)."""
+    arithmetic and kept for backward. ``"train"`` updates the running
+    buffers it is given in place (``in_place_ema``). ``"eval"`` normalises
+    with the running buffers: the batch-norm that the network folds into
+    its convs outside training (``unfolded_batch_norm``)."""
     red_axes = (0,) + tuple(range(2, x.ndim))
     bshape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
     if mode == "train":
         mean, var = x.data.mean(axis=red_axes), x.data.var(axis=red_axes)
         for buf, stat in ((running_mean, mean), (running_var, var)):
             if buf is not None:
-                buf *= 1.0 - ops.BN_MOMENTUM
-                buf += ops.BN_MOMENTUM * stat
+                in_place_ema(buf, stat)
     else:
         mean, var = running_mean, running_var
     std = np.sqrt(var + ops.BN_EPS)
@@ -277,6 +284,30 @@ def unfolded_batch_norm():
 
     with mock.patch.object(network, "_conv_weights", weights), \
             mock.patch.object(network, "_activate", unfolded):
+        yield
+
+
+@contextlib.contextmanager
+def in_place_buffer_updates():
+    """Run ``network`` with the running buffers updated as batch-norm once
+    did: each batch-norm with batch statistics folds its moments into its
+    buffers (``in_place_ema``) as soon as it runs, inside or outside
+    ``forward``, and ``network.update_buffers`` does nothing."""
+    activate = network._activate
+
+    def eager(p, name, y, mode, relu):
+        if name + ".gamma" not in p or not network._batch_statistics(mode):
+            return activate(p, name, y, mode, relu)
+        moments = []
+        y = ops.batch_norm(y, p[name + ".gamma"], p[name + ".beta"], relu=relu,
+                           moments=moments)
+        (mean, var), = moments
+        in_place_ema(p[name + ".rmean"].data, mean)
+        in_place_ema(p[name + ".rvar"].data, var)
+        return y
+
+    with mock.patch.object(network, "_activate", eager), \
+            mock.patch.object(network, "update_buffers", lambda p, stats: None):
         yield
 
 

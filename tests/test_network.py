@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from edgedisp import data, ops, trainer
+from edgedisp import data, network, ops, trainer
 from edgedisp.network import (ModelParams, NetworkConfig, _conv_block, agm_module,
                               dedge_branch, dedge_spp, feature_extract,
                               forward, init_params, output_module, pre_stem)
@@ -248,7 +248,7 @@ class TestForward:
         p = init_params(TINY, seed=0)
         left, right = tiny_pair(rng, h=32, w=32, batch=2)
         out = forward(left, right, p, TINY, "train")
-        assert set(out) == {"d1", "d2", "d3", "edge_prob"}
+        assert set(out) == {"d1", "d2", "d3", "edge_prob", "stats"}
         for key in ("d1", "d2", "d3"):
             assert out[key].shape == (2, 32, 32)
             assert out[key].data.min() >= 0.0
@@ -318,14 +318,39 @@ class TestForward:
         got = forward(left, right, p, cfg, "infer")["d3"].data
         np.testing.assert_array_equal(got, infer_views_apart(left, right, p, cfg).data)
 
-    def test_stats_mode_returns_nothing_and_records_like_train(self):
+    @pytest.mark.parametrize("cfg", [
+        TINY,
+        NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=2, dilation_rates=(1, 2),
+                      use_edge_branch=False, use_dedge_spp=False),
+    ])
+    def test_forward_is_pure_and_stats_returns_train_moments(self, cfg):
+        """No mode changes a tensor of the parameters; "stats" returns the
+        per-layer batch moments of "train" on the same batch and nothing
+        else, and "infer" returns none."""
         rng = np.random.default_rng(17)
         left, right = tiny_pair(rng, h=32, w=32, batch=2)
-        a, b = init_params(TINY, seed=0), init_params(TINY, seed=0)
-        assert forward(left, right, a, TINY, "stats") == {}
-        forward(left, right, b, TINY, "train")
-        for name, t in b.tensors.items():
-            np.testing.assert_array_equal(a[name].data, t.data, err_msg=name)
+        p = init_params(cfg, seed=0)
+        randomise_batch_norm(p, rng)
+        before = {n: t.data.copy() for n, t in p.tensors.items()}
+        outs = {}
+        for mode in network.MODES:
+            outs[mode] = forward(left, right, p, cfg, mode)
+            for name, t in p.tensors.items():
+                np.testing.assert_array_equal(t.data, before[name], err_msg=f"{mode} {name}")
+        assert "stats" not in outs["infer"]
+        assert set(outs["stats"]) == {"stats"}
+        train, stats = outs["train"]["stats"], outs["stats"]["stats"]
+        norms = [n[:-len(".gamma")] for n in p.tensors if n.endswith(".gamma")]
+        assert sorted(stats) == sorted(norms)
+        assert list(stats) == list(train)
+        for name, moments in stats.items():
+            # the 2-D layers normalise each view in its own batch
+            per_view = name.startswith(("shared.", "edge.", "disp.spp."))
+            assert len(moments) == (2 if per_view else 1), name
+            assert len(train[name]) == len(moments), name
+            for got, want in zip(moments, train[name]):
+                for a, b in zip(got, want):
+                    np.testing.assert_array_equal(a, b, err_msg=name)
 
     def test_shape_mismatch_rejected(self):
         p = init_params(TINY, seed=0)
@@ -347,7 +372,7 @@ class TestForward:
         p = init_params(cfg, seed=0)
         left, right = tiny_pair(rng, h=32, w=32, batch=2)
         out = forward(left, right, p, cfg, "train")
-        assert set(out) == {"d1", "d2", "d3"}
+        assert set(out) == {"d1", "d2", "d3", "stats"}
 
     def test_multitask_gradients_reach_both_branches(self):
         rng = np.random.default_rng(13)

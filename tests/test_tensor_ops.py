@@ -988,16 +988,19 @@ class TestBatchNorm:
         x = rng.normal(size=(4, 2, 4, 4))
         rm = np.zeros(2)
         rv = np.ones(2)
-        ops.batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                       running_mean=rm, running_var=rv)
-        assert np.abs(rm - 0.1 * x.mean(axis=(0, 2, 3))).max() < 1e-12
-        # outside training the buffers are folded into the conv before the
-        # batch-norm: a 1x1 identity conv block normalises with them
         p = network.ModelParams()
         p.add("disp.n.w", Tensor(np.eye(2).reshape(2, 2, 1, 1)))
         for suffix, value in (("gamma", np.ones(2)), ("beta", np.zeros(2)),
                               ("rmean", rm), ("rvar", rv)):
             p.add("disp.n." + suffix, Tensor(value))
+        moments = []
+        ops.batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), moments=moments)
+        np.testing.assert_array_equal(rm, 0.0)   # the op writes no buffer
+        network.update_buffers(p, {"disp.n": moments})
+        assert np.abs(rm - 0.1 * x.mean(axis=(0, 2, 3))).max() < 1e-12
+        assert np.abs(rv - (0.9 + 0.1 * x.var(axis=(0, 2, 3)))).max() < 1e-12
+        # outside training the buffers are folded into the conv before the
+        # batch-norm: a 1x1 identity conv block normalises with them
         y = network._conv_block(p, "disp.n", Tensor(x), "infer", relu=False).data
         ref = (x - rm.reshape(1, 2, 1, 1)) / np.sqrt(rv.reshape(1, 2, 1, 1) + 1e-5)
         assert np.abs(y - ref).max() < 1e-12
@@ -1006,7 +1009,8 @@ class TestBatchNorm:
     def test_in_place_forward_matches_out_of_place(self, shape):
         """With and without the fused ReLU, the op equals the out-of-place
         batch norm, then ``Tensor.relu``: outputs, all three gradients and
-        the updated running buffers, bit for bit."""
+        the running buffers, bit for bit. The op's moments are folded by
+        ``network.update_buffers``; the reference updates them in place."""
         rng = np.random.default_rng(33)
         x = rng.normal(2.0, 3.0, size=shape)
         gamma, beta = rng.normal(size=3), rng.normal(size=3)
@@ -1017,14 +1021,22 @@ class TestBatchNorm:
                 y = out_of_place_batch_norm(*args, **kwargs)
                 return y.relu() if relu else y
 
+            def folded(*args, running_mean, running_var):
+                p, moments = network.ModelParams(), []
+                p.add("disp.n.rmean", Tensor(running_mean))
+                p.add("disp.n.rvar", Tensor(running_var))
+                y = ops.batch_norm(*args, relu=relu, moments=moments)
+                network.update_buffers(p, {"disp.n": moments})
+                return y
+
             results = []
-            for bn in (functools.partial(ops.batch_norm, relu=relu),
-                       functools.partial(reference, mode="train")):
+            for bn in (folded, functools.partial(reference, mode="train")):
                 ts = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
                 bufs = rm.copy(), rv.copy()
                 y = bn(*ts, running_mean=bufs[0], running_var=bufs[1])
                 (y * c).sum().backward()
                 results.append([y.data] + [t.grad for t in ts] + list(bufs))
+            assert not np.array_equal(results[0][-2], rm)
             assert (results[0][0] == 0.0).any() == relu
             for got, want in zip(*results):
                 np.testing.assert_array_equal(got, want)

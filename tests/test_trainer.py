@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from checks import concatenating_save_checkpoint
+from checks import concatenating_save_checkpoint, in_place_buffer_updates
 from edgedisp import data as ddata
 from edgedisp.losses import LossWeights
 from edgedisp import network
@@ -366,6 +367,23 @@ class TestTraining:
             assert math.isfinite(e["total"])
             assert {"l_disp", "l_edge", "l_dedge", "lr"} <= set(e)
 
+    def test_same_files_as_in_place_buffer_updates(self, tmp_path):
+        """Folding each forward's statistics after it writes the same files
+        as updating the buffers inside every batch-norm as it runs."""
+        val_dir = str(tmp_path / "val")
+        make_dataset(val_dir, 3, seed0=100, h=64, w=64)
+        make_dataset(str(tmp_path / "train"), 8, h=64, w=64)
+        runs = []
+        for context in (contextlib.nullcontext, in_place_buffer_updates):
+            cfg = self._cfg(tmp_path, steps=6, val_dir=val_dir, eval_interval=3)
+            cfg.batch_size = 4
+            cfg.out_dir = str(tmp_path / f"run{len(runs)}")
+            with context():
+                train(cfg)
+            runs.append([Path(cfg.out_dir, f).read_bytes()
+                         for f in ("best.ckpt", "last.ckpt", "log.jsonl")])
+        assert runs[0] == runs[1]
+
     def test_validation_and_best_checkpoint(self, tmp_path):
         val_dir = str(tmp_path / "val")
         make_dataset(val_dir, 2, seed0=100)
@@ -488,11 +506,21 @@ class TestFrozenWeightPasses:
             left, right, *_ = _batch_arrays(samples, idx)
             out = network.forward(left, right, want, cfg, "train")
             assert out["d3"]._backward is not None
+            network.update_buffers(want, out["stats"])
         buffers = [n for n in want.tensors if n.endswith((".rmean", ".rvar"))]
         assert buffers
         for name in buffers:
             assert not np.array_equal(want[name].data, init_params(cfg, 0)[name].data), name
             np.testing.assert_array_equal(got[name].data, want[name].data, err_msg=name)
+
+    def test_recalibration_without_batch_norm_runs_no_forward(self, monkeypatch):
+        cfg = NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=2,
+                            dilation_rates=(1, 2), norm_enabled=False)
+        calls = []
+        monkeypatch.setattr(network, "forward", lambda *args: calls.append(args))
+        recalibrate_norm_stats(init_params(cfg, seed=0), cfg, [synth(i) for i in range(4)],
+                               batch_size=2, seed=0, batches=3)
+        assert calls == []
 
     def test_predict_batch_equals_per_sample(self):
         params = init_params(TINY_NET, seed=0)
