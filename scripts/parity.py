@@ -1,0 +1,118 @@
+"""Bit-for-bit parity of two checkouts of edgedisp.
+
+    python3 scripts/parity.py dump OUT.npz
+    python3 scripts/parity.py compare A.npz B.npz
+
+``dump`` imports edgedisp from the ``src/`` directory beside this script,
+with one BLAS thread, and saves:
+
+- a default-config batch-4 64x64 ``"train"`` step: ``d1``-``d3``,
+  ``edge_prob`` and the gradient of every trainable tensor;
+- ``predict`` on two 128x256 pairs (d_max 32) and one 256x512 pair
+  (d_max 64);
+- ``stereo.regress_disparity`` forward and backward over four tiles, at a
+  non-integer scale;
+- ``ops.upsample_bilinear`` forward and backward between a few extents,
+  shrinking, keeping and growing.
+
+``compare`` lists every array that is in only one file or not
+``array_equal`` in both, and exits 1 if there is any.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+import numpy as np  # noqa: E402
+
+from edgedisp import data, network, ops, stereo, trainer  # noqa: E402
+from edgedisp.losses import LossWeights  # noqa: E402
+from edgedisp.tensor import Tensor  # noqa: E402
+
+
+def _pairs(n: int, h: int, w: int, d_max: int, seed: int):
+    cfg = {"H": h, "W": w, "D_max": d_max, "n_objects": 2}
+    return [data.synth_stereogram(seed + i, cfg) for i in range(n)]
+
+
+def _train_step(out: dict) -> None:
+    net = network.NetworkConfig()
+    params = network.init_params(net, seed=0)
+    samples = _pairs(4, 64, 64, net.d_max, seed=10)
+    left, right, disp, valid, edges = trainer._batch_arrays(samples, range(4))
+    outputs = network.forward(left, right, params, net, "train")
+    for k in ("d1", "d2", "d3", "edge_prob"):
+        out[f"train.{k}"] = outputs[k].data
+    trainer.compute_losses(outputs, disp, valid, edges, LossWeights(), net)["total"].backward()
+    for name, t in params.trainable().items():
+        out[f"train.grad.{name}"] = t.grad
+
+
+def _predicts(out: dict) -> None:
+    for tag, (n, h, w, d_max) in {"wide": (2, 128, 256, 32), "large": (1, 256, 512, 64)}.items():
+        net = network.NetworkConfig(d_max=d_max)
+        params = network.init_params(net, seed=1)
+        for i, s in enumerate(_pairs(n, h, w, d_max, seed=20)):
+            out[f"predict.{tag}{i}"] = trainer.predict(params, net, s)
+
+
+def _regression(out: dict) -> None:
+    rng = np.random.default_rng(30)
+    b, d_max, h, w = 2, 13, 19, 23
+    cost = Tensor(rng.normal(scale=3.0, size=(b, 1, 5, 7, 9)), requires_grad=True)
+    budget = ops._WORK_BUDGET
+    ops._WORK_BUDGET = 5 * 8 * b * d_max * w     # tiles of 5, 5, 5 and 4 rows
+    try:
+        y = stereo.regress_disparity(cost, d_max, (h, w))
+        (y * Tensor(rng.normal(size=y.shape))).sum().backward()
+    finally:
+        ops._WORK_BUDGET = budget
+    out["regress.y"], out["regress.grad"] = y.data, cost.grad
+
+
+def _resizes(out: dict) -> None:
+    rng = np.random.default_rng(40)
+    for hw_in, hw_out in [((16, 16), (64, 64)), ((1, 2), (16, 16)), ((5, 7), (5, 13)),
+                          ((7, 13), (3, 6)), ((6, 9), (13, 10))]:
+        x = Tensor(rng.normal(size=(2, 3) + hw_in), requires_grad=True)
+        y = ops.upsample_bilinear(x, hw_out)
+        (y * Tensor(rng.normal(size=y.shape))).sum().backward()
+        tag = "x".join(map(str, hw_in + hw_out))
+        out[f"resize.{tag}.y"], out[f"resize.{tag}.grad"] = y.data, x.grad
+
+
+def dump(path: str) -> int:
+    out: dict = {}
+    for part in (_train_step, _predicts, _regression, _resizes):
+        part(out)
+    np.savez(path, **out)
+    print(f"{len(out)} arrays written to {path}")
+    return 0
+
+
+def compare(path_a: str, path_b: str) -> int:
+    with np.load(path_a) as a, np.load(path_b) as b:
+        names = sorted(set(a.files) | set(b.files))
+        differ = [n for n in names
+                  if n not in a.files or n not in b.files or not np.array_equal(a[n], b[n])]
+    for n in differ:
+        print(f"differs: {n}")
+    print(f"{len(differ)} of {len(names)} arrays differ")
+    return 1 if differ else 0
+
+
+def main(argv) -> int:
+    if len(argv) == 2 and argv[0] == "dump":
+        return dump(argv[1])
+    if len(argv) == 3 and argv[0] == "compare":
+        return compare(argv[1], argv[2])
+    print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -119,6 +119,11 @@ def synth_stereogram(seed: int, cfg: Dict[str, int]) -> StereoSample:
         raise ValueError(f"D_max={d_max} must be < W/2 = {w // 2}")
     if n_objects < 0:
         raise ValueError(f"n_objects must be >= 0, got {n_objects}")
+    if n_objects and d_max < 2:
+        raise ValueError(f"objects need D_max >= 2, got D_max={d_max}: each must lie "
+                         "nearer than the background")
+    if n_objects and h < 2:
+        raise ValueError(f"objects need H >= 2, got H={h}")
 
     rng = np.random.default_rng(seed)
     d_bg = int(rng.integers(0, d_max // 4 + 1))
@@ -126,8 +131,7 @@ def synth_stereogram(seed: int, cfg: Dict[str, int]) -> StereoSample:
     # surfaces ordered far to near: (disparity, y0, y1, x0, x1, texture)
     surfaces = [(d_bg, 0, h, 0, w, _surface_texture(rng, h, w))]
     if n_objects > 0:
-        lo = min(d_bg + 1, d_max - 1)
-        disps = np.sort(rng.integers(lo, d_max, size=n_objects))
+        disps = np.sort(rng.integers(d_bg + 1, d_max, size=n_objects))
         for d in disps:
             rh = int(rng.integers(max(2, h // 8), max(3, h // 2)))
             rw = int(rng.integers(max(2, w // 8), max(3, w // 2)))
@@ -306,6 +310,10 @@ def load_sample(directory: str, index: int) -> StereoSample:
     inst, _ = read_pgm(stem + "inst.pgm")
     sem, _ = read_pgm(stem + "sem.pgm")
     valid, _ = read_pgm(stem + "valid.pgm")
+    for suffix, a in zip(_SAMPLE_SUFFIXES[1:], (right, disp, inst, sem, valid)):
+        if a.shape != left.shape:
+            raise ValueError(f"{stem + suffix}: extent {a.shape} differs from the left "
+                             f"image's {left.shape}")
     return StereoSample(grey_to_rgb(left / lmax), grey_to_rgb(right / rmax), Tensor(disp),
                         inst, sem, valid.astype(np.uint8))
 

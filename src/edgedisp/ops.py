@@ -471,100 +471,85 @@ def _interp_matrix(n_in: int, n_out: int) -> np.ndarray:
     return m
 
 
-class _Taps(NamedTuple):
-    """Two-tap resampling of ``n_in`` positions to ``n_out`` along one axis,
-    and its adjoint as a gather."""
-    lo: np.ndarray         # [n_out] first input each output reads
-    hi: np.ndarray         # [n_out] second input, equal to lo where clamped
-    w_lo: np.ndarray       # [n_out] weight of lo
-    w_hi: np.ndarray       # [n_out] weight of hi, 0 where clamped
-    reads: np.ndarray      # [n_in, L] the outputs reading each input, in order
-    w_reads: np.ndarray    # [n_in, L] their weights, 0 where a row has fewer
+class _Sparse(NamedTuple):
+    """The nonzero entries of each row of a matrix, padded with zero
+    weights to the longest row. Read-only."""
+    cols: np.ndarray       # [n_rows, L] column of each entry, in column order
+    weights: np.ndarray    # [n_rows, L] its value, 0 for padding
 
 
-def _taps(m: np.ndarray) -> _Taps:
-    """The two-tap rows of an interpolation matrix ``m`` [n_out, n_in], or
-    of a block of its rows and the columns they read, with their adjoint.
-
-    ``lo`` is each row's first nonzero column and ``hi = min(lo + 1,
-    n_in - 1)``; both never decrease along the rows. Where a row is
-    clamped to one column (``hi == lo``), that column's whole weight is
-    ``w_lo`` and ``w_hi`` is 0. The adjoint lists, for each column, the
-    rows that give it a nonzero weight, in row order, padded with zero
-    weights to the longest such list. Read-only.
-    """
-    n_out, n_in = m.shape
-    rows = np.arange(n_out)
-    lo = (m != 0.0).argmax(axis=1)
-    hi = np.minimum(lo + 1, n_in - 1)
-    w_lo = m[rows, lo]
-    w_hi = np.where(hi == lo, 0.0, m[rows, hi])
-    col = np.concatenate([lo, hi])
-    wt = np.concatenate([w_lo, w_hi])
-    out = np.concatenate([rows, rows])
-    keep = np.flatnonzero(wt)
-    order = keep[np.lexsort((out[keep], col[keep]))]
-    col, out, wt = col[order], out[order], wt[order]
-    count = np.bincount(col, minlength=n_in)
-    slot = np.arange(len(col)) - np.repeat(np.cumsum(count) - count, count)
-    reads = np.zeros((n_in, count.max()), dtype=np.intp)
-    w_reads = np.zeros(reads.shape)
-    reads[col, slot] = out
-    w_reads[col, slot] = wt
-    taps = _Taps(lo, hi, w_lo, w_hi, reads, w_reads)
-    for t in taps:
-        t.flags.writeable = False
-    return taps
+def _sparse(m: np.ndarray) -> _Sparse:
+    """The sparse rows of ``m`` [n_rows, n_cols]: each row's nonzero
+    columns in order, then its first zero columns as padding, to the
+    longest row (at least one entry)."""
+    nz = m != 0.0
+    width = max(int(nz.sum(axis=1).max(initial=0)), 1)
+    cols = np.argsort(~nz, axis=1, kind="stable")[:, :width].copy()
+    table = _Sparse(cols, np.take_along_axis(m, cols, axis=1))
+    for a in table:
+        a.flags.writeable = False
+    return table
 
 
+# A resize is the sparse rows of its interpolation matrix ``m``; its
+# backward is the sparse rows of ``m.T``.
 @functools.lru_cache(maxsize=256)
-def _interp_taps(n_in: int, n_out: int) -> _Taps:
-    """``_taps(_interp_matrix(n_in, n_out))``, cached."""
-    return _taps(_interp_matrix(n_in, n_out))
+def _resize(n_in: int, n_out: int) -> Tuple[_Sparse, _Sparse]:
+    """The tables of ``_interp_matrix(n_in, n_out)`` and of its transpose."""
+    m = _interp_matrix(n_in, n_out)
+    return _sparse(m), _sparse(m.T)
 
 
-def _lerp(x: np.ndarray, taps: _Taps, axis: int) -> np.ndarray:
-    """Resample ``x`` along ``axis`` by the two-tap rows of ``taps``:
-    ``y[o] = w_lo[o]*x[lo[o]] + w_hi[o]*x[hi[o]]``, the nonzero terms of
-    row ``o`` of the interpolation matrix."""
-    shape = (-1,) + (1,) * (x.ndim - 1 - axis)
-    y = np.take(x, taps.lo, axis=axis)
-    y *= taps.w_lo.reshape(shape)
-    far = np.take(x, taps.hi, axis=axis)
-    far *= taps.w_hi.reshape(shape)
-    y += far
-    return y
+# A regression head cuts its output rows into a few tiles per image size.
+# The cache keeps a tile's tables from being rebuilt at every call.
+@functools.lru_cache(maxsize=256)
+def _resize_rows(n_in: int, n_out: int, r0: int, r1: int) -> Tuple[slice, _Sparse, _Sparse]:
+    """For the output rows ``[r0, r1)`` of ``_interp_matrix(n_in, n_out)``:
+    the input rows they read, and the tables of their block of the matrix
+    and of its transpose."""
+    m = _interp_matrix(n_in, n_out)[r0:r1]
+    cols = np.flatnonzero(m.any(axis=0))
+    reads = slice(cols[0], cols[-1] + 1)
+    return reads, _sparse(m[:, reads]), _sparse(m[:, reads].T)
 
 
-def _lerp_adjoint(g: np.ndarray, taps: _Taps, axis: int) -> np.ndarray:
-    """Adjoint of ``_lerp`` along ``axis``: each input position gathers the
-    cotangents of the outputs that read it (``taps.reads``) and sums them
-    with their weights."""
-    n_in, n = taps.reads.shape
-    v = np.take(g, taps.reads.ravel(), axis=axis)
-    if n == 1:
-        v *= taps.w_reads.reshape((-1,) + (1,) * (g.ndim - 1 - axis))
-        return v
-    v = v.reshape(g.shape[:axis] + (n_in, n) + g.shape[axis + 1:])
-    s = "abcdefgh"[:g.ndim + 1]
-    return np.einsum(f"{s},{s[axis:axis + 2]}->{s[:axis + 1]}{s[axis + 2:]}", v, taps.w_reads)
+def _apply(x: np.ndarray, table: _Sparse, axis: int) -> np.ndarray:
+    """The product of the matrix of ``table`` with ``x`` along ``axis``.
+    Rows of at most two entries (every forward resize) sum term by term;
+    longer rows (the adjoint of an upsampling) are gathered once and
+    contracted with ``einsum``."""
+    n, width = table.cols.shape
+    if width <= 2:
+        shape = (-1,) + (1,) * (x.ndim - 1 - axis)
+        y = np.take(x, table.cols[:, 0], axis=axis)
+        y *= table.weights[:, 0].reshape(shape)
+        for k in range(1, width):
+            t = np.take(x, table.cols[:, k], axis=axis)
+            t *= table.weights[:, k].reshape(shape)
+            y += t
+        return y
+    v = np.take(x, table.cols.ravel(), axis=axis)
+    v = v.reshape(x.shape[:axis] + (n, width) + x.shape[axis + 1:])
+    s = "abcdefgh"[:x.ndim + 1]
+    return np.einsum(f"{s},{s[axis:axis + 2]}->{s[:axis + 1]}{s[axis + 2:]}", v, table.weights)
 
 
 def _upsample(x: Tensor, out_spatial: Sequence[int], name: str) -> Tensor:
     """Resize every spatial axis of [B,C,*spatial] to ``out_spatial``, one
-    axis after another by the two taps of each interpolation-matrix row."""
+    axis after another by the sparse rows of its interpolation matrix;
+    backward, by those of the transposes, in the same axis order."""
     if x.ndim != 2 + len(out_spatial):
         raise ShapeError(f"{name} expects rank {2 + len(out_spatial)}, got {x.ndim}")
     if min(out_spatial) < 1:
         raise ShapeError(f"target extent < 1: {out_spatial}")
-    taps = [_interp_taps(n_in, n) for n_in, n in zip(x.shape[2:], out_spatial)]
+    tables = [_resize(n_in, n) for n_in, n in zip(x.shape[2:], out_spatial)]
     y = x.data
-    for i, t in enumerate(taps):
-        y = _lerp(y, t, 2 + i)
+    for i, (fwd, _) in enumerate(tables):
+        y = _apply(y, fwd, 2 + i)
 
     def bwd(g):
-        for i, t in enumerate(taps):
-            g = _lerp_adjoint(g, t, 2 + i)
+        for i, (_, adj) in enumerate(tables):
+            g = _apply(g, adj, 2 + i)
         accumulate_grad(x, g)
 
     return make_op(y, (x,), bwd)

@@ -284,20 +284,21 @@ def regress_disparity(cost: Tensor, d_max: int, out_hw: Tuple[int, int]) -> Tens
     [B,*out_hw] disparity in [0, d_max-1]. The output rows run in tiles
     whose [B, d_max, rows, W] full-resolution cost fits
     ``ops._WORK_BUDGET`` bytes. Each tile reads only the low-resolution rows
-    its rows interpolate from and resamples them along H and W from the two
-    nonzero taps of each row of the interpolation matrices (a dense matrix
-    would cost W/4 products per output at real widths); its H taps, for
-    forward and backward, are ``ops._taps`` of its block of the H matrix,
-    the tile's rows and the columns they read. It then resamples along D by
-    one GEMM per sample with the D matrix (D is d_max/4 levels; a gather
-    was slower), and takes the softmax and the expected level in place.
-    Backward keeps only the tiles' taps: it recomputes each tile's
-    probabilities from the low-resolution cost, its parent, and adds the
-    tile's resampled cotangent into the rows it read (recompute for
-    memory, Chen et al., arXiv 1604.06174). A tile's working memory is
-    about three tiles. The result agrees with the chain of the two ops to
-    float64 round-off, not bit for bit: the chain resamples D first and by
-    two taps, the tile last and by a GEMM.
+    its rows interpolate from and resamples them along H and W by the
+    sparse rows of the interpolation matrices (a dense matrix would cost
+    W/4 products per output at real widths): along H by the cached
+    ``ops._resize_rows`` table of its block of the H matrix, the tile's
+    rows and the columns they read. It then resamples along D by one GEMM
+    per sample with the D matrix (D is d_max/4 levels; a gather was
+    slower), and takes the softmax and the expected level in place.
+    Backward recomputes each tile's probabilities from the low-resolution
+    cost, its parent, resamples the tile's cotangent by the transposes
+    (the GEMM with the D matrix's, the sparse rows of the blocks'), and
+    adds it into the rows it read (recompute for memory, Chen et al.,
+    arXiv 1604.06174). A tile's working memory is about three tiles. The
+    result agrees with the chain of the two ops to float64 round-off, not
+    bit for bit: the chain resamples D first and by sparse rows, the tile
+    last and by a GEMM.
     """
     if cost.ndim != 5:
         raise ShapeError(f"cost must be rank 5, got {cost.ndim}")
@@ -311,30 +312,25 @@ def regress_disparity(cost: Tensor, d_max: int, out_hw: Tuple[int, int]) -> Tens
     # softmax(-cost): the D resampling takes the negated matrix, which
     # negates every product and so every sum exactly.
     neg_md = -md
-    taps_w = ops._interp_taps(wl, w)
-    mh = ops._interp_matrix(hl, h)
-    lo, hi = ops._interp_taps(hl, h)[:2]
-    tiles = []
-    for r0, r1 in ops._row_runs(h, 8 * b * d_max * w):
-        a, z = lo[r0], hi[r1 - 1] + 1     # the low-resolution rows the tile reads
-        tiles.append((slice(r0, r1), slice(a, z), ops._taps(mh[r0:r1, a:z])))
+    w_fwd, w_adj = ops._resize(wl, w)
+    tiles = [(slice(r0, r1),) + ops._resize_rows(hl, h, r0, r1)
+             for r0, r1 in ops._row_runs(h, 8 * b * d_max * w)]
 
-    def probabilities(rows, taps_h):
-        c = ops._lerp(ops._lerp(cost.data[:, 0, :, rows], taps_h, axis=2), taps_w, axis=3)
+    def probabilities(rows, h_fwd):
+        c = ops._apply(ops._apply(cost.data[:, 0, :, rows], h_fwd, axis=2), w_fwd, axis=3)
         c = (neg_md @ c.reshape(b, dl, -1)).reshape(b, d_max, -1, w)
         return ops.softmax_inplace(c, axis=1)
 
     y = np.empty((b, h, w))
-    for out_rows, rows, taps_h in tiles:
-        y[:, out_rows] = _expected_level(probabilities(rows, taps_h))
+    for out_rows, rows, h_fwd, _ in tiles:
+        y[:, out_rows] = _expected_level(probabilities(rows, h_fwd))
 
     def bwd(g):
         gc = np.zeros((b, dl, hl, wl))
-        for out_rows, rows, taps_h in tiles:
-            gt = _cost_grad(probabilities(rows, taps_h), g[:, out_rows])
+        for out_rows, rows, h_fwd, h_adj in tiles:
+            gt = _cost_grad(probabilities(rows, h_fwd), g[:, out_rows])
             gt = (md.T @ gt.reshape(b, d_max, -1)).reshape(b, dl, -1, w)
-            gt = ops._lerp_adjoint(gt, taps_h, axis=2)
-            gc[:, :, rows] += ops._lerp_adjoint(gt, taps_w, axis=3)
+            gc[:, :, rows] += ops._apply(ops._apply(gt, h_adj, axis=2), w_adj, axis=3)
         accumulate_grad(cost, gc.reshape(cost.shape))
 
     return make_op(y, (cost,), bwd)

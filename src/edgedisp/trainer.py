@@ -72,7 +72,8 @@ def adam_step(params: Dict[str, Tensor], grads: Dict[str, np.ndarray],
 # reserved entries it does not know, such as the "__cfg__.downsample",
 # "__cfg__.pointwise_bias", "__cfg__.n_agm" and "__opt__.beta1/beta2/eps"
 # of older files.
-# Every value must be finite.
+# Every value must be finite in float32; ``save_checkpoint`` refuses
+# others before it opens the file.
 
 
 class CheckpointError(ValueError):
@@ -81,10 +82,13 @@ class CheckpointError(ValueError):
 
 def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
     nb = name.encode("utf-8")
-    arr = np.asarray(arr, dtype=np.float64)
+    with np.errstate(over="ignore"):    # an overflow is named below
+        arr = np.asarray(arr, dtype="<f4")
+    if not np.isfinite(arr).all():
+        raise CheckpointError(f"non-finite float32 value in {name!r}")
     head = struct.pack("<H", len(nb)) + nb + struct.pack("B", arr.ndim)
     head += b"".join(struct.pack("<I", n) for n in arr.shape)
-    return head + arr.astype("<f4").tobytes()
+    return head + arr.tobytes()
 
 
 def _config_entries(cfg: NetworkConfig) -> Dict[str, np.ndarray]:

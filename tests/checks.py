@@ -381,3 +381,18 @@ def concatenating_save_checkpoint(params, state, path, cfg):
         blob += trainer._pack_tensor(name, arr)
     with open(path, "wb") as f:
         f.write(blob)
+
+
+def checkpoint_holding(path, params, cfg, name, value):
+    """A checkpoint of ``params`` whose tensor ``name`` holds ``value`` as
+    its first float32, which ``trainer.save_checkpoint`` would refuse to
+    write when not finite: the value is spliced into a finite file."""
+    trainer.save_checkpoint(params, None, path, cfg)
+    good = trainer._pack_tensor(name, params[name].data)
+    at = len(good) - 4 * params[name].data.size
+    bad = good[:at] + np.asarray(value, dtype="<f4").tobytes() + good[at + 4:]
+    with open(path, "rb") as f:
+        raw = f.read()
+    assert raw.count(good) == 1
+    with open(path, "wb") as f:
+        f.write(raw.replace(good, bad))

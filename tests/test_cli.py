@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from checks import checkpoint_holding
 from edgedisp import data as ddata
 from edgedisp import trainer
 from edgedisp.cli import colorize, main
@@ -72,6 +73,16 @@ class TestGenData:
                               "--width", "16", "--dmax", "8")
         assert code == 2
         assert "dmax" in stderr
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--dmax", "0", "D_max >= 2, got D_max=0"), ("--dmax", "1", "D_max >= 2, got D_max=1"),
+        ("--height", "1", "H >= 2, got H=1")])
+    def test_scene_without_room_for_objects_refused(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "x"
+        code, stdout, stderr = run(capsys, "gen-data", "--out", str(out), flag, value)
+        assert code == 2
+        assert message in stderr and "Traceback" not in stderr
+        assert stdout == "" and not out.exists()
 
     @pytest.mark.parametrize("flag, value", [
         ("--count", "0"), ("--count", "-1"), ("--height", "0"), ("--width", "0"),
@@ -360,10 +371,8 @@ class TestPipeline:
 
     def test_infer_checkpoint_non_finite(self, tmp_path, capsys):
         net = NetworkConfig(**{**TINY_NET, "dilation_rates": tuple(TINY_NET["dilation_rates"])})
-        params = init_params(net, seed=0)
-        params["disp.out2.b.b"].data[0] = np.nan
         ckpt = str(tmp_path / "nan.ckpt")
-        save_checkpoint(params, None, ckpt, net)
+        checkpoint_holding(ckpt, init_params(net, seed=0), net, "disp.out2.b.b", np.nan)
         img = str(tmp_path / "img.pgm")
         ddata.write_pgm(img, np.zeros((32, 32), dtype=np.int64))
         code, stdout, stderr = run(capsys, "infer", "--ckpt", ckpt, "--left", img,
@@ -446,6 +455,19 @@ class TestPipeline:
         code, stdout, stderr = run(capsys, "eval", "--ckpt", ckpt, "--data", data_dir)
         assert code == 2
         assert "non-finite ground-truth disparity at 1 of" in stderr
+        assert "Traceback" not in stderr and stdout == ""
+
+    def test_eval_map_of_another_extent_rejected(self, tmp_path, capsys):
+        ckpt = _tiny_checkpoint(tmp_path)
+        data_dir = str(tmp_path / "d")
+        code, _, _ = run(capsys, "gen-data", "--out", data_dir, "--count", "2",
+                         "--height", "32", "--width", "32", "--dmax", "8")
+        assert code == 0
+        disp = os.path.join(data_dir, "0001_disp.pfm")
+        ddata.write_pfm(disp, np.zeros((16, 32)))
+        code, stdout, stderr = run(capsys, "eval", "--ckpt", ckpt, "--data", data_dir)
+        assert code == 2
+        assert f"{disp}: extent (16, 32) differs from the left image's (32, 32)" in stderr
         assert "Traceback" not in stderr and stdout == ""
 
     def test_infer_checkpoint_missing_tensor(self, tmp_path, capsys):

@@ -153,6 +153,24 @@ class TestSynthStereogram:
         with pytest.raises(ValueError, match="D_max"):
             synth_stereogram(0, {"H": 16, "W": 16, "D_max": 8, "n_objects": 1})
 
+    @pytest.mark.parametrize("h, d_max, match", [(16, 0, "D_max >= 2, got D_max=0"),
+                                                 (16, 1, "D_max >= 2, got D_max=1"),
+                                                 (1, 4, "H >= 2, got H=1")])
+    def test_objects_need_two_levels_and_two_rows(self, h, d_max, match):
+        with pytest.raises(ValueError, match=match):
+            synth_stereogram(0, {"H": h, "W": 16, "D_max": d_max, "n_objects": 1})
+        s = synth_stereogram(0, {"H": h, "W": 16, "D_max": d_max, "n_objects": 0})
+        assert s.disparity.shape == (h, 16)
+        assert 0 <= s.disparity.data.min() and s.disparity.data.max() <= max(d_max - 1, 0)
+
+    def test_smallest_scene_with_objects_puts_them_nearer(self):
+        for seed in range(20):
+            s = synth_stereogram(seed, {"H": 2, "W": 6, "D_max": 2, "n_objects": 2})
+            objects = s.instance > 0
+            assert objects.any()
+            np.testing.assert_array_equal(s.disparity.data[objects], 1.0)
+            np.testing.assert_array_equal(s.disparity.data[~objects], 0.0)
+
 
 class TestPfm:
     def test_roundtrip_bit_exact(self, tmp_path):
@@ -269,6 +287,21 @@ class TestDatasetLayout:
         np.testing.assert_array_equal(back.disparity.data, s.disparity.data)
         np.testing.assert_array_equal(back.instance, s.instance)
         np.testing.assert_array_equal(back.valid, s.valid)
+
+    @pytest.mark.parametrize("suffix", ["right.pgm", "disp.pfm", "inst.pgm", "sem.pgm",
+                                        "valid.pgm"])
+    def test_maps_of_another_extent_rejected(self, tmp_path, suffix):
+        d = str(tmp_path / "t")
+        save_sample(d, 0, synth_stereogram(5, {"H": 16, "W": 24, "D_max": 8, "n_objects": 2}))
+        path = str(tmp_path / "t" / f"0000_{suffix}")
+        if suffix.endswith(".pfm"):
+            write_pfm(path, np.zeros((16, 12)))
+        else:
+            write_pgm(path, np.zeros((16, 12), dtype=np.int64))
+        with pytest.raises(ValueError) as info:
+            load_sample(d, 0)
+        assert str(info.value) == (f"{path}: extent (16, 12) differs from the left "
+                                   f"image's (16, 24)")
 
     def test_photometric_consistency_survives_disk(self, tmp_path):
         s = synth_stereogram(9, {"H": 16, "W": 24, "D_max": 8, "n_objects": 2})

@@ -844,39 +844,77 @@ class TestPoolingAndUpsampling:
         ref = interp_axis(interp_axis(interp_axis(x, 6, 2), 8, 3), 8, 4)
         assert np.abs(y - ref).max() < 1e-12
 
-    @pytest.mark.parametrize("n_in, n_out", [(16, 64), (64, 16), (1, 16), (5, 5), (3, 7),
-                                             (7, 3), (6, 13), (32, 16)])
+    SIZES = [(16, 64), (64, 16), (1, 16), (5, 5), (3, 7), (7, 3), (6, 13), (32, 16)]
+
+    @pytest.mark.parametrize("n_in, n_out", SIZES)
     @pytest.mark.parametrize("axis", [2, 3])
     def test_lerp_adjoint_is_the_matrix_transpose(self, n_in, n_out, axis):
-        shape = [2, 3, 4, 5]
-        shape[axis] = n_out
-        g = np.random.default_rng(9).normal(size=shape)
-        m, taps = ops._interp_matrix(n_in, n_out), ops._interp_taps(n_in, n_out)
-
-        def check(g, m, taps):
-            want = np.moveaxis(np.tensordot(g, m, axes=([axis], [0])), -1, axis)
-            got = ops._lerp_adjoint(g, taps, axis)
+        """``_apply`` with the tables of ``_resize`` is the product with the
+        interpolation matrix, and with its transpose."""
+        m = ops._interp_matrix(n_in, n_out)
+        rng = np.random.default_rng(9)
+        for table, mat in zip(ops._resize(n_in, n_out), (m, m.T)):
+            shape = [2, 3, 4, 5]
+            shape[axis] = mat.shape[1]
+            x = rng.normal(size=shape)
+            want = np.moveaxis(np.tensordot(x, mat, axes=([axis], [1])), -1, axis)
+            got = ops._apply(x, table, axis)
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
-        check(g, m, taps)
-        if n_out > n_in:
-            # the edge blocks below hold a row clamped to the last column
-            # and a first row whose hi weight is 0
-            assert taps.hi[-1] == taps.lo[-1] and taps.w_hi[0] == 0.0
-        # a run of output rows and the input columns they read, as a tile
-        # of the regression head takes them
+    @pytest.mark.parametrize("n_in, n_out", SIZES)
+    def test_tile_tables_are_blocks_of_the_matrix(self, n_in, n_out):
+        """Each run of output rows reads the first to the last column its
+        rows weigh; its tables are those of its block and resample its
+        rows as the whole table does, bit for bit. The runs together read
+        every column the matrix reads."""
+        m = ops._interp_matrix(n_in, n_out)
+        whole = ops._resize(n_in, n_out)[0]
+        x = np.random.default_rng(10).normal(size=(2, 3, n_in, 4))
         k = max(1, n_out // 3)
-        for r0, r1 in {(0, k), (k, max(k, n_out - k)), (n_out - k, n_out)}:
-            if r0 == r1:
-                continue
-            a, z = taps.lo[r0], taps.hi[r1 - 1] + 1
-            block = ops._taps(m[r0:r1, a:z])
-            np.testing.assert_array_equal(block.lo, taps.lo[r0:r1] - a)
-            np.testing.assert_array_equal(block.hi, taps.hi[r0:r1] - a)
-            np.testing.assert_array_equal(block.w_lo, taps.w_lo[r0:r1])
-            np.testing.assert_array_equal(block.w_hi, taps.w_hi[r0:r1])
-            check(np.take(g, range(r0, r1), axis=axis), m[r0:r1, a:z], block)
+        read = set()
+        for r0 in range(0, n_out, k):
+            r1 = min(r0 + k, n_out)
+            reads, fwd, adj = ops._resize_rows(n_in, n_out, r0, r1)
+            rows = m[r0:r1]
+            assert rows[:, reads.start].any() and rows[:, reads.stop - 1].any()
+            assert not rows[:, :reads.start].any() and not rows[:, reads.stop:].any()
+            block = rows[:, reads]
+            for got, want in zip((fwd, adj), (ops._sparse(block), ops._sparse(block.T))):
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(g, w)
+            np.testing.assert_array_equal(ops._apply(x[:, :, reads], fwd, 2),
+                                          ops._apply(x, whole, 2)[:, :, r0:r1])
+            read.update(range(reads.start, reads.stop))
+        assert set(np.flatnonzero(m.any(axis=0))) <= read
+
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.lists(st.sampled_from(["empty", "one", "full", "random"]), min_size=1, max_size=7),
+           st.integers(1, 6), st.integers(0, 3))
+    @example(0, ["full", "empty", "one"], 5, 1)     # rows of 5: the einsum path
+    @example(0, ["one", "empty", "full"], 2, 3)     # rows of 2: the term-by-term path
+    @settings(max_examples=40, deadline=None)
+    def test_sparse_densifies_back_and_applies_as_tensordot(self, seed, kinds, n_cols, axis):
+        rng = np.random.default_rng(seed)
+        m = np.zeros((len(kinds), n_cols))
+        for r, kind in enumerate(kinds):
+            if kind == "one":
+                m[r, rng.integers(n_cols)] = rng.uniform(0.5, 2.0)
+            elif kind == "full":
+                m[r] = rng.uniform(0.5, 2.0, size=n_cols)
+            elif kind == "random":
+                m[r] = rng.normal(size=n_cols) * (rng.uniform(size=n_cols) < 0.5)
+        table = ops._sparse(m)
+        width = max(1, int((m != 0).sum(axis=1).max()))
+        assert table.cols.shape == table.weights.shape == (len(kinds), width)
+        dense = np.zeros(m.shape)
+        np.add.at(dense, (np.arange(len(kinds))[:, None], table.cols), table.weights)
+        np.testing.assert_array_equal(dense, m)
+        shape = [2, 3, 4, 2]
+        shape[axis] = n_cols
+        x = rng.normal(size=shape)
+        want = np.moveaxis(np.tensordot(x, m, axes=([axis], [1])), -1, axis)
+        np.testing.assert_allclose(ops._apply(x, table, axis), want, rtol=1e-13, atol=1e-13)
 
     def test_bilinear_downsample_shape(self):
         x = Tensor(np.arange(32.0).reshape(1, 2, 4, 4))
@@ -892,6 +930,16 @@ class TestPoolingAndUpsampling:
         assert ops._interp_matrix(3, 7) is m
         with pytest.raises(ValueError, match="read-only"):
             m[0, 0] = 1.0
+
+    def test_resize_tables_cached_and_read_only(self):
+        tables = ops._resize(3, 7)
+        assert ops._resize(3, 7) is tables
+        tile = ops._resize_rows(3, 7, 2, 5)
+        assert ops._resize_rows(3, 7, 2, 5) is tile
+        for a in tables + tile[1:]:
+            for part in a:
+                with pytest.raises(ValueError, match="read-only"):
+                    part[0, 0] = 0
 
     @pytest.mark.parametrize("shape,out", [((2, 3, 4, 5), (8, 10)), ((2, 3, 4, 5), (3, 7)),
                                            ((1, 2, 3, 4, 5), (6, 8, 10))])
@@ -910,7 +958,7 @@ class TestPoolingAndUpsampling:
         run()   # fill the cache
         cached = run()
         monkeypatch.setattr(ops, "_interp_matrix", ops._interp_matrix.__wrapped__)
-        monkeypatch.setattr(ops, "_interp_taps", ops._interp_taps.__wrapped__)
+        monkeypatch.setattr(ops, "_resize", ops._resize.__wrapped__)
         for got, want in zip(cached, run()):
             np.testing.assert_array_equal(got, want)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from checks import concatenating_save_checkpoint, in_place_buffer_updates
+from checks import checkpoint_holding, concatenating_save_checkpoint, in_place_buffer_updates
 from edgedisp import data as ddata
 from edgedisp.losses import LossWeights
 from edgedisp import network
@@ -321,12 +321,27 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_rejected(self, tmp_path, value):
-        params = init_params(TINY_NET, seed=0)
-        params["disp.out2.b.b"].data[0] = value
         path = str(tmp_path / "nan.ckpt")
-        save_checkpoint(params, None, path, TINY_NET)
+        checkpoint_holding(path, init_params(TINY_NET, seed=0), TINY_NET, "disp.out2.b.b", value)
         with pytest.raises(CheckpointError, match="non-finite value in 'disp.out2.b.b'"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [1e39, -4e38, np.nan, np.inf])
+    def test_value_not_finite_in_float32_refused_before_the_file_opens(self, tmp_path, value):
+        params = init_params(TINY_NET, seed=0)
+        state = OptimizerState(lr=1e-3)
+        state.v["disp.out0.b.b"] = np.zeros(1)
+        path = tmp_path / "last.ckpt"
+        path.write_bytes(b"an earlier checkpoint")
+        for arr, name in ((params["disp.out0.b.b"].data, "disp.out0.b.b"),
+                          (state.v["disp.out0.b.b"], "__opt__.v.disp.out0.b.b")):
+            arr[0] = value
+            with pytest.raises(CheckpointError, match=re.escape(f"float32 value in {name!r}")):
+                save_checkpoint(params, state, str(path), TINY_NET)
+            assert path.read_bytes() == b"an earlier checkpoint"
+            arr[0] = 0.0
+        save_checkpoint(params, state, str(path), TINY_NET)
+        load_checkpoint(str(path))
 
 
 class TestTraining:
