@@ -13,7 +13,10 @@ with one BLAS thread, and saves:
 - ``stereo.regress_disparity`` forward and backward over four tiles, at a
   non-integer scale;
 - ``ops.upsample_bilinear`` forward and backward between a few extents,
-  shrinking, keeping and growing.
+  shrinking, keeping and growing;
+- ``stereo.concat_volume_conv`` with a ``base``, forward and the gradients
+  of ``f_left``, ``f_right``, ``w`` and ``base``, at 1, 5 and W+2 levels,
+  and once more at 5 levels with an ``f_right`` that needs no gradient.
 
 ``compare`` lists every array that is in only one file or not
 ``array_equal`` in both, and exits 1 if there is any.
@@ -85,9 +88,26 @@ def _resizes(out: dict) -> None:
         out[f"resize.{tag}.y"], out[f"resize.{tag}.grad"] = y.data, x.grad
 
 
+def _stem(out: dict) -> None:
+    rng = np.random.default_rng(50)
+    b, c, h, w, cout = 2, 3, 5, 7, 4
+    for d_levels, right_grad in ((1, True), (5, True), (w + 2, True), (5, False)):
+        fl, fr = (Tensor(rng.normal(size=(b, c, h, w)), requires_grad=g)
+                  for g in (True, right_grad))
+        wt = Tensor(rng.normal(size=(cout, 2 * c, 3, 3, 3)), requires_grad=True)
+        base = Tensor(rng.normal(size=(b, cout, d_levels, h, w)), requires_grad=True)
+        y = stereo.concat_volume_conv(fl, fr, wt, d_levels, base=base)
+        (y * Tensor(rng.normal(size=y.shape))).sum().backward()
+        tag = f"stem.d{d_levels}" + ("" if right_grad else ".right_fixed")
+        out[f"{tag}.y"] = y.data
+        for name, t in (("f_left", fl), ("f_right", fr), ("w", wt), ("base", base)):
+            if t.grad is not None:
+                out[f"{tag}.grad.{name}"] = t.grad
+
+
 def dump(path: str) -> int:
     out: dict = {}
-    for part in (_train_step, _predicts, _regression, _resizes):
+    for part in (_train_step, _predicts, _regression, _resizes, _stem):
         part(out)
     np.savez(path, **out)
     print(f"{len(out)} arrays written to {path}")

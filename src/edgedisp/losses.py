@@ -28,6 +28,9 @@ class LossWeights:
     gamma: float = 0.5
 
     def __post_init__(self):
+        for name, v in vars(self).items():
+            if not np.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         if min(self.lambda1, self.lambda2, self.lambda3) < 0:
             raise ValueError("stage coefficients must be >= 0")
         if not 0.0 <= self.a <= 1.0:

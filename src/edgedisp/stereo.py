@@ -4,7 +4,8 @@ Granular convolution (channel groups chained through a hierarchical
 residual), the dual cost volume (feature concatenation stacked with
 per-channel absolute differences), the stem's conv of the volume's
 concatenation channels computed from the two feature maps without the
-volume, soft-argmin disparity regression
+volume (three 2-D convs and one op that assembles the levels),
+soft-argmin disparity regression
 (alone, and fused with the trilinear upsampling of the heads),
 shared concatenation of edge features, the parameter-count bookkeeping
 that motivates the granular form, and the Kaiming initialiser every
@@ -101,6 +102,16 @@ def granular_kernel_specs(c_in: int, c_out: int, s: int, groups: int,
 # -- cost volumes -------------------------------------------------------------
 
 
+def _check_features(f_left: Tensor, f_right: Tensor, d_levels: int) -> None:
+    """Two [B,C,H,W] feature maps of one shape and at least one level."""
+    if f_left.shape != f_right.shape:
+        raise ShapeError(f"feature shapes differ: {f_left.shape} vs {f_right.shape}")
+    if f_left.ndim != 4:
+        raise ShapeError(f"features must be [B,C,H,W], got rank {f_left.ndim}")
+    if d_levels < 1:
+        raise ShapeError(f"d_levels must be >= 1, got {d_levels}")
+
+
 def build_cost_volume(f_left: Tensor, f_right: Tensor, d_levels: int) -> Tensor:
     """Dual cost volume [B, 3C, D, H, W], recorded as one op.
 
@@ -108,12 +119,7 @@ def build_cost_volume(f_left: Tensor, f_right: Tensor, d_levels: int) -> Tensor:
     shifted right by the level d (zero where x < d), and [2C:] their
     per-channel absolute difference.
     """
-    if f_left.shape != f_right.shape:
-        raise ShapeError(f"feature shapes differ: {f_left.shape} vs {f_right.shape}")
-    if f_left.ndim != 4:
-        raise ShapeError(f"features must be [B,C,H,W], got rank {f_left.ndim}")
-    if d_levels < 1:
-        raise ShapeError(f"d_levels must be >= 1, got {d_levels}")
+    _check_features(f_left, f_right, d_levels)
     b, c, h, w = f_left.shape
     shifts = range(min(d_levels, w))   # a shift of w or more leaves only zeros
     y = np.zeros((b, 3 * c, d_levels, h, w))
@@ -136,40 +142,32 @@ def build_cost_volume(f_left: Tensor, f_right: Tensor, d_levels: int) -> Tensor:
     return make_op(y, (f_left, f_right), bwd)
 
 
-def _depth_stacked(w: np.ndarray) -> np.ndarray:
-    """[Cout, Cin, 3, kh, kw] -> [3*Cout, Cin, kh, kw], row ``kd*Cout + o``."""
-    return w.transpose(2, 0, 1, 3, 4).reshape((-1,) + w.shape[1:2] + w.shape[3:])
-
-
 def concat_volume_conv(f_left: Tensor, f_right: Tensor, w: Tensor, d_levels: int,
                        base: Optional[Tensor] = None) -> Tensor:
     """``base`` (when given) plus the same-padded 3x3x3 conv of the
     concatenation channels of the dual cost volume with ``w`` [Cout, 2C,
     3, 3, 3]: ``ops.conv3d(build_cost_volume(f_left, f_right,
-    d_levels)[:, :2C], w, spec=ConvSpec(padding=1))``, as one recorded op
-    that never builds the volume.
+    d_levels)[:, :2C], w, spec=ConvSpec(padding=1))``, from three
+    ``ops.conv2d`` calls and one op that assembles the levels, never
+    building the volume.
 
-    Its work is linear in the two 2-D feature maps. The left block holds
-    ``f_left`` at every level, so its conv is one 2-D conv of ``f_left``
-    with the three depth taps stacked on the output channels, and level
-    ``d`` sums the taps ``kd`` whose level ``d' = d+kd-1`` lies in ``[0,
-    D)``. The right block at level ``d'`` holds ``f_right`` shifted right
-    by ``d'`` and cut at the volume's right edge, so tap ``kd`` at column
-    ``x`` is the 2-D conv of ``f_right`` at column ``x-d'``, read from one
-    conv padded by 2 on the left, whose W+1 first columns are ``x-d' = -1
-    .. W-1`` (columns further left read only zeros), less one correction
-    at ``x = W-1``: there the ``kw=2`` taps read the volume's zero padding
-    but ``f_right[W-d']`` in the 2-D conv. Levels ``d' >= W`` hold only
-    zeros. Backward sums the cotangent
-    back onto the three 2-D results and takes the input and weight
-    gradients of each 2-D conv from one gather (``ops._input_grad``).
+    Its work is linear in the two 2-D feature maps. The three depth taps
+    of ``w`` are stacked on the output channels (row ``kd*Cout + o``). The
+    left block holds ``f_left`` at every level, so its conv is one 2-D
+    conv of ``f_left``, and level ``d`` sums the taps ``kd`` whose level
+    ``d' = d+kd-1`` lies in ``[0, D)``. The right block at level ``d'``
+    holds ``f_right`` shifted right by ``d'`` and cut at the volume's right
+    edge, so tap ``kd`` at column ``x`` is the 2-D conv of ``f_right`` at
+    column ``x-d'``, read from one conv padded by 2 on the left, whose W+1
+    first columns are ``x-d' = -1 .. W-1`` (columns further left read
+    only zeros), less one correction at ``x = W-1``: there the ``kw=2``
+    taps read the volume's zero padding but ``f_right[W-d']`` in the 2-D
+    conv. The correction is a third 2-D conv, of the ``kw=2`` taps over
+    the last columns of ``f_right``. Levels ``d' >= W`` hold only zeros.
+    The assembly op's backward sums the cotangent back onto the three 2-D
+    results; their input and weight gradients come from ``ops.conv2d``.
     """
-    if f_left.shape != f_right.shape:
-        raise ShapeError(f"feature shapes differ: {f_left.shape} vs {f_right.shape}")
-    if f_left.ndim != 4:
-        raise ShapeError(f"features must be [B,C,H,W], got rank {f_left.ndim}")
-    if d_levels < 1:
-        raise ShapeError(f"d_levels must be >= 1, got {d_levels}")
+    _check_features(f_left, f_right, d_levels)
     b, c, h, wd = f_left.shape
     if w.shape[1:] != (2 * c, 3, 3, 3):
         raise ShapeError(f"weight shape {w.shape} is not [Cout, {2 * c}, 3, 3, 3]")
@@ -178,21 +176,19 @@ def concat_volume_conv(f_left: Tensor, f_right: Tensor, w: Tensor, d_levels: int
     if base is not None and base.shape != shape:
         raise ShapeError(f"base shape {base.shape} != {shape}")
     m = min(d_levels, wd) - 1     # the levels d' = 1..m need a correction
-    one = (1, 1)
-    # The 2-D convs: (features, the columns they read, their slice of the
-    # depth-stacked weight, padding): the left block; the right block from
-    # x-d' = -1; the corrections, the kw=2 taps over the columns W-m..W-1.
-    convs = [(f_left, np.s_[...], np.s_[:, :c], (1, 1)),
-             (f_right, np.s_[...], np.s_[:, c:], (1, 2)),
-             (f_right, np.s_[..., wd - m:], np.s_[:, c:, :, 2:], (1, 0))][:3 if m else 2]
+    ws = ops.concat([w[:, :, kd] for kd in range(3)], axis=0)
+    # the left block; the right block from x-d' = -1; the corrections, the
+    # kw=2 taps over the columns W-m..W-1 (none when m = 0)
+    convs = [ops.conv2d(f_left, ws[:, :c], spec=ConvSpec(padding=1)),
+             ops.conv2d(f_right, ws[:, c:], spec=ConvSpec(padding=(1, 2)))]
+    if m:
+        convs.append(ops.conv2d(f_right[..., wd - m:], ws[:, c:, :, 2:],
+                                spec=ConvSpec(padding=(1, 0))))
     # (level, depth tap, the right-block level d' it reads) with d' in [0, m]
     reads = [(d, kd, d + kd - 1) for d in range(d_levels) for kd in range(3)
              if 0 <= d + kd - 1 <= m]
 
-    ws = _depth_stacked(w.data)
-    left, right, *edge = [     # no correction conv when m = 0
-        ops._corr_forward(f.data[at], ws[taps], one, one, pad).reshape(b, 3, cout, h, -1)
-        for f, at, taps, pad in convs]
+    left, right, *edge = [t.data.reshape(b, 3, cout, h, -1) for t in convs]
     y = np.zeros(shape) if base is None else base.data.copy()
     y += left[:, 1, :, None]
     y[:, :, 1:] += left[:, 0, :, None]
@@ -215,22 +211,10 @@ def concat_volume_conv(f_left: Tensor, f_right: Tensor, w: Tensor, d_levels: int
             g_right[:, kd, ..., x0 - dp + 1:wd - dp + 1] += g[:, :, d, :, x0:]
             if dp:
                 g_edge[:, kd, ..., m - dp] -= g[:, :, d, :, wd - 1]
-        ws = _depth_stacked(w.data)
-        g_ws = np.zeros(ws.shape)
-        for (f, at, taps, pad), gp in zip(convs, (g_left, g_right, g_edge)):
-            x, gp = f.data[at], gp.reshape(b, 3 * cout, h, -1)
-            if needs_grad(f):
-                gx, gw = ops._input_grad(gp, ws[taps], one, one, pad, x.shape[2:], x)
-                whole = np.zeros(f.shape)
-                whole[at] = gx
-                accumulate_grad(f, whole)
-            else:
-                gw = ops._corr_weight_grad(x, gp, ws[taps].shape[2:], one, one, pad)
-            g_ws[taps] += gw
-        accumulate_grad(w, g_ws.reshape((3, cout) + g_ws.shape[1:]).transpose(1, 2, 0, 3, 4))
+        for t, gt in zip(convs, (g_left, g_right, g_edge)):
+            accumulate_grad(t, gt.reshape(t.shape))
 
-    parents = (f_left, f_right, w) if base is None else (f_left, f_right, w, base)
-    return make_op(y, parents, bwd)
+    return make_op(y, tuple(convs) if base is None else (*convs, base), bwd)
 
 
 # -- disparity regression -----------------------------------------------------

@@ -354,6 +354,10 @@ def train(cfg: TrainConfig) -> Dict[str, object]:
     if cfg.steps and cfg.network.norm_enabled and len(samples) < 2:
         raise ValueError(f"training directory {cfg.data_dir!r} holds {len(samples)} sample; "
                          "batch statistics need at least 2 with network.norm_enabled")
+    extents = sorted({s.disparity.shape for s in samples})
+    if len(extents) > 1:
+        raise ValueError(f"training directory {cfg.data_dir!r} holds samples of extent "
+                         f"{extents[0]} and {extents[1]}; a batch stacks one extent")
     val_samples = _load_dataset(cfg.val_dir) if cfg.val_dir else None
     os.makedirs(cfg.out_dir, exist_ok=True)
     params = network.init_params(cfg.network, cfg.seed)

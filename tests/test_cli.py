@@ -280,6 +280,8 @@ class TestPipeline:
         ({"lr_schedule": [[0, -1.0]]}, [], "lr_schedule rates must be finite and > 0, got -1.0"),
         ({"seed": -1}, [], "seed must be >= 0, got -1"),
         ({}, ["--seed", "-3"], "seed must be >= 0, got -3"),
+        ({"loss_weights": {"lambda1": np.nan}}, [], "lambda1 must be finite, got nan"),
+        ({"loss_weights": {"gamma": np.inf}}, [], "gamma must be finite, got inf"),
     ])
     def test_malformed_schedule_exits_2_before_reading_data(self, tmp_path, capsys, overlay,
                                                              flags, message):
@@ -328,6 +330,17 @@ class TestPipeline:
         assert message in stderr and "Traceback" not in stderr and stdout == ""
         assert count > 1 or data_dir in stderr
         assert not (run_dir / "log.jsonl").exists()
+
+    def test_samples_of_two_extents_exit_2_before_the_run_directory(self, tmp_path, capsys):
+        data_dir, run_dir = str(tmp_path / "d"), tmp_path / "r"
+        for i, w in enumerate((32, 64)):
+            ddata.save_sample(data_dir, i, ddata.synth_stereogram(
+                i, {"H": 32, "W": w, "D_max": 8, "n_objects": 1}))
+        code, stdout, stderr = run(capsys, "train", "--data", data_dir, "--out", str(run_dir),
+                                   "--steps", "1", "--batch-size", "2")
+        assert code == 2 and stdout == "" and "Traceback" not in stderr
+        assert data_dir in stderr and "(32, 32) and (32, 64)" in stderr
+        assert not run_dir.exists()
 
     def test_zero_step_run_accepts_one_sample(self, tmp_path, capsys):
         """A zero-step run takes no batch statistics: it writes the

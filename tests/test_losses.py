@@ -56,6 +56,12 @@ class TestWeights:
         with pytest.raises(ValueError, match="gamma"):
             LossWeights(gamma=-0.1)
 
+    @pytest.mark.parametrize("field", ["lambda1", "lambda2", "lambda3", "a", "gamma"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            LossWeights(**{field: value})
+
 
 class TestClassBalance:
     def test_sums_to_one(self):

@@ -399,6 +399,16 @@ class TestTraining:
                          for f in ("best.ckpt", "last.ckpt", "log.jsonl")])
         assert runs[0] == runs[1]
 
+    def test_samples_of_two_extents_refused_before_the_run_directory(self, tmp_path):
+        data_dir = str(tmp_path / "train")
+        make_dataset(data_dir, 2, h=32, w=32)
+        ddata.save_sample(data_dir, 2, synth(2, h=32, w=64))
+        cfg = self._cfg(tmp_path, steps=1)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{data_dir!r} holds samples of extent (32, 32) and (32, 64)")):
+            train(cfg)
+        assert not os.path.exists(cfg.out_dir)
+
     def test_validation_and_best_checkpoint(self, tmp_path):
         val_dir = str(tmp_path / "val")
         make_dataset(val_dir, 2, seed0=100)
