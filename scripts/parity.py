@@ -7,7 +7,11 @@
 with one BLAS thread, and saves:
 
 - a default-config batch-4 64x64 ``"train"`` step: ``d1``-``d3``,
-  ``edge_prob`` and the gradient of every trainable tensor;
+  ``edge_prob``, the gradient of every trainable tensor, and the
+  parameters and Adam moments after one ``adam_step``;
+- a 6-step, batch-3 ``trainer.train`` on seven 64x64 pairs, validated
+  every 3 steps on two: the logged losses and validation EPEs, and every
+  tensor of ``best.ckpt`` and ``last.ckpt``;
 - ``predict`` on two 128x256 pairs (d_max 32) and one 256x512 pair
   (d_max 64);
 - ``stereo.regress_disparity`` forward and backward over four tiles, at a
@@ -18,14 +22,19 @@ with one BLAS thread, and saves:
   of ``f_left``, ``f_right``, ``w`` and ``base``, at 1, 5 and W+2 levels,
   and once more at 5 levels with an ``f_right`` that needs no gradient.
 
+``dump`` also runs in checkouts whose ``adam_step`` still takes the
+gradients as a dict, so one script serves both sides of a comparison.
 ``compare`` lists every array that is in only one file or not
 ``array_equal`` in both, and exits 1 if there is any.
 """
 
 from __future__ import annotations
 
+import inspect
+import json
 import os
 import sys
+import tempfile
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
@@ -51,8 +60,41 @@ def _train_step(out: dict) -> None:
     for k in ("d1", "d2", "d3", "edge_prob"):
         out[f"train.{k}"] = outputs[k].data
     trainer.compute_losses(outputs, disp, valid, edges, LossWeights(), net)["total"].backward()
-    for name, t in params.trainable().items():
+    trainable = params.trainable()
+    for name, t in trainable.items():
         out[f"train.grad.{name}"] = t.grad
+    state = trainer.OptimizerState()
+    if len(inspect.signature(trainer.adam_step).parameters) == 3:
+        trainer.adam_step(trainable, {n: t.grad for n, t in trainable.items()}, state)
+    else:
+        trainer.adam_step(trainable, state)
+    _save_state(out, "adam", params, state)
+
+
+def _save_state(out: dict, tag: str, params, state) -> None:
+    for name, t in params.tensors.items():
+        out[f"{tag}.{name}"] = t.data
+    for name in state.m:
+        out[f"{tag}.m.{name}"], out[f"{tag}.v.{name}"] = state.m[name], state.v[name]
+
+
+def _train_run(out: dict) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for sub, n, seed in (("train", 7, 60), ("val", 2, 70)):
+            for i, s in enumerate(_pairs(n, 64, 64, network.NetworkConfig().d_max, seed)):
+                data.save_sample(os.path.join(tmp, sub), i, s)
+        result = trainer.train(trainer.TrainConfig(
+            seed=0, batch_size=3, steps=6, eval_interval=3, data_dir=os.path.join(tmp, "train"),
+            val_dir=os.path.join(tmp, "val"), out_dir=os.path.join(tmp, "run")))
+        with open(result["log"]) as f:
+            log = [json.loads(line) for line in f]
+        out["run.losses"] = np.array([[e[k] for k in ("l_disp", "l_edge", "l_dedge", "total")]
+                                      for e in log if "total" in e])
+        out["run.val_epe"] = np.array([e["val"]["epe"] for e in log if "val" in e])
+        for tag in ("best", "last"):
+            params, state, _cfg = trainer.load_checkpoint(result[tag])
+            out[f"run.{tag}.step"] = np.array(state.step)
+            _save_state(out, f"run.{tag}", params, state)
 
 
 def _predicts(out: dict) -> None:
@@ -107,7 +149,7 @@ def _stem(out: dict) -> None:
 
 def dump(path: str) -> int:
     out: dict = {}
-    for part in (_train_step, _predicts, _regression, _resizes, _stem):
+    for part in (_train_step, _train_run, _predicts, _regression, _resizes, _stem):
         part(out)
     np.savez(path, **out)
     print(f"{len(out)} arrays written to {path}")

@@ -175,6 +175,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_infer(args) -> int:
+    if args.out_err and not args.gt:
+        raise ValueError("--out-err needs --gt: the error map is |disparity - ground truth|")
     params, _state, cfg = trainer.load_checkpoint(args.ckpt)
     left, lmax = ddata.read_pgm(args.left)
     right, rmax = ddata.read_pgm(args.right)

@@ -275,11 +275,12 @@ def _activate(p: ModelParams, name: str, y: Tensor, mode: str, relu: bool) -> Te
     return y.relu_() if relu else y
 
 
-def _conv_block(p: ModelParams, name: str, x: Tensor, mode: str, nd: int = 2,
-                stride: int = 1, dilation: int = 1, relu: bool = True,
+def _conv_block(p: ModelParams, name: str, x: Tensor, mode: str, stride: int = 1,
+                dilation: int = 1, relu: bool = True,
                 output_size: Optional[Tuple[int, int, int]] = None) -> Tensor:
     """Conv padded by dilation*(k-1)//2, batch norm when the layer has it
-    (folded into the conv outside "train"/"stats"), optional ReLU.
+    (folded into the conv outside "train"/"stats"), optional ReLU. The
+    weight's rank picks the 2-D or the 3-D conv.
 
     With ``output_size`` the conv is the 3-D transposed conv that upsamples
     to that extent.
@@ -292,7 +293,7 @@ def _conv_block(p: ModelParams, name: str, x: Tensor, mode: str, nd: int = 2,
     if transposed:
         y = ops.conv3d_transposed(x, w, bias, spec=spec, output_size=output_size)
     else:
-        conv = ops.conv2d if nd == 2 else ops.conv3d
+        conv = ops.conv2d if w.ndim == 4 else ops.conv3d
         y = conv(x, w, bias, spec=spec)
     return _activate(p, name, y, mode, relu)
 
@@ -394,7 +395,7 @@ def pre_stem(f_left: Tensor, f_right: Tensor, p: ModelParams, cfg: NetworkConfig
     del cv   # untaped, the volume is freed here, before the rest of the stem
     y = stereo.concat_volume_conv(f_left, f_right, w[:, :2 * c], cfg.d_levels, base=y)
     v = _activate(p, "disp.pre.a", y, mode, relu=True)
-    return (_conv_block(p, "disp.pre.b", v, mode, nd=3, relu=False) + v).relu()
+    return (_conv_block(p, "disp.pre.b", v, mode, relu=False) + v).relu()
 
 
 def agm_module(volume: Tensor, p: ModelParams, prefix: str, cfg: NetworkConfig,
@@ -403,15 +404,15 @@ def agm_module(volume: Tensor, p: ModelParams, prefix: str, cfg: NetworkConfig,
 
     Output shape equals input shape.
     """
-    e1 = _conv_block(p, prefix + ".enc1", volume, mode, nd=3, stride=2)
-    e2 = _conv_block(p, prefix + ".enc2", e1, mode, nd=3, stride=2)
+    e1 = _conv_block(p, prefix + ".enc1", volume, mode, stride=2)
+    e2 = _conv_block(p, prefix + ".enc2", e1, mode, stride=2)
     bank = None
     for j, rate in enumerate(cfg.dilation_rates):
         name = f"{prefix}.bank{j}"
         kernels = [p[f"{name}.g{i}.w"] for i in range(cfg.groups - 1)]
         y = stereo.granular_conv(e2, kernels, p[name + ".pw.w"], rate)
         bank = y if bank is None else bank + y
-    mid = _conv_block(p, prefix + ".fuse", bank, mode, nd=3)
+    mid = _conv_block(p, prefix + ".fuse", bank, mode)
     d1 = _conv_block(p, prefix + ".dec1", mid, mode, stride=2, relu=False,
                      output_size=e1.shape[2:])
     d1 = (d1 + e1).relu()
@@ -426,8 +427,8 @@ def output_module(volume: Tensor, p: ModelParams, prefix: str,
     *out_hw)`` and soft-argmin as one op, ``stereo.regress_disparity``,
     which works in tiles of output rows and never holds the
     full-resolution cost."""
-    y = _conv_block(p, prefix + ".a", volume, mode, nd=3)
-    y = _conv_block(p, prefix + ".b", y, mode, nd=3, relu=False)
+    y = _conv_block(p, prefix + ".a", volume, mode)
+    y = _conv_block(p, prefix + ".b", y, mode, relu=False)
     return stereo.regress_disparity(y, d_max, tuple(out_hw))
 
 
@@ -482,7 +483,7 @@ def forward(left: Tensor, right: Tensor, p: ModelParams, cfg: NetworkConfig,
         for i in range(STAGES):
             v = agm_module(v, p, f"disp.agm{i}", cfg, mode)
             if mode == "stats":
-                _conv_block(p, f"disp.out{i}.a", v, mode, nd=3)
+                _conv_block(p, f"disp.out{i}.a", v, mode)
             elif mode == "train" or i == STAGES - 1:
                 out[f"d{i + 1}"] = output_module(v, p, f"disp.out{i}", out_hw, cfg.d_max, mode)
     finally:

@@ -40,20 +40,18 @@ class OptimizerState:
     v: Dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def adam_step(params: Dict[str, Tensor], grads: Dict[str, np.ndarray],
-              state: OptimizerState) -> None:
-    """One in-place update; missing accumulators are created lazily."""
+def adam_step(params: Dict[str, Tensor], state: OptimizerState) -> None:
+    """One in-place update of each tensor that holds a ``.grad``, which it
+    then clears; tensors without one are skipped. Missing accumulators are
+    created lazily."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
     for name, p in params.items():
-        g = grads.get(name)
+        g, p.grad = p.grad, None
         if g is None:
             continue
-        if g.shape != p.data.shape:
-            raise ValueError(
-                f"gradient shape {g.shape} != parameter shape {p.data.shape} for {name!r}")
         m = state.m.setdefault(name, np.zeros_like(p.data))
         v = state.v.setdefault(name, np.zeros_like(p.data))
         m *= ADAM_BETA1
@@ -263,8 +261,8 @@ class TrainConfig:
         if not self.lr_schedule:
             raise ValueError("lr_schedule must have at least one breakpoint")
         starts = [s for s, _ in self.lr_schedule]
-        if starts != sorted(starts) or starts[0] != 0:
-            raise ValueError("lr_schedule breakpoints must start at 0 and increase")
+        if starts != sorted(set(starts)) or starts[0] != 0:
+            raise ValueError("lr_schedule breakpoints must start at 0 and strictly increase")
         for _, lr in self.lr_schedule:
             if not (math.isfinite(lr) and lr > 0):
                 raise ValueError(f"lr_schedule rates must be finite and > 0, got {lr}")
@@ -293,20 +291,15 @@ def _views(samples: Sequence[ddata.StereoSample], idx: Sequence[int]):
 
 
 def _batch_arrays(samples: Sequence[ddata.StereoSample], idx: Sequence[int],
-                  flip_rng: Optional[np.random.Generator] = None,
-                  edge_maps: Optional[Dict[int, np.ndarray]] = None):
+                  flip_rng: Optional[np.random.Generator] = None):
     """Views, disparity, valid mask and depth-edge map of a training batch,
-    each sample flipped vertically by ``flip_rng``. ``edge_maps`` keeps
-    each sample's edge map by index, so a caller that passes the same
-    dict computes each map once."""
-    edge_maps = {} if edge_maps is None else edge_maps
-    for i in idx:
-        if i not in edge_maps:
-            edge_maps[i] = ddata.depth_edge_gt(samples[i].instance, samples[i].semantic)
+    each sample flipped vertically by ``flip_rng``. The edge maps are mined
+    from each sample's masks by ``data.depth_edge_gt``."""
     left, right = _views(samples, idx)
     disp = np.stack([samples[i].disparity.data for i in idx])
     valid = np.stack([samples[i].valid for i in idx])
-    edges = np.stack([edge_maps[i] for i in idx])
+    edges = np.stack([ddata.depth_edge_gt(samples[i].instance, samples[i].semantic)
+                      for i in idx])
     if flip_rng is not None:
         # vertical flips keep the epipolar geometry (disparity is horizontal)
         for b in np.nonzero(flip_rng.uniform(size=len(idx)) < 0.5)[0]:
@@ -369,21 +362,15 @@ def train(cfg: TrainConfig) -> Dict[str, object]:
     best_path = os.path.join(cfg.out_dir, "best.ckpt")
     last_path = os.path.join(cfg.out_dir, "last.ckpt")
     best_epe = np.inf
-    order: List[int] = []
-    edge_maps: Dict[int, np.ndarray] = {}
-
-    def next_batch():
-        nonlocal order
-        while len(order) < cfg.batch_size:
-            order.extend(rng.permutation(len(samples)).tolist())
-        idx, order = order[:cfg.batch_size], order[cfg.batch_size:]
-        return idx
+    # one permutation of the training set after another, drawn as needed
+    pairs = itertools.chain.from_iterable(
+        rng.permutation(len(samples)).tolist() for _ in itertools.count())
 
     with open(log_path, "w") as log:
         for step in range(1, cfg.steps + 1):
             state.lr = _lr_at(cfg.lr_schedule, step - 1)
-            idx = next_batch()
-            left, right, disp, valid, edges = _batch_arrays(samples, idx, flip_rng, edge_maps)
+            idx = list(itertools.islice(pairs, cfg.batch_size))
+            left, right, disp, valid, edges = _batch_arrays(samples, idx, flip_rng)
             outputs = network.forward(left, right, params, cfg.network, "train")
             network.update_buffers(params, outputs["stats"])
             parts = compute_losses(outputs, disp, valid, edges,
@@ -393,13 +380,10 @@ def train(cfg: TrainConfig) -> Dict[str, object]:
                 raise RuntimeError(
                     f"non-finite loss at step {step}: {json.dumps(record)}")
             parts["total"].backward()
-            grads = {n: t.grad for n, t in params.trainable().items()
-                     if t.grad is not None}
-            adam_step(params.trainable(), grads, state)
-            # Nothing of this step is needed again: free its outputs, loss
-            # parts and gradients before validation or the next forward.
-            params.zero_grad()
-            del outputs, parts, grads
+            adam_step(params.trainable(), state)
+            # Nothing of this step is needed again: free its outputs and loss
+            # parts before validation or the next forward.
+            del outputs, parts
 
             entry = {"step": step, "lr": state.lr}
             entry.update(record)
@@ -419,7 +403,7 @@ def train(cfg: TrainConfig) -> Dict[str, object]:
         recalibrate_norm_stats(params, cfg.network, samples, cfg.batch_size,
                                cfg.seed)
     save_checkpoint(params, state, last_path, cfg.network)
-    if not os.path.exists(best_path):
+    if best_epe == np.inf:    # no validation report of this run wrote one
         save_checkpoint(params, state, best_path, cfg.network)
     result = {"log": log_path, "best": best_path, "last": last_path}
     if val_samples:

@@ -497,6 +497,37 @@ class TestPipeline:
         assert code == 2
         assert "disp.out0.b.b" in stderr and stdout == ""
 
+    @pytest.mark.parametrize("make_ckpt", [True, False], ids=["checkpoint", "no-checkpoint"])
+    def test_infer_error_map_without_gt_exits_2_before_the_checkpoint(self, tmp_path, capsys,
+                                                                       make_ckpt):
+        ckpt = _tiny_checkpoint(tmp_path) if make_ckpt else str(tmp_path / "missing.ckpt")
+        img = tmp_path / "img.pgm"
+        ddata.write_pgm(str(img), np.zeros((32, 32), dtype=np.int64))
+        before = sorted(tmp_path.iterdir())
+        code, stdout, stderr = run(capsys, "infer", "--ckpt", ckpt, "--left", str(img),
+                                   "--right", str(img), "--out-disp", str(tmp_path / "d.pfm"),
+                                   "--out-vis", str(tmp_path / "d.ppm"),
+                                   "--out-err", str(tmp_path / "e.ppm"))
+        assert code == 2 and stdout == "" and "Traceback" not in stderr
+        assert "--out-err" in stderr and "--gt" in stderr and "missing.ckpt" not in stderr
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_run_without_validation_replaces_an_older_best(self, tmp_path, capsys):
+        data_dir, run_dir = str(tmp_path / "d"), tmp_path / "r"
+        run(capsys, "gen-data", "--out", data_dir, "--count", "2",
+            "--height", "16", "--width", "32", "--dmax", "8")
+        cfg_path = str(tmp_path / "cfg.json")
+        with open(cfg_path, "w") as f:
+            json.dump({"network": TINY_NET}, f)
+        for seed in ("0", "5"):
+            code, stdout, _ = run(capsys, "train", "--config", cfg_path, "--data", data_dir,
+                                  "--out", str(run_dir), "--steps", "1", "--batch-size", "2",
+                                  "--seed", seed)
+            assert code == 0
+        result = json.loads(stdout)
+        with open(result["best"], "rb") as best, open(result["last"], "rb") as last:
+            assert best.read() == last.read()
+
     def test_eval_missing_checkpoint(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "eval", "--ckpt", "/nonexistent.ckpt",
                               "--data", str(tmp_path))

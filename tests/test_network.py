@@ -443,7 +443,7 @@ class TestFoldedBatchNorm:
 
     @pytest.mark.parametrize("name, x_shape, kwargs", [
         ("shared.conv0", (2, 3, 8, 8), {}),
-        ("disp.pre.b", (2, 8, 3, 4, 5), {"nd": 3}),
+        ("disp.pre.b", (2, 8, 3, 4, 5), {}),
         ("disp.agm0.dec1", (2, 16, 2, 2, 3),
          {"stride": 2, "relu": False, "output_size": (3, 4, 5)}),
     ])

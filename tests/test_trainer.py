@@ -72,19 +72,31 @@ def make_dataset(directory, count, seed0=0, h=16, w=32, d_max=8, objects=2):
         ddata.save_sample(directory, i, ddata.synth_stereogram(seed0 + i, cfg))
 
 
+def with_grad(data, grad):
+    """A trainable tensor holding ``grad`` as its gradient."""
+    t = Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
+    t.grad = np.asarray(grad, dtype=np.float64)
+    return t
+
+
 class TestAdam:
+    # A gradient of another shape never reaches ``.grad``: see
+    # test_tensor_ops.py::TestBackward::test_misshapen_gradient_rejected.
+
     def test_zero_gradient_is_identity(self):
-        p = {"x": Tensor(np.arange(4.0), requires_grad=True)}
+        p = {"x": with_grad(np.arange(4.0), np.zeros(4))}
         before = p["x"].data.copy()
-        adam_step(p, {"x": np.zeros(4)}, OptimizerState())
+        adam_step(p, OptimizerState())
         np.testing.assert_array_equal(p["x"].data, before)
+        assert p["x"].grad is None
 
     def test_first_step_moves_by_lr(self):
         # with bias correction the first update is lr * sign(g) (up to eps)
-        p = {"x": Tensor(np.array([1.0, -2.0]), requires_grad=True)}
-        adam_step(p, {"x": np.array([0.5, -3.0])}, OptimizerState(lr=0.01))
+        p = {"x": with_grad([1.0, -2.0], [0.5, -3.0])}
+        adam_step(p, OptimizerState(lr=0.01))
         np.testing.assert_allclose(p["x"].data, [1.0 - 0.01, -2.0 + 0.01],
                                    rtol=1e-6)
+        assert p["x"].grad is None
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_reference_recurrence(self, seed):
@@ -94,22 +106,22 @@ class TestAdam:
         p = {"x": Tensor(p0.copy(), requires_grad=True)}
         state = OptimizerState(lr=0.003)
         for g in grads:
-            adam_step(p, {"x": g}, state)
+            p["x"].grad = g
+            adam_step(p, state)
+            assert p["x"].grad is None
         want = reference_adam(p0, grads, lr=0.003)
         assert np.max(np.abs(p["x"].data - want)) < 1e-12
         assert state.step == 10
 
     def test_missing_gradient_skipped(self):
-        p = {"x": Tensor(np.ones(3), requires_grad=True),
+        p = {"x": with_grad(np.ones(3), np.ones(3)),
              "y": Tensor(np.ones(3), requires_grad=True)}
-        adam_step(p, {"x": np.ones(3)}, OptimizerState())
+        state = OptimizerState()
+        adam_step(p, state)
         np.testing.assert_array_equal(p["y"].data, np.ones(3))
         assert not np.array_equal(p["x"].data, np.ones(3))
-
-    def test_shape_mismatch_rejected(self):
-        p = {"x": Tensor(np.ones(3), requires_grad=True)}
-        with pytest.raises(ValueError, match="shape"):
-            adam_step(p, {"x": np.ones(4)}, OptimizerState())
+        assert p["x"].grad is None and p["y"].grad is None
+        assert set(state.m) == set(state.v) == {"x"}
 
 
 class TestCheckpoint:
@@ -409,6 +421,15 @@ class TestTraining:
             train(cfg)
         assert not os.path.exists(cfg.out_dir)
 
+    def test_run_without_validation_replaces_an_older_best(self, tmp_path):
+        """Without validation the run's own last checkpoint is its best,
+        whatever best.ckpt an earlier run left in the directory."""
+        cfg = self._cfg(tmp_path, steps=1)
+        train(cfg)
+        cfg.seed = 5
+        result = train(cfg)
+        assert Path(result["best"]).read_bytes() == Path(result["last"]).read_bytes()
+
     def test_validation_and_best_checkpoint(self, tmp_path):
         val_dir = str(tmp_path / "val")
         make_dataset(val_dir, 2, seed0=100)
@@ -430,6 +451,8 @@ class TestTrainConfig:
         ({"lr_schedule": ((1, 1e-3),)}, "lr_schedule breakpoints must start at 0"),
         ({"seed": -1}, "seed must be >= 0, got -1"),
         ({"batch_size": 1}, "batch_size must be >= 2 with norm_enabled, got 1"),
+        ({"lr_schedule": ((0, 1e-3), (0, 5e-4))}, "lr_schedule breakpoints must start at 0 "
+                                                  "and strictly increase"),
     ])
     def test_malformed_schedule_rejected(self, kw, message):
         with pytest.raises(ValueError, match=re.escape(message)):
