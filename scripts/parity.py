@@ -22,15 +22,12 @@ with one BLAS thread, and saves:
   of ``f_left``, ``f_right``, ``w`` and ``base``, at 1, 5 and W+2 levels,
   and once more at 5 levels with an ``f_right`` that needs no gradient.
 
-``dump`` also runs in checkouts whose ``adam_step`` still takes the
-gradients as a dict, so one script serves both sides of a comparison.
 ``compare`` lists every array that is in only one file or not
 ``array_equal`` in both, and exits 1 if there is any.
 """
 
 from __future__ import annotations
 
-import inspect
 import json
 import os
 import sys
@@ -64,10 +61,7 @@ def _train_step(out: dict) -> None:
     for name, t in trainable.items():
         out[f"train.grad.{name}"] = t.grad
     state = trainer.OptimizerState()
-    if len(inspect.signature(trainer.adam_step).parameters) == 3:
-        trainer.adam_step(trainable, {n: t.grad for n, t in trainable.items()}, state)
-    else:
-        trainer.adam_step(trainable, state)
+    trainer.adam_step(trainable, state)
     _save_state(out, "adam", params, state)
 
 

@@ -19,9 +19,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from . import data as ddata
-from . import losses, network, trainer
-from .losses import LossWeights
-from .network import NetworkConfig
+from . import losses, trainer
 from .tensor import Tensor
 from .trainer import TrainConfig
 
@@ -63,9 +61,7 @@ def _require_at_least(args, minimums: Dict[str, int]) -> None:
 def cmd_gen_data(args) -> int:
     _require_at_least(args, {"count": 1, "height": 1, "width": 1, "dmax": 0})
     if args.dmax >= args.width // 2:
-        print(f"error: dmax {args.dmax} must be < width/2 = {args.width // 2}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"dmax {args.dmax} must be < width/2 = {args.width // 2}")
     cfg = {"H": args.height, "W": args.width, "D_max": args.dmax,
            "n_objects": args.objects}
     manifest = []
@@ -93,72 +89,73 @@ def cmd_gen_gt(args) -> int:
 _FLAG_FIELDS = {"data_dir", "val_dir", "out_dir"}
 
 
-def _matches(value, hint) -> bool:
-    """Whether a JSON value fits a field annotation of the config classes."""
-    if hint is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    if hint is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is tuple:
-        if not isinstance(value, list):
-            return False
-        if len(args) == 2 and args[1] is Ellipsis:
-            return all(_matches(v, args[0]) for v in value)
-        return len(value) == len(args) and all(map(_matches, value, args))
-    return isinstance(value, hint)
+def _fitted(value, hint):
+    """A JSON value as the config annotation ``hint`` takes it: lists become
+    tuples, numbers floats where it says ``float``. TypeError if it does not
+    fit."""
+    kind = typing.get_origin(hint) or hint
+    if isinstance(value, bool) and kind is not bool:
+        raise TypeError(value)
+    if kind is float and isinstance(value, int):
+        return float(value)
+    if kind is tuple and isinstance(value, list):
+        args = typing.get_args(hint)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        if len(args) == len(value):
+            return tuple(map(_fitted, value, args))
+    elif isinstance(value, kind):
+        return value
+    raise TypeError(value)
 
 
-def _check_types(section: str, values: Dict, cls) -> None:
-    """Raise ValueError naming the first value whose type does not fit its
-    field of ``cls``; every key must be a field."""
+def _config(cls, values, flags: Dict, path: Optional[str], section: str = ""):
+    """``cls`` built from the overlay object ``values``, each field's value
+    in ``flags`` (keyed by dotted name) taking precedence unless None. Every
+    key must be a field of ``cls`` and none of ``_FLAG_FIELDS``; a
+    dataclass-typed field is built the same way from its own section, and
+    every other value must fit its annotation."""
+    if not isinstance(values, dict):
+        where = f"section {section[:-1]}" if section else repr(path)
+        raise ValueError(f"training config {where} must be a JSON object, got {values!r}")
     hints = typing.get_type_hints(cls)
-    for key, value in values.items():
-        hint = hints[key]
-        if not _matches(value, hint):
-            name = hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
-            raise ValueError(
-                f"training config value {section}{key} must be {name}, got {value!r}")
+    unknown = set(values) - set(hints)
+    if unknown:
+        raise ValueError(f"unknown {section.replace('.', ' ')}keys in training config "
+                         f"{path!r}: {sorted(unknown)}")
+    from_flags = sorted(_FLAG_FIELDS & set(values))
+    if from_flags:
+        raise ValueError(f"training config {path!r} sets {from_flags}: data_dir, val_dir and "
+                         "out_dir come only from --data, --val-data and --out")
+    kwargs = {}
+    for key, hint in hints.items():
+        if dataclasses.is_dataclass(hint):
+            kwargs[key] = _config(hint, values.get(key, {}), flags, path, f"{section}{key}.")
+        elif key in values:
+            try:
+                kwargs[key] = _fitted(values[key], hint)
+            except TypeError:
+                name = hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
+                raise ValueError(f"training config value {section}{key} must be {name}, "
+                                 f"got {values[key]!r}") from None
+        if flags.get(section + key) is not None:
+            kwargs[key] = flags[section + key]
+    return cls(**kwargs)
 
 
 def _build_train_config(args) -> TrainConfig:
+    """Defaults, then the ``--config`` JSON overlay, then the flags. The
+    overlay is checked against the config dataclasses, section by section;
+    it may not set ``data_dir``, ``val_dir`` or ``out_dir``, which come only
+    from ``--data``, ``--val-data`` and ``--out``."""
     overlay: Dict = {}
     if args.config:
         with open(args.config) as f:
             overlay = json.load(f)
-    if not isinstance(overlay, dict):
-        raise ValueError(f"training config {args.config!r} must be a JSON object, "
-                         f"got {overlay!r}")
-    unknown = set(overlay) - {f.name for f in dataclasses.fields(TrainConfig)} - _FLAG_FIELDS
-    if unknown:
-        raise ValueError(f"unknown keys in training config {args.config!r}: {sorted(unknown)}")
-    kwargs = dict(overlay)
-    net_kwargs = kwargs.pop("network", {})
-    loss_kwargs = kwargs.pop("loss_weights", {})
-    for key, kw, cls in (("network", net_kwargs, NetworkConfig),
-                         ("loss_weights", loss_kwargs, LossWeights)):
-        if not isinstance(kw, dict):
-            raise ValueError(f"training config section {key} must be a JSON object, "
-                             f"got {kw!r}")
-        unknown = set(kw) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ValueError(
-                f"unknown {key} keys in training config {args.config!r}: {sorted(unknown)}")
-        _check_types(key + ".", kw, cls)
-    _check_types("", kwargs, TrainConfig)
-    if "lr_schedule" in kwargs:
-        kwargs["lr_schedule"] = tuple((s, float(l)) for s, l in kwargs["lr_schedule"])
-    for name in ("seed", "batch_size", "steps", "eval_interval"):
-        v = getattr(args, name)
-        if v is not None:
-            kwargs[name] = v
-    if args.a is not None:
-        loss_kwargs["a"] = args.a
-    return TrainConfig(
-        network=NetworkConfig(**net_kwargs),
-        loss_weights=LossWeights(**loss_kwargs),
-        data_dir=args.data, val_dir=args.val_data, out_dir=args.out,
-        **kwargs)
+    flags = {"seed": args.seed, "batch_size": args.batch_size, "steps": args.steps,
+             "eval_interval": args.eval_interval, "loss_weights.a": args.a,
+             "data_dir": args.data, "val_dir": args.val_data, "out_dir": args.out}
+    return _config(TrainConfig, overlay, flags, args.config)
 
 
 def cmd_train(args) -> int:
@@ -181,9 +178,7 @@ def cmd_infer(args) -> int:
     left, lmax = ddata.read_pgm(args.left)
     right, rmax = ddata.read_pgm(args.right)
     if left.shape != right.shape:
-        print(f"error: image extents differ: {left.shape} vs {right.shape}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"image extents differ: {left.shape} vs {right.shape}")
     gt = ddata.read_pfm(args.gt) if args.gt else None
     if gt is not None and gt.shape != left.shape:
         raise ValueError(f"ground-truth extents {gt.shape} differ from the "

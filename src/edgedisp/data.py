@@ -7,7 +7,10 @@ consistency between the views is exact.
 
 Formats: PFM float maps (sign of the scale encodes endianness, rows
 bottom-up), binary PGM (P5, 8 or 16 bit) for images and masks, binary
-PPM (P6) for visualizations.
+PPM (P6) for visualizations. Both readers split a header the same way: a
+magic and three fields, each a run of non-whitespace, separated by
+whitespace and by comments, which run from ``#`` to the end of the line;
+the payload starts one byte after the third field.
 """
 
 from __future__ import annotations
@@ -168,6 +171,30 @@ def synth_stereogram(seed: int, cfg: Dict[str, int]) -> StereoSample:
                         instance, semantic, valid)
 
 
+# -- file headers -------------------------------------------------------------
+
+_GAP = re.compile(rb"(?:\s|#[^\r\n]*)*")   # whitespace and comments
+_TOKEN = re.compile(rb"[^\s#]+")
+
+
+def _read_header(path: str, kind: str, magic: bytes):
+    """The bytes of the file at ``path``, the three header fields after its
+    ``magic``, each a (token, byte offset) pair, and the payload's offset:
+    one byte after the third field."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    fields, pos = [], 0
+    while len(fields) < 4:
+        m = _TOKEN.match(raw, _GAP.match(raw, pos).end())
+        if m is None:
+            raise FormatError("unexpected end of header", len(raw))
+        if not fields and m.group() != magic:
+            raise FormatError(f"bad {kind} magic {m.group()!r}, expected {magic!r}", m.start())
+        fields.append((m.group(), m.start()))
+        pos = m.end()
+    return raw, fields[1:], pos + 1
+
+
 # -- PFM ----------------------------------------------------------------------
 
 
@@ -185,28 +212,9 @@ def write_pfm(path: str, values: np.ndarray) -> None:
 
 
 def read_pfm(path: str) -> np.ndarray:
-    with open(path, "rb") as f:
-        raw = f.read()
-    pos = 0
-
-    def token():
-        nonlocal pos
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise FormatError("unexpected end of header", start)
-        return raw[start:pos], start
-
-    magic, off = token()
-    if magic != b"Pf":
-        raise FormatError(f"bad PFM magic {magic!r}, expected b'Pf'", off)
-    wtok, off = token()
-    htok, hoff = token()
-    stok, soff = token()
-    if not re.fullmatch(rb"\d+", wtok) or not re.fullmatch(rb"\d+", htok):
+    raw, fields, pos = _read_header(path, "PFM", b"Pf")
+    (wtok, off), (htok, _), (stok, soff) = fields
+    if not wtok.isdigit() or not htok.isdigit():
         raise FormatError("non-integer dimensions in PFM header", off)
     w, h = int(wtok), int(htok)
     try:
@@ -215,7 +223,6 @@ def read_pfm(path: str) -> np.ndarray:
         raise FormatError(f"bad scale field {stok!r}", soff) from None
     if scale == 0 or not np.isfinite(scale):
         raise FormatError(f"scale must be finite and nonzero, got {stok!r}", soff)
-    pos += 1  # single whitespace after the scale line
     payload = raw[pos:]
     expected = w * h * 4
     if len(payload) < expected:
@@ -251,17 +258,13 @@ def write_pgm(path: str, values: np.ndarray, maxval: int = 255) -> None:
 
 
 def read_pgm(path: str) -> Tuple[np.ndarray, int]:
-    with open(path, "rb") as f:
-        raw = f.read()
-    m = re.match(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s", raw)
-    if not raw.startswith(b"P5"):
-        raise FormatError(f"bad PGM magic {raw[:2]!r}, expected b'P5'", 0)
-    if not m:
-        raise FormatError("malformed PGM header", 2)
-    w, h, maxval = int(m.group(1)), int(m.group(2)), int(m.group(3))
+    raw, fields, pos = _read_header(path, "PGM", b"P5")
+    for tok, off in fields:
+        if not tok.isdigit():
+            raise FormatError("malformed PGM header", off)
+    w, h, maxval = (int(tok) for tok, _ in fields)
     if not 1 <= maxval <= 65535:
-        raise FormatError(f"PGM maxval {maxval} outside [1, 65535]", m.start(3))
-    pos = m.end()
+        raise FormatError(f"PGM maxval {maxval} outside [1, 65535]", fields[2][1])
     dtype = ">u2" if maxval > 255 else "u1"
     expected = w * h * (2 if maxval > 255 else 1)
     payload = raw[pos:pos + expected]

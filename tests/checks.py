@@ -396,3 +396,22 @@ def checkpoint_holding(path, params, cfg, name, value):
     assert raw.count(good) == 1
     with open(path, "wb") as f:
         f.write(raw.replace(good, bad))
+
+
+# Header layouts that netpbm allows and ``data.write_pgm``/``write_pfm`` never
+# write: a comment line after the magic (as GIMP writes), and comments between
+# every two fields, one of them with no whitespace before it.
+COMMENTED_HEADERS = {
+    "comment-line": b"%s\n# Created by GIMP version 2.10.8\n%s %s\n%s\n",
+    "between-fields": b"%s# magic\n#\n%s\t# width\n  # height:\n%s #\r\n%s\n",
+}
+
+
+def comment_header(path, layout):
+    """Rewrite the PGM or PFM file at ``path`` (as the writers left it: the
+    magic, ``w h`` and the third field on three lines) with its header in
+    the ``COMMENTED_HEADERS`` layout named ``layout``; the payload is kept."""
+    with open(path, "rb") as f:
+        magic, dims, third, payload = f.read().split(b"\n", 3)
+    with open(path, "wb") as f:
+        f.write(COMMENTED_HEADERS[layout] % (magic, *dims.split(), third) + payload)

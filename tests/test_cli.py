@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from checks import checkpoint_holding
+from checks import COMMENTED_HEADERS, checkpoint_holding, comment_header
 from edgedisp import data as ddata
 from edgedisp import trainer
 from edgedisp.cli import colorize, main
@@ -238,6 +238,18 @@ class TestPipeline:
                                    "--data", data_dir, "--out", str(tmp_path / "r"))
         assert code == 2
         assert key in stderr and stdout == ""
+
+    @pytest.mark.parametrize("key", ["data_dir", "val_dir", "out_dir"])
+    def test_flag_only_overlay_key_rejected(self, tmp_path, capsys, key):
+        cfg_path = str(tmp_path / "cfg.json")
+        with open(cfg_path, "w") as f:
+            json.dump({"network": TINY_NET, key: str(tmp_path / "x")}, f)
+        run_dir = tmp_path / "r"
+        code, stdout, stderr = run(capsys, "train", "--config", cfg_path,
+                                   "--data", str(tmp_path / "d"), "--out", str(run_dir))
+        assert code == 2
+        assert key in stderr and "Traceback" not in stderr and stdout == ""
+        assert not run_dir.exists()
 
     @pytest.mark.parametrize("overlay, key, bad", [
         ({"network": {"base_chanels": 8}}, "network", "base_chanels"),
@@ -527,6 +539,41 @@ class TestPipeline:
         result = json.loads(stdout)
         with open(result["best"], "rb") as best, open(result["last"], "rb") as last:
             assert best.read() == last.read()
+
+    @pytest.mark.parametrize("layout", sorted(COMMENTED_HEADERS))
+    def test_infer_reads_commented_headers(self, tmp_path, capsys, layout):
+        ckpt = _tiny_checkpoint(tmp_path)
+        left, right, gt = (str(tmp_path / name) for name in ("l.pgm", "r.pgm", "gt.pfm"))
+        ddata.write_pgm(left, np.arange(16 * 32).reshape(16, 32) % 256)
+        ddata.write_pgm(right, np.arange(16 * 32).reshape(16, 32) % 251)
+        ddata.write_pfm(gt, np.ones((16, 32)))
+        reports = []
+        for tag in ("plain", "commented"):
+            if tag == "commented":
+                for path in (left, right, gt):
+                    comment_header(path, layout)
+            code, stdout, _ = run(capsys, "infer", "--ckpt", ckpt, "--left", left,
+                                  "--right", right, "--gt", gt,
+                                  "--out-disp", str(tmp_path / f"{tag}.pfm"),
+                                  "--out-vis", str(tmp_path / f"{tag}.ppm"))
+            assert code == 0
+            reports.append({k: v for k, v in json.loads(stdout).items()
+                            if not k.startswith("out_")})
+        assert reports[0] == reports[1]
+        assert (tmp_path / "plain.pfm").read_bytes() == (tmp_path / "commented.pfm").read_bytes()
+
+    def test_infer_images_of_two_extents_rejected(self, tmp_path, capsys):
+        ckpt = _tiny_checkpoint(tmp_path)
+        left, right = str(tmp_path / "l.pgm"), str(tmp_path / "r.pgm")
+        ddata.write_pgm(left, np.zeros((32, 32), dtype=np.int64))
+        ddata.write_pgm(right, np.zeros((32, 16), dtype=np.int64))
+        out_disp, out_vis = str(tmp_path / "d.pfm"), str(tmp_path / "d.ppm")
+        code, stdout, stderr = run(capsys, "infer", "--ckpt", ckpt, "--left", left,
+                                   "--right", right, "--out-disp", out_disp,
+                                   "--out-vis", out_vis)
+        assert code == 2 and stdout == "" and "Traceback" not in stderr
+        assert "extents" in stderr and "(32, 32)" in stderr and "(32, 16)" in stderr
+        assert not os.path.exists(out_disp) and not os.path.exists(out_vis)
 
     def test_eval_missing_checkpoint(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "eval", "--ckpt", "/nonexistent.ckpt",

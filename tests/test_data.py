@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from checks import COMMENTED_HEADERS, comment_header
 from edgedisp.data import (FormatError, depth_edge_gt, instance_boundaries,
                            list_samples, load_sample, read_pfm, read_pgm,
                            save_sample, semantic_boundaries, synth_stereogram,
@@ -210,6 +211,15 @@ class TestPfm:
         with pytest.raises(FormatError, match="scale.*offset 7"):
             read_pfm(str(path))
 
+    @pytest.mark.parametrize("layout", sorted(COMMENTED_HEADERS))
+    def test_header_comments_skipped(self, tmp_path, layout):
+        values = np.random.default_rng(4).normal(size=(3, 5))
+        path = str(tmp_path / "c.pfm")
+        write_pfm(path, values)
+        plain = read_pfm(path)
+        comment_header(path, layout)
+        np.testing.assert_array_equal(read_pfm(path), plain)
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "short.pfm"
         path.write_bytes(b"Pf\n3 3\n-1.0\n" + b"\x00" * 10)
@@ -234,6 +244,17 @@ class TestPgm:
         write_pgm(path, img, maxval=65535)
         back, maxval = read_pgm(path)
         assert maxval == 65535
+        np.testing.assert_array_equal(back, img)
+
+    @pytest.mark.parametrize("layout", sorted(COMMENTED_HEADERS))
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    def test_header_comments_skipped(self, tmp_path, maxval, layout):
+        img = np.random.default_rng(5).integers(0, maxval + 1, size=(4, 6))
+        path = str(tmp_path / "c.pgm")
+        write_pgm(path, img, maxval=maxval)
+        comment_header(path, layout)
+        back, back_maxval = read_pgm(path)
+        assert back_maxval == maxval
         np.testing.assert_array_equal(back, img)
 
     def test_bad_magic(self, tmp_path):
