@@ -265,14 +265,19 @@ def read_pgm(path: str) -> Tuple[np.ndarray, int]:
     w, h, maxval = (int(tok) for tok, _ in fields)
     if not 1 <= maxval <= 65535:
         raise FormatError(f"PGM maxval {maxval} outside [1, 65535]", fields[2][1])
-    dtype = ">u2" if maxval > 255 else "u1"
-    expected = w * h * (2 if maxval > 255 else 1)
+    dtype = np.dtype(">u2" if maxval > 255 else "u1")
+    expected = w * h * dtype.itemsize
     payload = raw[pos:pos + expected]
     if len(payload) < expected:
         raise FormatError(
             f"truncated payload: have {len(payload)} bytes, need {expected}",
             pos + len(payload))
-    return np.frombuffer(payload, dtype=dtype).reshape(h, w).astype(np.int64), maxval
+    values = np.frombuffer(payload, dtype=dtype)
+    over = np.flatnonzero(values > maxval)
+    if over.size:
+        raise FormatError(f"sample {values[over[0]]} above maxval {maxval}",
+                          pos + int(over[0]) * dtype.itemsize)
+    return values.reshape(h, w).astype(np.int64), maxval
 
 
 def write_ppm(path: str, rgb: np.ndarray) -> None:

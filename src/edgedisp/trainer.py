@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -13,8 +14,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import cpus, losses, network
 from . import data as ddata
-from . import losses, network
 from .losses import LossWeights
 from .network import ModelParams, NetworkConfig
 from .tensor import Tensor, no_grad
@@ -322,25 +323,74 @@ def compute_losses(outputs: Dict[str, Tensor], disp: np.ndarray, valid: np.ndarr
     return parts
 
 
-def recalibrate_norm_stats(params: ModelParams, net: NetworkConfig,
-                           samples: Sequence[ddata.StereoSample],
-                           batch_size: int, seed: int, batches: int = 16) -> None:
-    """Pull the batch-norm running buffers, which lag fast-moving weights,
-    onto ``batches`` training batches: untaped ``"stats"`` forwards map the
-    batches to their statistics, folded into the buffers in batch order as
-    taped training forwards would. Without batch-norm no forward runs."""
+def _norm_stats(params: ModelParams, net: NetworkConfig,
+                samples: Sequence[ddata.StereoSample], batch_size: int, seed: int,
+                batches: int) -> List[Dict[str, list]]:
+    """The batch-norm statistics of ``batches`` training batches, from
+    untaped ``"stats"`` forwards, in batch order; none without batch-norm."""
     if not net.norm_enabled:
-        return
+        return []
     rng = np.random.default_rng(seed)
     n = min(batch_size, len(samples))
     draws = (rng.choice(len(samples), size=n, replace=False) for _ in range(batches))
     with no_grad():
-        stats = [network.forward(*_views(samples, idx), params, net, "stats")["stats"]
-                 for idx in draws]
+        return [network.forward(*_views(samples, idx), params, net, "stats")["stats"]
+                for idx in draws]
+
+
+def recalibrate_norm_stats(params: ModelParams, net: NetworkConfig,
+                           samples: Sequence[ddata.StereoSample],
+                           batch_size: int, seed: int,
+                           batches: int = 16) -> List[Dict[str, list]]:
+    """Pull the batch-norm running buffers, which lag fast-moving weights,
+    onto ``batches`` training batches: their statistics (``_norm_stats``)
+    are folded into the buffers in batch order, as taped training forwards
+    would fold them. Returns the statistics it folded."""
+    stats = _norm_stats(params, net, samples, batch_size, seed, batches)
     for s in stats:
         network.update_buffers(params, s)
+    return stats
 
 
+def _validate(params: ModelParams, state: OptimizerState, cfg: TrainConfig,
+              samples: Sequence[ddata.StereoSample],
+              val_samples: Sequence[ddata.StereoSample], step: int,
+              best_epe: float, best_path: str):
+    """Recalibrate on 8 batches, evaluate on ``val_samples`` and save a
+    checkpoint to ``best_path`` when the EPE beats ``best_epe``. Returns
+    the step, the folded statistics and the report."""
+    stats = recalibrate_norm_stats(params, cfg.network, samples, cfg.batch_size,
+                                   cfg.seed + step, batches=8)
+    report = evaluate_params(params, cfg.network, val_samples)
+    if report["epe"] < best_epe:
+        save_checkpoint(params, state, best_path, cfg.network)
+    return step, stats, report
+
+
+def _flush(held: list, params: ModelParams, log) -> None:
+    """Fold each held step's batch statistics and write its log line, in
+    step order."""
+    for stats, line in held:
+        network.update_buffers(params, stats)
+        log.write(line)
+    held.clear()
+
+
+def _join(validation: cpus.Child, held: list, params: ModelParams, log,
+          best_epe: float) -> float:
+    """Join ``validation`` and apply its outcome as the serial loop
+    would have: fold its batch statistics, then the held steps'; write its
+    log line, then theirs. Returns the best EPE so far."""
+    step, stats, report = validation.join()
+    if validation.forked:    # inline, the validation folded its statistics itself
+        for s in stats:
+            network.update_buffers(params, s)
+    log.write(json.dumps({"step": step, "val": report}) + "\n")
+    _flush(held, params, log)
+    return report["epe"] if report["epe"] < best_epe else best_epe
+
+
+@cpus.one_blas_thread()
 def train(cfg: TrainConfig) -> Dict[str, object]:
     """Deterministic training run; writes JSONL log plus best/last checkpoints."""
     samples = _load_dataset(cfg.data_dir)
@@ -366,42 +416,49 @@ def train(cfg: TrainConfig) -> Dict[str, object]:
     pairs = itertools.chain.from_iterable(
         rng.permutation(len(samples)).tolist() for _ in itertools.count())
 
-    with open(log_path, "w") as log:
-        for step in range(1, cfg.steps + 1):
-            state.lr = _lr_at(cfg.lr_schedule, step - 1)
-            idx = list(itertools.islice(pairs, cfg.batch_size))
-            left, right, disp, valid, edges = _batch_arrays(samples, idx, flip_rng)
-            outputs = network.forward(left, right, params, cfg.network, "train")
-            network.update_buffers(params, outputs["stats"])
-            parts = compute_losses(outputs, disp, valid, edges,
-                                   cfg.loss_weights, cfg.network)
-            record = {k: v.item() for k, v in parts.items()}
-            if not all(np.isfinite(v) for v in record.values()):
-                raise RuntimeError(
-                    f"non-finite loss at step {step}: {json.dumps(record)}")
-            parts["total"].backward()
-            adam_step(params.trainable(), state)
-            # Nothing of this step is needed again: free its outputs and loss
-            # parts before validation or the next forward.
-            del outputs, parts
+    # Each validation runs on a snapshot forked at its step (``cpus.Child``)
+    # while training goes on: training forwards read no running buffer. Until
+    # it is joined, the steps' batch statistics and log lines are held.
+    validation, held = None, []
+    try:
+        with open(log_path, "w") as log:
+            for step in range(1, cfg.steps + 1):
+                state.lr = _lr_at(cfg.lr_schedule, step - 1)
+                idx = list(itertools.islice(pairs, cfg.batch_size))
+                left, right, disp, valid, edges = _batch_arrays(samples, idx, flip_rng)
+                outputs = network.forward(left, right, params, cfg.network, "train")
+                parts = compute_losses(outputs, disp, valid, edges,
+                                       cfg.loss_weights, cfg.network)
+                record = {k: v.item() for k, v in parts.items()}
+                if not all(np.isfinite(v) for v in record.values()):
+                    raise RuntimeError(
+                        f"non-finite loss at step {step}: {json.dumps(record)}")
+                parts["total"].backward()
+                adam_step(params.trainable(), state)
+                entry = {"step": step, "lr": state.lr}
+                entry.update(record)
+                held.append((outputs["stats"], json.dumps(entry) + "\n"))
+                # Nothing else of this step is needed again: free its outputs
+                # and loss parts before validation or the next forward.
+                del outputs, parts
+                if validation is None:
+                    _flush(held, params, log)
 
-            entry = {"step": step, "lr": state.lr}
-            entry.update(record)
-            log.write(json.dumps(entry) + "\n")
-
-            if val_samples and (step % cfg.eval_interval == 0 or step == cfg.steps):
-                recalibrate_norm_stats(params, cfg.network, samples,
-                                       cfg.batch_size, cfg.seed + step,
-                                       batches=8)
-                report = evaluate_params(params, cfg.network, val_samples)
-                log.write(json.dumps({"step": step, "val": report}) + "\n")
-                if report["epe"] < best_epe:
-                    best_epe = report["epe"]
-                    save_checkpoint(params, state, best_path, cfg.network)
-
-    if cfg.steps:
-        recalibrate_norm_stats(params, cfg.network, samples, cfg.batch_size,
-                               cfg.seed)
+                if val_samples and (step % cfg.eval_interval == 0 or step == cfg.steps):
+                    if validation is not None:
+                        best_epe = _join(validation, held, params, log, best_epe)
+                    validation = cpus.Child(functools.partial(
+                        _validate, params, state, cfg, samples, val_samples, step,
+                        best_epe, best_path))
+            final_stats = (_norm_stats(params, cfg.network, samples, cfg.batch_size,
+                                       cfg.seed, 16) if cfg.steps else [])
+            if validation is not None:
+                best_epe = _join(validation, held, params, log, best_epe)
+    finally:
+        if validation is not None:
+            validation.close()
+    for s in final_stats:
+        network.update_buffers(params, s)
     save_checkpoint(params, state, last_path, cfg.network)
     if best_epe == np.inf:    # no validation report of this run wrote one
         save_checkpoint(params, state, best_path, cfg.network)
@@ -419,6 +476,7 @@ def train(cfg: TrainConfig) -> Dict[str, object]:
 EVAL_BATCH = 8
 
 
+@cpus.one_blas_thread()
 def predict_batch(params: ModelParams, cfg: NetworkConfig,
                   samples: Sequence[ddata.StereoSample]) -> List[np.ndarray]:
     """Inference-mode disparities for samples of one image size, in one
@@ -442,6 +500,7 @@ def predict(params: ModelParams, cfg: NetworkConfig,
     return predict_batch(params, cfg, [sample])[0]
 
 
+@cpus.one_blas_thread()
 def evaluate_params(params: ModelParams, cfg: NetworkConfig,
                     samples: Sequence[ddata.StereoSample]) -> Dict[str, float]:
     """Aggregate metrics with all valid pixels pooled across the set.

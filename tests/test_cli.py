@@ -394,6 +394,27 @@ class TestPipeline:
         assert code == 2
         assert "non-finite loss" in stderr and "Traceback" not in stderr and stdout == ""
 
+    def test_sample_above_maxval_exits_2(self, tmp_path, capsys):
+        """A 16-bit image holding 65535 under maxval 4095 is refused by
+        ``infer`` and by ``eval`` with the offset of that sample."""
+        ckpt = _tiny_checkpoint(tmp_path)
+        data_dir = str(tmp_path / "d")
+        code, _, _ = run(capsys, "gen-data", "--out", data_dir, "--count", "1",
+                         "--height", "32", "--width", "32", "--dmax", "8")
+        assert code == 0
+        left = os.path.join(data_dir, "0000_left.pgm")
+        with open(left, "wb") as f:
+            f.write(b"P5\n2 1\n4095\n\xff\xff\x00\x07")
+        message = "sample 65535 above maxval 4095 (byte offset 12)"
+        code, stdout, stderr = run(capsys, "infer", "--ckpt", ckpt, "--left", left,
+                                   "--right", left, "--out-disp", str(tmp_path / "d.pfm"),
+                                   "--out-vis", str(tmp_path / "d.ppm"))
+        assert code == 2
+        assert message in stderr and "Traceback" not in stderr and stdout == ""
+        code, stdout, stderr = run(capsys, "eval", "--ckpt", ckpt, "--data", data_dir)
+        assert code == 2
+        assert message in stderr and "Traceback" not in stderr and stdout == ""
+
     def test_infer_checkpoint_non_finite(self, tmp_path, capsys):
         net = NetworkConfig(**{**TINY_NET, "dilation_rates": tuple(TINY_NET["dilation_rates"])})
         ckpt = str(tmp_path / "nan.ckpt")

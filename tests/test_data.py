@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -270,6 +272,15 @@ class TestPgm:
         with pytest.raises(FormatError, match="maxval"):
             read_pgm(str(path))
 
+    @pytest.mark.parametrize("raw, message", [
+        (b"P5\n2 1\n4095\n\xff\xff\x00\x07", "sample 65535 above maxval 4095 (byte offset 12)"),
+        (b"P5\n3 1\n100\n\x00\x64\x65", "sample 101 above maxval 100 (byte offset 13)"),
+    ])
+    def test_sample_above_maxval_refused(self, tmp_path, raw, message):
+        path = tmp_path / "over.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match=re.escape(message)):
+            read_pgm(str(path))
 
     @pytest.mark.parametrize("maxval", [0, 65536, 70000])
     def test_write_rejects_maxval_read_refuses(self, tmp_path, maxval):

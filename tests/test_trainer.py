@@ -5,11 +5,13 @@ import os
 import re
 import struct
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from checks import checkpoint_holding, concatenating_save_checkpoint, in_place_buffer_updates
+from edgedisp import cpus
 from edgedisp import data as ddata
 from edgedisp.losses import LossWeights
 from edgedisp import network
@@ -396,16 +398,21 @@ class TestTraining:
 
     def test_same_files_as_in_place_buffer_updates(self, tmp_path):
         """Folding each forward's statistics after it writes the same files
-        as updating the buffers inside every batch-norm as it runs."""
+        as updating the buffers inside every batch-norm as it runs. The
+        in-place run validates inline: a forked child's in-place updates
+        cannot reach the parent's buffers."""
         val_dir = str(tmp_path / "val")
         make_dataset(val_dir, 3, seed0=100, h=64, w=64)
         make_dataset(str(tmp_path / "train"), 8, h=64, w=64)
         runs = []
-        for context in (contextlib.nullcontext, in_place_buffer_updates):
+        for in_place in (False, True):
             cfg = self._cfg(tmp_path, steps=6, val_dir=val_dir, eval_interval=3)
             cfg.batch_size = 4
             cfg.out_dir = str(tmp_path / f"run{len(runs)}")
-            with context():
+            with contextlib.ExitStack() as stack:
+                if in_place:
+                    stack.enter_context(in_place_buffer_updates())
+                    stack.enter_context(mock.patch.object(cpus, "_spare_cpu", lambda: False))
                 train(cfg)
             runs.append([Path(cfg.out_dir, f).read_bytes()
                          for f in ("best.ckpt", "last.ckpt", "log.jsonl")])
