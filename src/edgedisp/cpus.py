@@ -57,7 +57,10 @@ def one_blas_thread():
 
 
 def _spare_cpu() -> bool:
-    """Whether a forked child can run beside this process on a CPU of its own."""
+    """Whether a forked child can run beside this process on a CPU of its own.
+    Sharing one CPU, a forked validation made ``trainer.train`` slower than
+    one run inline: 6-15% on perfbench's train-64, in two sets of 10
+    alternating runs."""
     return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -139,8 +140,17 @@ def save_checkpoint(params: ModelParams, state: Optional[OptimizerState],
             entries[f"__opt__.v.{name}"] = arr
     head = CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(entries))
     blob = b"".join([head] + [_pack_tensor(name, arr) for name, arr in entries.items()])
-    with open(path, "wb") as f:
-        f.write(blob)
+    # Written beside ``path`` and renamed onto it: a process killed while
+    # writing leaves the previous checkpoint whole.
+    part = os.fspath(path) + ".part"
+    try:
+        with open(part, "wb") as f:
+            f.write(blob)
+        os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(part)
+        raise
 
 
 def _read_exact(raw: bytes, pos: int, n: int, what: str) -> Tuple[bytes, int]:
@@ -419,9 +429,11 @@ def train(cfg: TrainConfig) -> Dict[str, object]:
     # Each validation runs on a snapshot forked at its step (``cpus.Child``)
     # while training goes on: training forwards read no running buffer. Until
     # it is joined, the steps' batch statistics and log lines are held.
-    validation, held = None, []
-    try:
-        with open(log_path, "w") as log:
+    # ``pending`` holds the validation not yet joined, if any; it is popped
+    # before its join, so no validation is joined twice.
+    pending, held = [], []
+    with open(log_path, "w") as log:
+        try:
             for step in range(1, cfg.steps + 1):
                 state.lr = _lr_at(cfg.lr_schedule, step - 1)
                 idx = list(itertools.islice(pairs, cfg.batch_size))
@@ -441,22 +453,29 @@ def train(cfg: TrainConfig) -> Dict[str, object]:
                 # Nothing else of this step is needed again: free its outputs
                 # and loss parts before validation or the next forward.
                 del outputs, parts
-                if validation is None:
+                if not pending:
                     _flush(held, params, log)
 
                 if val_samples and (step % cfg.eval_interval == 0 or step == cfg.steps):
-                    if validation is not None:
-                        best_epe = _join(validation, held, params, log, best_epe)
-                    validation = cpus.Child(functools.partial(
+                    if pending:
+                        best_epe = _join(pending.pop(), held, params, log, best_epe)
+                    pending.append(cpus.Child(functools.partial(
                         _validate, params, state, cfg, samples, val_samples, step,
-                        best_epe, best_path))
+                        best_epe, best_path)))
             final_stats = (_norm_stats(params, cfg.network, samples, cfg.batch_size,
                                        cfg.seed, 16) if cfg.steps else [])
-            if validation is not None:
-                best_epe = _join(validation, held, params, log, best_epe)
-    finally:
-        if validation is not None:
-            validation.close()
+            if pending:
+                best_epe = _join(pending.pop(), held, params, log, best_epe)
+        except Exception:
+            # The running validation is let finish (8 forwards and one
+            # evaluation): its best.ckpt is then whole, and the log ends as
+            # the serial loop's would have.
+            if pending:
+                _join(pending.pop(), held, params, log, best_epe)
+            raise
+        finally:
+            for validation in pending:    # still running only on an interrupt
+                validation.close()
     for s in final_stats:
         network.update_buffers(params, s)
     save_checkpoint(params, state, last_path, cfg.network)

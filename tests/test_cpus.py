@@ -5,6 +5,7 @@ independent of the BLAS thread count."""
 import gc
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -123,34 +124,104 @@ class TestForkedValidation:
         log = [json.loads(line) for line in runs[0][2].decode().splitlines()]
         assert [e["step"] for e in log if "val" in e] == list(range(eval_interval, 7, eval_interval))
 
-    def test_non_finite_loss_while_a_validation_runs(self, tmp_path, monkeypatch, forking):
-        validate = trainer._validate
+    @staticmethod
+    def _slow_children(monkeypatch, seconds):
+        """Each forked validation sleeps ``seconds`` before it starts."""
+        parent, validate = os.getpid(), trainer._validate
 
         def slow(*args):
-            time.sleep(60)
+            if os.getpid() != parent:
+                time.sleep(seconds)
             return validate(*args)
+        monkeypatch.setattr(trainer, "_validate", slow)
 
-        compute, calls = trainer.compute_losses, []
+    @pytest.mark.parametrize("spare", [True, False])
+    def test_non_finite_loss_while_a_validation_runs(self, tmp_path, monkeypatch, spare):
+        """An error in the parent joins the running validation: its val line,
+        the steps held behind it and its best.ckpt are written, as the serial
+        loop had written them, forked or inline."""
+        monkeypatch.setattr(cpus, "_spare_cpu", lambda: spare)
+        cfg = self._cfg(tmp_path, "run", eval_interval=3)
+        best = Path(cfg.out_dir, "best.ckpt")
+        compute, calls, seen = trainer.compute_losses, [], []
 
-        def nan_at_step_3(*args):
+        def nan_at_step_5(*args):
             parts = compute(*args)
             calls.append(None)
-            if len(calls) == 3:
+            if len(calls) == 5:
+                seen.append(best.exists())
                 parts["total"] = parts["total"] * np.nan
             return parts
 
-        monkeypatch.setattr(trainer, "_validate", slow)
-        monkeypatch.setattr(trainer, "compute_losses", nan_at_step_3)
-        cfg = self._cfg(tmp_path, "run", eval_interval=2)
+        self._slow_children(monkeypatch, 2)
+        monkeypatch.setattr(trainer, "compute_losses", nan_at_step_5)
+        with pytest.raises(RuntimeError, match="non-finite loss at step 5"):
+            trainer.train(cfg)
+        assert_no_child()
+        # forked, the validation of step 3 was still running at step 5
+        assert seen == [not spare]
+        log = [json.loads(line) for line in Path(cfg.out_dir, "log.jsonl").read_text().splitlines()]
+        assert [(e["step"], "val" in e) for e in log] == [
+            (1, False), (2, False), (3, False), (3, True), (4, False)]
+        _params, state, _net = trainer.load_checkpoint(str(best))
+        assert state.step == 3
+        assert not list(Path(cfg.out_dir).glob("*.part"))
+
+    def test_interrupt_kills_a_running_validation(self, tmp_path, monkeypatch, forking):
+        compute, calls = trainer.compute_losses, []
+
+        def interrupt_at_step_5(*args):
+            calls.append(None)
+            if len(calls) == 5:
+                raise KeyboardInterrupt
+            return compute(*args)
+
+        self._slow_children(monkeypatch, 60)
+        monkeypatch.setattr(trainer, "compute_losses", interrupt_at_step_5)
+        cfg = self._cfg(tmp_path, "run", eval_interval=3)
         t0 = time.monotonic()
-        with pytest.raises(RuntimeError, match="non-finite loss at step 3"):
+        with pytest.raises(KeyboardInterrupt):
             trainer.train(cfg)
         assert time.monotonic() - t0 < 30
         assert_no_child()
-        # the killed validation wrote nothing; step 2's line came before it
+        # the killed validation wrote nothing, and step 4's line was held behind it
         log = [json.loads(line) for line in Path(cfg.out_dir, "log.jsonl").read_text().splitlines()]
-        assert [e["step"] for e in log] == [1, 2] and all("val" not in e for e in log)
+        assert [e["step"] for e in log] == [1, 2, 3] and all("val" not in e for e in log)
         assert not Path(cfg.out_dir, "best.ckpt").exists()
+
+    def test_kill_while_saving_keeps_the_previous_checkpoint(self, tmp_path, forking):
+        path = str(tmp_path / "best.ckpt")
+        trainer.save_checkpoint(init_params(TINY_NET, seed=0), None, path, TINY_NET)
+        before = Path(path).read_bytes()
+
+        def save_and_die_halfway():
+            class Dying:
+                """A file that is killed, with its process, halfway through
+                its first write."""
+
+                def __init__(self, f):
+                    self.f = f
+
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc):
+                    self.f.close()
+
+                def write(self, blob):
+                    self.f.write(blob[:len(blob) // 2])
+                    self.f.flush()
+                    os.kill(os.getpid(), signal.SIGKILL)
+
+            trainer.open = lambda *args: Dying(open(*args))
+            trainer.save_checkpoint(init_params(TINY_NET, seed=1), None, path, TINY_NET)
+
+        with pytest.raises(ChildProcessError, match="wait status 9 "):
+            cpus.Child(save_and_die_halfway).join()
+        assert_no_child()
+        assert not hasattr(trainer, "open")
+        assert Path(path).read_bytes() == before
+        trainer.load_checkpoint(path)
 
     def test_validation_error_reaches_the_caller(self, tmp_path, monkeypatch, forking):
         monkeypatch.setattr(trainer, "evaluate_params", refuse)
