@@ -23,7 +23,10 @@ with one BLAS thread, and saves:
   and once more at 5 levels with an ``f_right`` that needs no gradient.
 
 ``compare`` lists every array that is in only one file or not
-``array_equal`` in both, and exits 1 if there is any.
+``array_equal`` in both, each with its largest absolute difference and
+that difference over the array's largest magnitude in the first file,
+names the array where that ratio is largest, and exits 1 if any array
+differs.
 """
 
 from __future__ import annotations
@@ -153,12 +156,32 @@ def dump(path: str) -> int:
 def compare(path_a: str, path_b: str) -> int:
     with np.load(path_a) as a, np.load(path_b) as b:
         names = sorted(set(a.files) | set(b.files))
-        differ = [n for n in names
-                  if n not in a.files or n not in b.files or not np.array_equal(a[n], b[n])]
-    for n in differ:
-        print(f"differs: {n}")
+        differ, worst = [], None
+        for n in names:
+            if n not in a.files or n not in b.files:
+                differ.append(n)
+                print(f"differs: {n} (only in {path_a if n in a.files else path_b})")
+            elif not np.array_equal(a[n], b[n]):
+                differ.append(n)
+                d, m = _difference(a[n], b[n])
+                r = d / m if m else np.inf
+                print(f"differs: {n} max |a-b| {d:.3g}, {r:.3g} of max |a|")
+                if worst is None or r > worst[2]:
+                    worst = (n, d, r)
     print(f"{len(differ)} of {len(names)} arrays differ")
+    if worst is not None:
+        n, d, r = worst
+        print(f"worst: {n}, max |a-b| {d:.3g}, {r:.3g} of max |a|")
     return 1 if differ else 0
+
+
+def _difference(x: np.ndarray, y: np.ndarray):
+    """The largest absolute difference of two arrays and the largest
+    magnitude of the first (inf where their shapes differ)."""
+    if x.shape != y.shape:
+        return np.inf, 1.0
+    x, y = x.astype(np.float64), y.astype(np.float64)
+    return float(np.abs(x - y).max(initial=0.0)), float(np.abs(x).max(initial=0.0))
 
 
 def main(argv) -> int:

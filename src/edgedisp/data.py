@@ -31,7 +31,11 @@ class FormatError(ValueError):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
-        self.offset = offset
+        self.message, self.offset = message, offset
+
+    def __reduce__(self):
+        # ``args`` holds the formatted message, which ``__init__`` does not take
+        return type(self), (self.message, self.offset), self.__dict__
 
 
 # -- depth-edge ground truth --------------------------------------------------

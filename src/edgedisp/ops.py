@@ -19,7 +19,8 @@ that reads input on every axis for some output of the block, the input
 slices it reads and the block's output slices that read them, from the
 landings of the block's rows on the first axis and the shared landings of
 the others. A pass's working memory is one block, not the whole
-``[Cin*K, N]`` matrix.
+``[Cin*K, N]`` matrix. A forward pass's plan is keyed on its output
+channels too, for the stacked layout below.
 
 Gather (every pass): per sample, then per block, the block's kept taps
 are copied from an array into its column matrix. One buffer per call,
@@ -29,6 +30,32 @@ the columns of taps that read padding stay zero. The forward pass runs one
 GEMM ``[Cout, Cin*K] x [Cin*K, N_block]`` per sample and block, written
 into the block's rows; the weight gradient adds ``gy_block [Cout,
 N_block] x cols_blockᵀ`` in batch, then block order.
+
+Stacked layout (forward passes, and so each phase of
+``conv3d_transposed``'s forward): im2col copies each input row once per
+kept tap of the first axis, k0 times, and the GEMM reads every copy. Where
+the first axis has stride 1 and keeps k0 > 1 taps, the plan may instead
+hold a ``_Stack``: the plan of kernel 1, stride 1 and padding 0 on the
+first axis over the input rows the kept taps read, whose blocks are runs
+of input rows. Per sample and block, it gathers ``[Cin*K_rest, N_block]``
+columns over the other axes' taps only, runs one GEMM ``[k0*Cout,
+Cin*K_rest] x [Cin*K_rest, N_block]`` with the first axis's taps stacked
+on the weight's rows, and adds each tap's ``[Cout, rows]`` slab of
+products into the output rows it feeds, in tap order, into an output
+zeroed first (kn2row, Vasudevan et al., arXiv 1704.04428, along one axis;
+MEC, Cho & Brand, arXiv 1706.06873, lowers along some axes the same way).
+Each input row is gathered once. A block's columns and products together
+fit half of ``_WORK_BUDGET``, so a stacked block is no larger than the
+im2col block of the same pass. ``_stacks`` picks the layout from the
+plan's shapes alone (Cin, Cout, the kept taps, the rows): where it moves
+at least ``_STACK_GAIN`` bytes a sample fewer through the column matrix,
+the products and the output than im2col. The stem conv (3 input
+channels), the stride-2 encoders and the 1x4x4 bottleneck keep im2col;
+the 3x3x3 convs over the volume, the heads and the SPP fuse stack.
+``stereo.concat_volume_conv`` is the same layout written by hand for the
+cost volume's concatenation channels, over depth levels. The weight
+gradient, and the pass that gathers a cotangent for both gradients, stay
+on im2col.
 
 Phases (every input gradient, and the forward of ``conv3d_transposed``,
 the input gradient of the conv it transposes): on each axis, input phase
@@ -63,6 +90,11 @@ and input gradient of a block compute the same columns as one GEMM over
 all rows would, bit for bit when the blocks are a few hundred columns
 wide (OpenBLAS takes other kernels for GEMMs only a few columns wide); the
 weight gradient sums the blocks one after another, which reorders its sum.
+The stacked layout sums each output as k0 partial GEMM sums added in tap
+order, so its results differ from im2col's at round-off; an output row's
+taps read input rows in tap order, so blocks of input rows add them in tap
+order whatever the split, and its outputs too are the same bits alone or
+in any batch, and under any budget.
 """
 
 from __future__ import annotations
@@ -151,6 +183,7 @@ class _Block(NamedTuple):
     out: Tuple[int, ...]       # the block's output extents: its rows, then out[1:]
     moves: tuple               # (input index, column index) per tap landing in the block
     clear: tuple               # column indices of rows a kept first-axis tap skips
+    adds: tuple = ()           # stacked layout: (tap, block positions, output positions)
 
 
 class _Plan(NamedTuple):
@@ -158,6 +191,12 @@ class _Plan(NamedTuple):
     taps: Tuple[slice, ...]    # kept tap range per spatial axis
     kept: Tuple[int, ...]      # number of kept taps per spatial axis
     blocks: Tuple[_Block, ...]  # runs of whole output rows of the first spatial axis
+    stack: Optional[_Stack] = None   # the stacked layout, when the pass takes it
+
+
+class _Stack(NamedTuple):
+    rows: slice                # the input rows some kept first-axis tap reads
+    gather: _Plan              # their columns over the other axes' taps, in blocks
 
 
 def _block(taps, lands, rows, out) -> _Block:
@@ -188,26 +227,112 @@ def _block(taps, lands, rows, out) -> _Block:
     return _Block(slice(r0, r1), (n,) + out[1:], tuple(moves), tuple(clear))
 
 
+def _blocks(geom, lands, taps, out, row: int) -> Tuple[_Block, ...]:
+    """The blocks of a plan, from the landings of every output on the
+    axes after the first: runs of whole output rows of the first axis,
+    ``row`` bytes each, that fit ``_WORK_BUDGET``."""
+    return tuple(_block(taps, [_lands(*geom[0], *rows)] + lands, rows, out)
+                 for rows in _row_runs(out[0], row))
+
+
+def _read_rows(first: dict) -> slice:
+    """The input rows that the taps of ``first``, one axis's landings at
+    stride 1, read: one run."""
+    return slice(min(a.start for a, _ in first.values()), max(a.stop for a, _ in first.values()))
+
+
+# On the default network's passes the stacked layout was faster wherever
+# it moved at least this many bytes a sample fewer than im2col, and tied
+# or lost below: there its fixed costs (a weight transpose, a fill, an add
+# per tap over short rows) ate what the gather saved.
+_STACK_GAIN = 128 << 10
+
+
+def _stacks(cin, cout, kept, stride, out, first) -> bool:
+    """Whether a forward pass takes the stacked layout: its first axis
+    has stride 1 and keeps more than one tap, and per sample it moves at
+    least ``_STACK_GAIN`` bytes fewer through its working arrays and its
+    output than im2col. Per output position, im2col writes and reads
+    ``Cin*K`` column values and writes ``Cout`` outputs. Per position of
+    the input rows that the kept taps read (``first``, the first axis's
+    landings), the stacked layout writes and reads ``Cin*K_rest`` column
+    values and writes ``k0*Cout`` products; per output position, each of
+    the ``k0`` taps' adds reads ``Cout`` products and reads and writes
+    ``Cout`` outputs. The reads of the input are not counted; so counted,
+    the rule picked the faster layout, or one within a few percent, for
+    every pass of the default network measured."""
+    k0, rest = kept[0], cin * math.prod(kept[1:])
+    if stride[0] != 1 or k0 < 2:
+        return False
+    rows = _read_rows(first)
+    n, n_in = math.prod(out), (rows.stop - rows.start) * math.prod(out[1:])
+    im2col = (2 * k0 * rest + cout) * n
+    stacked = (2 * rest + k0 * cout) * n_in + 3 * k0 * cout * n
+    return 8 * (im2col - stacked) >= _STACK_GAIN
+
+
+def _stack(cin, cout, geom, lands, taps, kept, out) -> _Stack:
+    """The stacked layout of a stride-1 first axis: the plan of kernel 1,
+    stride 1 and padding 0 on the first axis over the input rows the kept
+    taps read, in blocks whose columns and ``k0*Cout`` products per
+    position fit half of ``_WORK_BUDGET``; each block lists, per kept
+    first-axis tap in order, the positions of the block's rows whose
+    products it adds and of the output rows it adds them to, as flat
+    ranges.
+
+    Half the budget keeps a stacked block no larger than the im2col block
+    of the same pass: an im2col block of whole rows fills more than half
+    the budget unless the whole pass or one row is smaller than that, and
+    a row of a pass that ``_stacks`` picks is smaller stacked. Blocks of
+    the whole budget raised the peak RSS of a 384x1248 predict above
+    im2col's, and were no faster."""
+    _, _, _, d, p = geom[0]
+    m = math.prod(out[1:])
+    rows = _read_rows(lands[0])
+    lo, hi = rows.start, rows.stop
+    g0 = (hi - lo, 1, 1, 1, 0)
+    gout = (hi - lo,) + out[1:]
+    gtaps, gkept = (slice(0, 1),) + taps[1:], (1,) + kept[1:]
+    # each row's bytes counted twice: blocks fit half the budget
+    row = 16 * (cin * math.prod(gkept) + kept[0] * cout) * m
+    blocks = []
+    for blk in _blocks([g0] + geom[1:], lands[1:], gtaps, gout, row):
+        r0, r1 = blk.rows.start, blk.rows.stop
+        adds = []
+        for t in range(taps[0].start, taps[0].stop):
+            off = t * d - p - lo   # output row o adds the products of block row o + off
+            a, b = max(r0, off), min(r1, off + out[0])
+            if a < b:
+                adds.append((t - taps[0].start, slice((a - r0) * m, (b - r0) * m),
+                             slice((a - off) * m, (b - off) * m)))
+        blocks.append(blk._replace(adds=tuple(adds)))
+    return _Stack(rows, _Plan(gout, gtaps, gkept, tuple(blocks)))
+
+
 # A network at one image size needs a few dozen plans. A batch-4 train step
-# of the default configuration at 64x64 holds 61 plans and 24 phase sets;
-# predict holds 42 plans at 128x256/d_max 32 and 42 at 256x512/d_max 64.
+# of the default configuration at 64x64 holds 94 plans and 24 phase sets
+# (a forward plan is keyed on its output channels too, so it is not shared
+# with a backward pass); predict holds 45 plans at 128x256/d_max 32 and 45
+# at 256x512/d_max 64.
 # The bounds keep a service fed many image sizes finite. ``_WORK_BUDGET``
 # is read when a plan is built, so a new budget reaches only new plans.
 @functools.lru_cache(maxsize=256)
-def _plan(cin: int, in_spatial, kernel, stride, dilation, pad, out) -> _Plan:
+def _plan(cin: int, in_spatial, kernel, stride, dilation, pad, out, cout: int = 0) -> _Plan:
     """The plan of a pass over ``cin`` input channels with output extents
     ``out``: per axis, the kept tap range, from the first to the last tap
     that reads any input (``_lands`` over every output), and the blocks,
     runs of whole output rows of the first spatial axis whose ``[Cin*K,
-    N]`` column matrix fits ``_WORK_BUDGET``."""
+    N]`` column matrix fits ``_WORK_BUDGET``. A forward pass names its
+    ``cout``; when ``_stacks`` picks the stacked layout, the plan holds
+    it in ``stack`` and no blocks of its own."""
     geom = list(zip(in_spatial, kernel, stride, dilation, pad))
     lands = [_lands(*g, 0, m) for g, m in zip(geom, out)]
     taps = tuple(slice(min(a), max(a) + 1) if a else slice(0, 0) for a in lands)
     kept = tuple(t.stop - t.start for t in taps)
+    if cout and _stacks(cin, cout, kept, stride, out, lands[0]):
+        return _Plan(out, taps, kept, (), _stack(cin, cout, geom, lands, taps, kept, out))
     row = 8 * cin * math.prod(kept) * math.prod(out[1:])
-    blocks = tuple(_block(taps, [_lands(*geom[0], *rows)] + lands[1:], rows, out)
-                   for rows in _row_runs(out[0], row))
-    return _Plan(out, taps, kept, blocks)
+    return _Plan(out, taps, kept, _blocks(geom, lands[1:], taps, out, row))
 
 
 def _kept_weight(w: np.ndarray, plan: _Plan) -> np.ndarray:
@@ -248,16 +373,40 @@ def _rows(a: np.ndarray, b: int, blk: _Block) -> np.ndarray:
     return a[b, :, blk.rows].reshape(a.shape[1], math.prod(blk.out))
 
 
+def _stacked_forward(x: np.ndarray, w: np.ndarray, plan: _Plan, y: np.ndarray) -> None:
+    """The correlation of ``x`` with ``w`` into ``y`` by the stacked
+    layout: per sample and block of input rows, one GEMM ``[k0*Cout,
+    Cin*K_rest] x [Cin*K_rest, N_block]``, then each kept first-axis
+    tap's ``[Cout, rows]`` slab of products added to the output rows it
+    feeds, in tap order."""
+    st, cout, k0 = plan.stack, w.shape[0], plan.kept[0]
+    kept = w[(slice(None), slice(None)) + plan.taps]
+    ws = kept.transpose((2, 0, 1) + tuple(range(3, w.ndim))).reshape(k0 * cout, -1)
+    prods = np.empty(k0 * cout * max(math.prod(blk.out) for blk in st.gather.blocks))
+    y.fill(0.0)
+    for b, blk, cols in _gather(x[:, :, st.rows], st.gather):
+        p = prods[:k0 * cout * cols.shape[1]].reshape(k0 * cout, -1)
+        np.matmul(ws, cols, out=p)
+        p = p.reshape(k0, cout, -1)
+        yb = y[b].reshape(cout, -1)
+        for j, src, dst in blk.adds:
+            yb[:, dst] += p[j, :, src]
+
+
 def _corr_forward(x: np.ndarray, w: np.ndarray, stride, dilation, pad,
                   y: Optional[np.ndarray] = None) -> np.ndarray:
     """Per sample and block, one GEMM ``[Cout, Cin*K] x [Cin*K, N_block]``
     over the kept taps, written into the block's rows of ``y`` or, by
-    default, of a new array."""
+    default, of a new array; or the stacked layout, when the plan holds
+    it."""
     kernel = w.shape[2:]
     if y is None:
         y = np.empty((x.shape[0], w.shape[0]) + tuple(
             conv_out_extent(*a) for a in zip(x.shape[2:], kernel, stride, dilation, pad)))
-    plan = _plan(x.shape[1], x.shape[2:], kernel, stride, dilation, pad, y.shape[2:])
+    plan = _plan(x.shape[1], x.shape[2:], kernel, stride, dilation, pad, y.shape[2:], w.shape[0])
+    if plan.stack is not None:
+        _stacked_forward(x, w, plan, y)
+        return y
     wk = _kept_weight(w, plan)
     for b, blk, cols in _gather(x, plan):
         np.matmul(wk, cols, out=_rows(y, b, blk))

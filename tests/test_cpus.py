@@ -58,6 +58,17 @@ class TestChild:
             child.join()
         assert_no_child()
 
+    def test_format_error_reaches_the_caller_whole(self, forking):
+        def read():
+            raise ddata.FormatError("bad header", 3)
+
+        child = cpus.Child(read)
+        with pytest.raises(ddata.FormatError) as caught:
+            child.join()
+        assert str(caught.value) == "bad header (byte offset 3)"
+        assert (caught.value.message, caught.value.offset) == ("bad header", 3)
+        assert_no_child()
+
     def test_child_ending_without_a_report(self, forking):
         child = cpus.Child(lambda: os._exit(3))
         with pytest.raises(ChildProcessError, match="wait status 768 and no readable report"):

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import math
 import tracemalloc
@@ -716,6 +717,172 @@ class TestGatheredBackward:
         assert y.shape == (1, 8) + size
         bound = x.data.nbytes + w.data.nbytes + y.data.nbytes + block + slack
         assert peak < bound, (peak, bound)
+
+
+@contextlib.contextmanager
+def _layout(stacked: bool):
+    """Every forward pass whose first axis has stride 1 and keeps more than
+    one tap takes the stacked layout, or none does, over a plan cache of
+    its own. Yields the list of the stacked plans built."""
+    built, build = [], ops._plan.__wrapped__
+
+    def rule(cin, cout, kept, stride, out, first):
+        return stacked and stride[0] == 1 and kept[0] > 1
+
+    def plan(*args):
+        p = build(*args)
+        if p.stack is not None:
+            built.append(p)
+        return p
+
+    with mock.patch.object(ops, "_stacks", rule), \
+            mock.patch.object(ops, "_plan", functools.lru_cache(maxsize=None)(plan)):
+        yield built
+
+
+def _stacked_plan(x_shape, w_shape, spec):
+    """The plan of a conv's forward pass, with its output channels."""
+    s, d, p = spec.resolved(len(w_shape) - 2)
+    out = tuple(ops.conv_out_extent(*a) for a in zip(x_shape[2:], w_shape[2:], s, d, p))
+    return ops._plan(x_shape[1], x_shape[2:], w_shape[2:], s, d, p, out, w_shape[0])
+
+
+class TestStackedLayout:
+    """Forward passes with the first axis's kept taps stacked on the GEMM
+    rows: one gather per input row, then one add of products per tap."""
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 3), st.integers(1, 2),
+           st.lists(st.integers(1, 3), min_size=2, max_size=2),
+           st.lists(st.integers(1, 4), min_size=3, max_size=3),
+           st.lists(st.integers(0, 5), min_size=3, max_size=3),
+           st.lists(st.integers(1, 8), min_size=3, max_size=3),
+           st.lists(st.integers(1, 3), min_size=3, max_size=3),
+           st.integers(1, 5), st.integers(1, 5))
+    # dilation 3 over 2 rows, padding 5: each tap feeds one run of the 6
+    # output rows, and no tap feeds rows 1 and 4
+    @example(0, 3, 1, [1, 1], [3, 1, 1], [5, 1, 1], [2, 3, 3], [3, 3, 3], 2, 2)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_im2col(self, seed, nd, first_stride, stride, dilation, padding,
+                            extent, kernel, cin, cout):
+        """The forward, and for 3-D the forward of ``conv3d_transposed``,
+        whose phases are stride-1 correlations, match im2col within 1e-12
+        of their largest magnitude."""
+        stride = (first_stride,) + tuple(stride[:nd - 1])
+        dilation, padding = tuple(dilation[:nd]), tuple(padding[:nd])
+        extent, kernel = tuple(extent[:nd]), tuple(kernel[:nd])
+        assume(all(n + 2 * p - d * (k - 1) - 1 >= 0 for n, k, d, p
+                   in zip(extent, kernel, dilation, padding)))
+        rng = np.random.default_rng(seed)
+        spec = ConvSpec(stride=stride, dilation=dilation, padding=padding)
+        x = Tensor(rng.normal(size=(2, cin) + extent))
+        w = Tensor(rng.normal(size=(cout, cin) + kernel))
+        conv = ops.conv2d if nd == 2 else ops.conv3d
+        y_shape = conv(x, w, spec=spec).shape
+        g = Tensor(rng.normal(size=y_shape))
+
+        def passes():
+            y = conv(x, w, spec=spec).data
+            if nd == 2:
+                return (y,)
+            return y, ops.conv3d_transposed(g, w, spec=spec, output_size=extent).data
+
+        with _layout(False) as none:
+            want = passes()
+        with _layout(True) as stacked:
+            got = passes()
+        assert none == []
+        taps = ops._lands(extent[0], kernel[0], 1, dilation[0], padding[0], 0, y_shape[2])
+        assert bool(stacked) >= (first_stride == 1 and len(taps) > 1)
+        for a, r in zip(got, want):
+            assert a.shape == r.shape
+            assert np.abs(a - r).max() <= 1e-12 * max(np.abs(r).max(), 1e-300)
+
+    @pytest.mark.parametrize("x_shape, w_shape, spec, stacked", [
+        # the extractor's first conv: 3 input channels
+        ((2, 3, 128, 256), (8, 3, 3, 3), ConvSpec(padding=1), False),
+        # an AGM's enc1: stride 2
+        ((1, 8, 8, 32, 64), (16, 8, 3, 3, 3), ConvSpec(stride=2, padding=1), False),
+        # the 3x3x3 convs over the volume
+        ((1, 8, 8, 32, 64), (8, 8, 3, 3, 3), ConvSpec(padding=1), True),
+    ])
+    def test_rule(self, x_shape, w_shape, spec, stacked):
+        assert (_stacked_plan(x_shape, w_shape, spec).stack is not None) == stacked
+
+    # passes the rule stacks at a network-like size: (name, x shape, w shape, spec,
+    # output_size)
+    _RULE_STACKED = [
+        ("conv3d", (3, 8, 8, 32, 32), (8, 8, 3, 3, 3), ConvSpec(padding=1), None),
+        ("conv2d", (3, 48, 32, 32), (16, 48, 3, 3), ConvSpec(dilation=2, padding=2), None),
+        # dec2: its phase of 2x2x2 taps stacks
+        ("conv3d_transposed", (3, 16, 4, 16, 32), (16, 8, 3, 3, 3),
+         ConvSpec(stride=2, padding=1), (8, 32, 64)),
+    ]
+
+    @staticmethod
+    def _forward(name, x, w, spec, output_size):
+        if name == "conv3d_transposed":
+            return ops.conv3d_transposed(Tensor(x), Tensor(w), spec=spec,
+                                         output_size=output_size).data
+        return getattr(ops, name)(Tensor(x), Tensor(w), spec=spec).data
+
+    @staticmethod
+    def _stacked_passes(name, x_shape, w_shape, spec, output_size):
+        """The stacked plans of the pass: the forward's, or those of the
+        transposed conv's phases."""
+        if name != "conv3d_transposed":
+            return [_stacked_plan(x_shape, w_shape, spec).stack]
+        s, d, p = spec.resolved(3)
+        return [ops._plan(x_shape[1], x_shape[2:], *ph.geom, ph.out, w_shape[1]).stack
+                for ph in ops._phases(output_size, w_shape[2:], s, d, p)]
+
+    @pytest.mark.parametrize("name, x_shape, w_shape, spec, output_size", _RULE_STACKED)
+    def test_batch_invariant(self, name, x_shape, w_shape, spec, output_size):
+        """Each sample's output is the same bits alone, in the batch and in
+        the batch reordered."""
+        assert any(self._stacked_passes(name, x_shape, w_shape, spec, output_size))
+        rng = np.random.default_rng(49)
+        x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
+        order = [2, 0, 1]
+        batch = self._forward(name, x, w, spec, output_size)
+        shuffled = self._forward(name, x[order], w, spec, output_size)
+        for i in range(3):
+            alone = self._forward(name, x[i:i + 1], w, spec, output_size)[0]
+            np.testing.assert_array_equal(batch[i], alone)
+            np.testing.assert_array_equal(shuffled[order.index(i)], alone)
+
+    @pytest.mark.parametrize("name, x_shape, w_shape, spec, output_size", _RULE_STACKED)
+    def test_blocks_leave_the_output_bit_identical(self, monkeypatch, name, x_shape,
+                                                   w_shape, spec, output_size):
+        """One block of input rows, or one input row a block: a row's
+        products and the order of its taps' adds are the same."""
+        rng = np.random.default_rng(50)
+        x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
+
+        def blocks():
+            return [len(st.gather.blocks) for st in
+                    self._stacked_passes(name, x_shape, w_shape, spec, output_size) if st]
+
+        _set_budget(monkeypatch, 1 << 40)
+        assert set(blocks()) == {1}
+        one = self._forward(name, x, w, spec, output_size)
+        _set_budget(monkeypatch, 1)
+        assert min(blocks()) >= 4
+        np.testing.assert_array_equal(self._forward(name, x, w, spec, output_size), one)
+
+    @pytest.mark.parametrize("budget", [1, 3 << 20, 4 << 20, 16 << 20])
+    def test_block_holds_columns_and_products_in_half_the_budget(self, monkeypatch, budget):
+        """So a stacked block is no larger than the im2col block of the
+        same pass."""
+        _set_budget(monkeypatch, budget)
+        cin, cout, x_shape = 8, 8, (1, 8, 8, 32, 32)
+        plan = _stacked_plan(x_shape, (cout, cin, 3, 3, 3), ConvSpec(padding=1))
+        gather = plan.stack.gather
+        assert gather.kept == (1, 3, 3)
+        for blk in gather.blocks:
+            n = math.prod(blk.out)
+            assert blk.out[0] == 1 or 8 * (cin * 9 + 3 * cout) * n <= budget // 2
+        assert [r for blk in gather.blocks for r in range(blk.rows.start, blk.rows.stop)] \
+            == list(range(8))
 
 
 class TestWorkBudget:
