@@ -18,9 +18,10 @@ with one BLAS thread, and saves:
   non-integer scale;
 - ``ops.upsample_bilinear`` forward and backward between a few extents,
   shrinking, keeping and growing;
-- ``stereo.concat_volume_conv`` with a ``base``, forward and the gradients
-  of ``f_left``, ``f_right``, ``w`` and ``base``, at 1, 5 and W+2 levels,
-  and once more at 5 levels with an ``f_right`` that needs no gradient.
+- ``stereo.cost_volume_conv``, forward and the gradients of ``f_left``,
+  ``f_right``, ``w`` and ``bias``, at 1, 5 and W+2 levels, and twice
+  more at 5 levels: with no bias, and with an ``f_right`` that needs no
+  gradient.
 
 ``compare`` lists every array that is in only one file or not
 ``array_equal`` in both, each with its largest absolute difference and
@@ -130,17 +131,20 @@ def _resizes(out: dict) -> None:
 def _stem(out: dict) -> None:
     rng = np.random.default_rng(50)
     b, c, h, w, cout = 2, 3, 5, 7, 4
-    for d_levels, right_grad in ((1, True), (5, True), (w + 2, True), (5, False)):
+    for d_levels, with_bias, right_grad in ((1, True, True), (5, True, True),
+                                            (w + 2, True, True), (5, False, True),
+                                            (5, True, False)):
         fl, fr = (Tensor(rng.normal(size=(b, c, h, w)), requires_grad=g)
                   for g in (True, right_grad))
-        wt = Tensor(rng.normal(size=(cout, 2 * c, 3, 3, 3)), requires_grad=True)
-        base = Tensor(rng.normal(size=(b, cout, d_levels, h, w)), requires_grad=True)
-        y = stereo.concat_volume_conv(fl, fr, wt, d_levels, base=base)
+        wt = Tensor(rng.normal(size=(cout, 3 * c, 3, 3, 3)), requires_grad=True)
+        bias = Tensor(rng.normal(size=(cout,)), requires_grad=True) if with_bias else None
+        y = stereo.cost_volume_conv(fl, fr, wt, bias, d_levels)
         (y * Tensor(rng.normal(size=y.shape))).sum().backward()
-        tag = f"stem.d{d_levels}" + ("" if right_grad else ".right_fixed")
+        tag = (f"cost_volume_conv.d{d_levels}" + ("" if with_bias else ".no_bias")
+               + ("" if right_grad else ".right_fixed"))
         out[f"{tag}.y"] = y.data
-        for name, t in (("f_left", fl), ("f_right", fr), ("w", wt), ("base", base)):
-            if t.grad is not None:
+        for name, t in (("f_left", fl), ("f_right", fr), ("w", wt), ("bias", bias)):
+            if t is not None and t.grad is not None:
                 out[f"{tag}.grad.{name}"] = t.grad
 
 

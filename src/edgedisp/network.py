@@ -7,11 +7,9 @@ Parameters live in a flat name -> Tensor mapping partitioned by prefix:
 ``edge.`` (depth-edge branch), ``disp.`` (disparity branch). Batch-norm
 running statistics are non-gradient buffers that only ``update_buffers`` writes.
 
-The stem's first 3-D conv runs over the dual cost volume in two parts:
-its ``|diff|`` channels through ``ops.conv3d``, its concatenation channels
-from the two feature maps through ``stereo.concat_volume_conv``
-(``pre_stem``). Outside training each batch-norm is folded into the conv
-before it (``_conv_weights``).
+The stem's first 3-D conv, over the dual cost volume, is one call of
+``stereo.cost_volume_conv`` (``pre_stem``). Outside training each
+batch-norm is folded into the conv before it (``_conv_weights``).
 """
 
 from __future__ import annotations
@@ -379,21 +377,11 @@ def dedge_spp(f_l2: Tensor, f_l4: Tensor, edge_feats: Optional[Tensor],
 
 def pre_stem(f_left: Tensor, f_right: Tensor, p: ModelParams, cfg: NetworkConfig,
              mode: str) -> Tensor:
-    """The dual cost volume of the fused features and the 3-D stem over it:
-    ``disp.pre.a``, then ``disp.pre.b`` with a residual.
-
-    ``disp.pre.a`` convolves the volume's 3C channels in two parts that
-    share its weight and bias: the ``|diff|`` channels ``[2C:]`` by
-    ``ops.conv3d`` on the volume, and the concatenation channels ``[:2C]``,
-    which are linear in the two feature maps, by
-    ``stereo.concat_volume_conv`` from the feature maps.
-    """
-    c = f_left.shape[1]
-    cv = stereo.build_cost_volume(f_left, f_right, cfg.d_levels)
+    """The 3-D stem over the dual cost volume of the fused features:
+    ``disp.pre.a`` (``stereo.cost_volume_conv``, which builds the volume),
+    then ``disp.pre.b`` with a residual."""
     w, bias = _conv_weights(p, "disp.pre.a", mode)
-    y = ops.conv3d(cv[:, 2 * c:], w[:, 2 * c:], bias, spec=ConvSpec(padding=1))
-    del cv   # untaped, the volume is freed here, before the rest of the stem
-    y = stereo.concat_volume_conv(f_left, f_right, w[:, :2 * c], cfg.d_levels, base=y)
+    y = stereo.cost_volume_conv(f_left, f_right, w, bias, cfg.d_levels)
     v = _activate(p, "disp.pre.a", y, mode, relu=True)
     return (_conv_block(p, "disp.pre.b", v, mode, relu=False) + v).relu()
 

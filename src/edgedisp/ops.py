@@ -52,8 +52,8 @@ at least ``_STACK_GAIN`` bytes a sample fewer through the column matrix,
 the products and the output than im2col. The stem conv (3 input
 channels), the stride-2 encoders and the 1x4x4 bottleneck keep im2col;
 the 3x3x3 convs over the volume, the heads and the SPP fuse stack.
-``stereo.concat_volume_conv`` is the same layout written by hand for the
-cost volume's concatenation channels, over depth levels. The weight
+``stereo.cost_volume_conv`` writes the same layout by hand for the cost
+volume's concatenation channels, over depth levels. The weight
 gradient, and the pass that gathers a cotangent for both gradients, stay
 on im2col.
 

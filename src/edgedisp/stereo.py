@@ -2,9 +2,10 @@
 
 Granular convolution (channel groups chained through a hierarchical
 residual), the dual cost volume (feature concatenation stacked with
-per-channel absolute differences), the stem's conv of the volume's
-concatenation channels computed from the two feature maps without the
-volume (three 2-D convs and one op that assembles the levels),
+per-channel absolute differences) and the stem's 3x3x3 conv over it
+(the ``|diff|`` channels by a 3-D conv of the volume, the concatenation
+channels from the two feature maps by three 2-D convs and one op that
+assembles the levels),
 soft-argmin disparity regression
 (alone, and fused with the trilinear upsampling of the heads),
 shared concatenation of edge features, the parameter-count bookkeeping
@@ -102,31 +103,27 @@ def granular_kernel_specs(c_in: int, c_out: int, s: int, groups: int,
 # -- cost volumes -------------------------------------------------------------
 
 
-def _check_features(f_left: Tensor, f_right: Tensor, d_levels: int) -> None:
-    """Two [B,C,H,W] feature maps of one shape and at least one level."""
+def build_cost_volume(f_left: Tensor, f_right: Tensor, d_levels: int) -> Tensor:
+    """Dual cost volume [B, 3C, D, H, W], recorded as one op.
+
+    Channels [:C] hold the left features, [C:2C] the right features
+    shifted right by the level d (zero where x < d), and [2C:] their
+    per-channel absolute difference, written in place.
+    """
     if f_left.shape != f_right.shape:
         raise ShapeError(f"feature shapes differ: {f_left.shape} vs {f_right.shape}")
     if f_left.ndim != 4:
         raise ShapeError(f"features must be [B,C,H,W], got rank {f_left.ndim}")
     if d_levels < 1:
         raise ShapeError(f"d_levels must be >= 1, got {d_levels}")
-
-
-def build_cost_volume(f_left: Tensor, f_right: Tensor, d_levels: int) -> Tensor:
-    """Dual cost volume [B, 3C, D, H, W], recorded as one op.
-
-    Channels [:C] hold the left features, [C:2C] the right features
-    shifted right by the level d (zero where x < d), and [2C:] their
-    per-channel absolute difference.
-    """
-    _check_features(f_left, f_right, d_levels)
     b, c, h, w = f_left.shape
     shifts = range(min(d_levels, w))   # a shift of w or more leaves only zeros
     y = np.zeros((b, 3 * c, d_levels, h, w))
     y[:, :c] = f_left.data[:, :, None]
     for d in shifts:
         y[:, c:2 * c, d, :, d:] = f_right.data[..., :w - d]
-    y[:, 2 * c:] = np.abs(y[:, :c] - y[:, c:2 * c])
+    dist = y[:, 2 * c:]
+    np.abs(np.subtract(y[:, :c], y[:, c:2 * c], out=dist), out=dist)
 
     def bwd(g):
         g_dist = g[:, 2 * c:] * np.sign(y[:, :c] - y[:, c:2 * c])
@@ -142,41 +139,43 @@ def build_cost_volume(f_left: Tensor, f_right: Tensor, d_levels: int) -> Tensor:
     return make_op(y, (f_left, f_right), bwd)
 
 
-def concat_volume_conv(f_left: Tensor, f_right: Tensor, w: Tensor, d_levels: int,
-                       base: Optional[Tensor] = None) -> Tensor:
-    """``base`` (when given) plus the same-padded 3x3x3 conv of the
-    concatenation channels of the dual cost volume with ``w`` [Cout, 2C,
-    3, 3, 3]: ``ops.conv3d(build_cost_volume(f_left, f_right,
-    d_levels)[:, :2C], w, spec=ConvSpec(padding=1))``, from three
-    ``ops.conv2d`` calls and one op that assembles the levels, never
-    building the volume.
+def cost_volume_conv(f_left: Tensor, f_right: Tensor, w: Tensor, bias: Optional[Tensor],
+                     d_levels: int) -> Tensor:
+    """``ops.conv3d(build_cost_volume(f_left, f_right, d_levels), w, bias,
+    spec=ConvSpec(padding=1))`` for ``w`` [Cout, 3C, 3, 3, 3], in two parts:
+    the volume's ``|diff|`` channels ``[2C:]``, with the bias, by
+    ``ops.conv3d`` on the volume, which is then freed (untaped, before the
+    rest runs), and its concatenation channels ``[:2C]``, which are linear
+    in the two feature maps, from three ``ops.conv2d`` calls and one op
+    that assembles the levels, never reading the volume.
 
-    Its work is linear in the two 2-D feature maps. The three depth taps
-    of ``w`` are stacked on the output channels (row ``kd*Cout + o``). The
-    left block holds ``f_left`` at every level, so its conv is one 2-D
-    conv of ``f_left``, and level ``d`` sums the taps ``kd`` whose level
-    ``d' = d+kd-1`` lies in ``[0, D)``. The right block at level ``d'``
-    holds ``f_right`` shifted right by ``d'`` and cut at the volume's right
-    edge, so tap ``kd`` at column ``x`` is the 2-D conv of ``f_right`` at
-    column ``x-d'``, read from one conv padded by 2 on the left, whose W+1
-    first columns are ``x-d' = -1 .. W-1`` (columns further left read
-    only zeros), less one correction at ``x = W-1``: there the ``kw=2``
-    taps read the volume's zero padding but ``f_right[W-d']`` in the 2-D
-    conv. The correction is a third 2-D conv, of the ``kw=2`` taps over
-    the last columns of ``f_right``. Levels ``d' >= W`` hold only zeros.
-    The assembly op's backward sums the cotangent back onto the three 2-D
-    results; their input and weight gradients come from ``ops.conv2d``.
+    The concatenation part's work is linear in the two 2-D feature maps.
+    The three depth taps of ``w`` are stacked on the output channels (row
+    ``kd*Cout + o``). The left block holds ``f_left`` at every level, so
+    its conv is one 2-D conv of ``f_left``, and level ``d`` sums the taps
+    ``kd`` whose level ``d' = d+kd-1`` lies in ``[0, D)``. The right block
+    at level ``d'`` holds ``f_right`` shifted right by ``d'`` and cut at
+    the volume's right edge, so tap ``kd`` at column ``x`` is the 2-D conv
+    of ``f_right`` at column ``x-d'``, read from one conv padded by 2 on
+    the left, whose W+1 first columns are ``x-d' = -1 .. W-1`` (columns
+    further left read only zeros), less one correction at ``x = W-1``:
+    there the ``kw=2`` taps read the volume's zero padding but
+    ``f_right[W-d']`` in the 2-D conv. The correction is a third 2-D conv,
+    of the ``kw=2`` taps over the last columns of ``f_right``. Levels
+    ``d' >= W`` hold only zeros. The assembly op adds the three 2-D
+    results to the ``|diff|`` conv; its backward hands the cotangent to
+    that conv and sums it back onto the three 2-D results, whose input and
+    weight gradients come from ``ops.conv2d``.
     """
-    _check_features(f_left, f_right, d_levels)
+    cv = build_cost_volume(f_left, f_right, d_levels)
     b, c, h, wd = f_left.shape
-    if w.shape[1:] != (2 * c, 3, 3, 3):
-        raise ShapeError(f"weight shape {w.shape} is not [Cout, {2 * c}, 3, 3, 3]")
+    if w.shape[1:] != (3 * c, 3, 3, 3):
+        raise ShapeError(f"weight shape {w.shape} is not [Cout, {3 * c}, 3, 3, 3]")
+    diff = ops.conv3d(cv[:, 2 * c:], w[:, 2 * c:], bias, spec=ConvSpec(padding=1))
+    del cv   # untaped, the volume is freed here
     cout = w.shape[0]
-    shape = (b, cout, d_levels, h, wd)
-    if base is not None and base.shape != shape:
-        raise ShapeError(f"base shape {base.shape} != {shape}")
     m = min(d_levels, wd) - 1     # the levels d' = 1..m need a correction
-    ws = ops.concat([w[:, :, kd] for kd in range(3)], axis=0)
+    ws = ops.concat([w[:, :2 * c, kd] for kd in range(3)], axis=0)
     # the left block; the right block from x-d' = -1; the corrections, the
     # kw=2 taps over the columns W-m..W-1 (none when m = 0)
     convs = [ops.conv2d(f_left, ws[:, :c], spec=ConvSpec(padding=1)),
@@ -189,7 +188,7 @@ def concat_volume_conv(f_left: Tensor, f_right: Tensor, w: Tensor, d_levels: int
              if 0 <= d + kd - 1 <= m]
 
     left, right, *edge = [t.data.reshape(b, 3, cout, h, -1) for t in convs]
-    y = np.zeros(shape) if base is None else base.data.copy()
+    y = diff.data.copy()
     y += left[:, 1, :, None]
     y[:, :, 1:] += left[:, 0, :, None]
     y[:, :, :-1] += left[:, 2, :, None]
@@ -200,8 +199,7 @@ def concat_volume_conv(f_left: Tensor, f_right: Tensor, w: Tensor, d_levels: int
             y[:, :, d, :, wd - 1] -= edge[0][:, kd, ..., m - dp]
 
     def bwd(g):
-        if base is not None:
-            accumulate_grad(base, g)
+        accumulate_grad(diff, g)
         g_left = np.stack([g[:, :, 1:].sum(axis=2), g.sum(axis=2), g[:, :, :-1].sum(axis=2)],
                           axis=1)
         g_right = np.zeros((b, 3, cout, h, wd + 2))
@@ -214,7 +212,7 @@ def concat_volume_conv(f_left: Tensor, f_right: Tensor, w: Tensor, d_levels: int
         for t, gt in zip(convs, (g_left, g_right, g_edge)):
             accumulate_grad(t, gt.reshape(t.shape))
 
-    return make_op(y, tuple(convs) if base is None else (*convs, base), bwd)
+    return make_op(y, (*convs, diff), bwd)
 
 
 # -- disparity regression -----------------------------------------------------

@@ -113,15 +113,6 @@ def loop_cost_volume(f_left, f_right, d_levels):
     return ops.concat([ops.concat(concat, axis=2), ops.concat(dist, axis=2)], axis=1)
 
 
-def materialised_concat_conv(f_left, f_right, w, d_levels):
-    """``stereo.concat_volume_conv`` as the conv of the materialised
-    volume: ``ops.conv3d`` over the concatenation channels of
-    ``build_cost_volume``."""
-    c = f_left.shape[1]
-    cv = stereo.build_cost_volume(f_left, f_right, d_levels)
-    return ops.conv3d(cv[:, :2 * c], w, spec=ops.ConvSpec(padding=1))
-
-
 # -- convolution kernels before tap cropping and the per-tap adjoint ----------
 
 

@@ -399,15 +399,16 @@ class TestForward:
 class TestPreStem:
     def test_working_memory_holds_one_block_of_c_channels(self):
         """One untaped stem at 128x256, d_max 32, peaks below its inputs,
-        the volume it builds, its output, one block of a column matrix over
-        C channels (the |diff| block; the concatenation channels never reach
-        one) and a slack."""
+        the volume it builds, its output, one block of the |diff| conv over
+        C channels (its stacked columns and products; the concatenation
+        channels never reach a block) and a slack."""
         cfg = NetworkConfig(d_max=32)
         p = init_params(cfg, seed=0)
         c = cfg.base_channels
         shape, volume = (1, c, 32, 64), (1, 3 * c, cfg.d_levels, 32, 64)
-        plan = ops._plan(c, volume[2:], (3,) * 3, (1,) * 3, (1,) * 3, (1,) * 3, volume[2:])
-        block = 8 * c * 27 * max(math.prod(blk.out) for blk in plan.blocks)
+        plan = ops._plan(c, volume[2:], (3,) * 3, (1,) * 3, (1,) * 3, (1,) * 3, volume[2:], c)
+        blocks = plan.stack.gather.blocks
+        block = 8 * (c * 9 + 3 * c) * max(math.prod(blk.out) for blk in blocks)
         slack = 1 << 20
         tracemalloc.start()
         try:
@@ -419,7 +420,7 @@ class TestPreStem:
         finally:
             tracemalloc.stop()
         assert v.shape == (1, c) + volume[2:]
-        assert len(plan.blocks) > 1
+        assert len(blocks) > 1
         bound = 2 * fl.data.nbytes + 8 * math.prod(volume) + v.data.nbytes + block + slack
         assert peak < bound, (peak, bound)
 

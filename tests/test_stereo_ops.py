@@ -4,7 +4,7 @@ import pytest
 import tracemalloc
 
 from checks import (chained_regress_disparity, fd_check, granular_kernels,
-                    loop_cost_volume, materialised_concat_conv, rand_tensor)
+                    loop_cost_volume, rand_tensor)
 from edgedisp import ops, stereo
 from edgedisp.ops import ConvSpec, ShapeError
 from edgedisp.stereo import (build_cost_volume, granular_conv, granular_param_count,
@@ -248,6 +248,22 @@ class TestCostVolumes:
         assert np.abs(fl.grad).max() > 0
         assert np.abs(fr.grad).max() > 0
 
+    def test_untaped_peak_is_the_volume(self):
+        """The |diff| channels are written in place: an untaped build at
+        the network's 128x256/d_max 32 geometry peaks at its volume, with
+        no C-channel temporary (1 MiB here) beside it."""
+        rng = np.random.default_rng(14)
+        shape = (1, 8, 32, 64)
+        fl, fr = Tensor(rng.normal(size=shape)), Tensor(rng.normal(size=shape))
+        tracemalloc.start()
+        try:
+            cv = build_cost_volume(fl, fr, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = cv.data.nbytes + fl.data.nbytes + fr.data.nbytes + (64 << 10)
+        assert peak < bound, (peak, bound)
+
     def test_negative_levels_rejected(self):
         f = Tensor(np.zeros((1, 1, 2, 4)))
         with pytest.raises(ShapeError):
@@ -325,69 +341,75 @@ def _rel_err(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
 
-class TestConcatVolumeConv:
-    """concat_volume_conv against the conv of the materialised volume."""
+def _volume_conv(f_left, f_right, w, bias, d_levels):
+    """``stereo.cost_volume_conv`` as the conv of the whole volume."""
+    return ops.conv3d(build_cost_volume(f_left, f_right, d_levels), w, bias,
+                      spec=ConvSpec(padding=1))
+
+
+class TestCostVolumeConv:
+    """cost_volume_conv against the conv of the materialised volume."""
+
+    @staticmethod
+    def _both(arrays, d_levels, cot, right_grad=True):
+        """Output and gradients of ``cost_volume_conv`` and of the oracle
+        for ``arrays`` = (f_left, f_right, w, bias or None)."""
+        results = []
+        for conv in (stereo.cost_volume_conv, _volume_conv):
+            ts = [None if a is None else Tensor(a, requires_grad=right_grad or i != 1)
+                  for i, a in enumerate(arrays)]     # arrays[1] is f_right
+            y = conv(*ts, d_levels)
+            (y * cot).sum().backward()
+            results.append([y.data] + [t.grad for t in ts if t is not None])
+        return results
 
     @pytest.mark.parametrize("shape, d_levels", LOOP_CASES + [
-        ((1, 8, 32, 64), 8), ((2, 3, 4, 7), 1), ((1, 2, 3, 1), 4)])
+        ((1, 8, 32, 64), 8), ((2, 3, 4, 7), 1), ((1, 2, 3, 1), 4), ((2, 3, 4, 7), 9)])
     def test_matches_materialised_volume(self, shape, d_levels):
-        # the network's geometry (128x256 images at d_max 32), then one
-        # level and one column, which leave no correction conv
+        # the network's geometry (128x256 images at d_max 32); one level and
+        # one column, which leave no correction conv; W+2 levels
         rng = np.random.default_rng(24)
         arrays = [rng.normal(size=shape), rng.normal(size=shape),
-                  rng.normal(size=(5, 2 * shape[1], 3, 3, 3))]
+                  rng.normal(size=(5, 3 * shape[1], 3, 3, 3))]
         cot = Tensor(rng.normal(size=(shape[0], 5, d_levels) + shape[2:]))
-        results = []
-        for conv in (lambda fl, fr, w: stereo.concat_volume_conv(fl, fr, w, d_levels),
-                     lambda fl, fr, w: materialised_concat_conv(fl, fr, w, d_levels)):
-            ts = [Tensor(a, requires_grad=True) for a in arrays]
-            y = conv(*ts)
-            (y * cot).sum().backward()
-            results.append([y.data] + [t.grad for t in ts])
-        for got, want in zip(*results):
-            assert _rel_err(got, want) <= 1e-12
-
-    def test_adds_base(self):
-        rng = np.random.default_rng(25)
-        fl, fr = (rand_tensor(rng, (2, 3, 4, 7)) for _ in range(2))
-        w = rand_tensor(rng, (4, 6, 3, 3, 3))
-        base = rand_tensor(rng, (2, 4, 5, 4, 7))
-        cot = rng.normal(size=base.shape)
-        y = stereo.concat_volume_conv(fl, fr, w, 5, base=base)
-        (y * Tensor(cot)).sum().backward()
-        alone = stereo.concat_volume_conv(fl, fr, w, 5).data
-        assert _rel_err(y.data - base.data, alone) <= 1e-12
-        np.testing.assert_array_equal(base.grad, cot)
+        for bias in (None, rng.normal(size=5)):
+            got, want = self._both(arrays + [bias], d_levels, cot)
+            assert len(got) == 4 + (bias is not None)
+            for g, v in zip(got, want):
+                assert _rel_err(g, v) <= 1e-12
 
     def test_batch_order_invariance(self):
         rng = np.random.default_rng(26)
         fl, fr = rng.normal(size=(3, 4, 5, 9)), rng.normal(size=(3, 4, 5, 9))
-        w = Tensor(rng.normal(size=(6, 8, 3, 3, 3)))
-        y = stereo.concat_volume_conv(Tensor(fl), Tensor(fr), w, 6).data
+        w, bias = Tensor(rng.normal(size=(6, 12, 3, 3, 3))), Tensor(rng.normal(size=6))
+        y = stereo.cost_volume_conv(Tensor(fl), Tensor(fr), w, bias, 6).data
         order = [2, 0, 1]
-        shuffled = stereo.concat_volume_conv(Tensor(fl[order]), Tensor(fr[order]), w, 6).data
+        shuffled = stereo.cost_volume_conv(Tensor(fl[order]), Tensor(fr[order]), w, bias, 6).data
         assert np.array_equal(y[order], shuffled)
 
     def test_tape_size_does_not_depend_on_the_levels(self):
         rng = np.random.default_rng(27)
         fl, fr = rand_tensor(rng, (1, 2, 3, 6)), rand_tensor(rng, (1, 2, 3, 6))
-        w = rand_tensor(rng, (3, 4, 3, 3, 3))
-        counts = [sum(1 for t in _collect_tape(stereo.concat_volume_conv(fl, fr, w, d))
+        w, bias = rand_tensor(rng, (3, 6, 3, 3, 3)), rand_tensor(rng, (3,))
+        counts = [sum(1 for t in _collect_tape(stereo.cost_volume_conv(fl, fr, w, bias, d))
                       if t._parents) for d in (2, 3, 6, 9)]
         assert len(set(counts)) == 1, counts
 
     def test_right_features_without_gradient(self):
         rng = np.random.default_rng(28)
-        fl, w = rand_tensor(rng, (1, 2, 3, 6)), rand_tensor(rng, (3, 4, 3, 3, 3))
-        fr = Tensor(rng.normal(size=(1, 2, 3, 6)))
-        stereo.concat_volume_conv(fl, fr, w, 4).sum().backward()
-        assert fr.grad is None and fl.grad is not None and w.grad is not None
+        arrays = [rng.normal(size=(1, 2, 3, 6)), rng.normal(size=(1, 2, 3, 6)),
+                  rng.normal(size=(3, 6, 3, 3, 3)), rng.normal(size=3)]
+        cot = Tensor(rng.normal(size=(1, 3, 4, 3, 6)))
+        got, want = self._both(arrays, 4, cot, right_grad=False)
+        assert got.pop(2) is None and want.pop(2) is None    # f_right's gradient
+        for g, v in zip(got, want):
+            assert _rel_err(g, v) <= 1e-12
 
     def test_weight_shape_rejected(self):
         rng = np.random.default_rng(29)
         fl, fr = rand_tensor(rng, (1, 2, 3, 6)), rand_tensor(rng, (1, 2, 3, 6))
         with pytest.raises(ShapeError, match="weight shape"):
-            stereo.concat_volume_conv(fl, fr, rand_tensor(rng, (3, 6, 3, 3, 3)), 4)
+            stereo.cost_volume_conv(fl, fr, rand_tensor(rng, (3, 4, 3, 3, 3)), None, 4)
 
 
 class TestSoftArgmin:

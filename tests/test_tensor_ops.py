@@ -913,9 +913,14 @@ class TestWorkBudget:
 
         _set_budget(monkeypatch, 1 << 40)
         conv_one, head_one = results()
-        # two rows of the conv's column matrix; 54 rows of the head's cost
+        # the conv runs the stacked layout: blocks of two input rows of
+        # columns and products, within half the budget; 54 rows of the
+        # head's cost
         _set_budget(monkeypatch, 2 * 8 * 8 * 27 * 32 * 32)
-        assert len(_forward_plan(8, x.shape[2:], w.shape[2:], s, d, p).blocks) == 4
+        gather = ops._plan(8, x.shape[2:], w.shape[2:], s, d, p, x.shape[2:], 4).stack.gather
+        assert len(gather.blocks) == 4
+        for blk in gather.blocks:
+            assert 8 * (8 * 9 + 3 * 4) * math.prod(blk.out) <= ops._WORK_BUDGET // 2
         assert len(ops._row_runs(out_hw[0], 8 * d_max * out_hw[1])) == 3
         conv_split, head_split = results()
         np.testing.assert_array_equal(conv_split, conv_one)
