@@ -13,7 +13,10 @@ with one BLAS thread, and saves:
   every 3 steps on two: the logged losses and validation EPEs, and every
   tensor of ``best.ckpt`` and ``last.ckpt``;
 - ``predict`` on two 128x256 pairs (d_max 32) and one 256x512 pair
-  (d_max 64);
+  (d_max 64), and on two 64x64 pairs (d_max 16) with the edge branch
+  but no edge-aware fusion and with neither;
+- one ``predict_batch`` of eight 64x64 pairs, an evaluation batch, on
+  the default config;
 - ``stereo.regress_disparity`` forward and backward over four tiles, at a
   non-integer scale;
 - ``ops.upsample_bilinear`` forward and backward between a few extents,
@@ -96,11 +99,19 @@ def _train_run(out: dict) -> None:
 
 
 def _predicts(out: dict) -> None:
-    for tag, (n, h, w, d_max) in {"wide": (2, 128, 256, 32), "large": (1, 256, 512, 64)}.items():
-        net = network.NetworkConfig(d_max=d_max)
+    for tag, (n, h, w, net) in {
+            "wide": (2, 128, 256, network.NetworkConfig(d_max=32)),
+            "large": (1, 256, 512, network.NetworkConfig(d_max=64)),
+            "branch_only": (2, 64, 64, network.NetworkConfig(use_dedge_spp=False)),
+            "edge_free": (2, 64, 64, network.NetworkConfig(use_edge_branch=False,
+                                                           use_dedge_spp=False))}.items():
         params = network.init_params(net, seed=1)
-        for i, s in enumerate(_pairs(n, h, w, d_max, seed=20)):
+        for i, s in enumerate(_pairs(n, h, w, net.d_max, seed=20)):
             out[f"predict.{tag}{i}"] = trainer.predict(params, net, s)
+    net = network.NetworkConfig()
+    batch = trainer.predict_batch(network.init_params(net, seed=1), net,
+                                  _pairs(trainer.EVAL_BATCH, 64, 64, net.d_max, seed=80))
+    out["predict_batch.eval"] = np.stack(batch)
 
 
 def _regression(out: dict) -> None:

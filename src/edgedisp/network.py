@@ -423,7 +423,7 @@ def output_module(volume: Tensor, p: ModelParams, prefix: str,
 def _view(image: Tensor, p: ModelParams, cfg: NetworkConfig, mode: str,
           edge: bool, head: bool) -> Tuple[Optional[Tensor], Tensor]:
     """Extractor, edge branch when ``edge`` (with its classifier when
-    ``head``) and pyramid fusion for one batch of views: ``(edge
+    ``head``) and pyramid fusion for one view of each pair: ``(edge
     probability or None, fused features)``."""
     taps = feature_extract(image, p, mode)
     edge_prob = feats = None
@@ -443,8 +443,8 @@ def forward(left: Tensor, right: Tensor, p: ModelParams, cfg: NetworkConfig,
     per call (one ``_view`` per view), by layer in call order, for
     ``update_buffers``. ``"stats"`` returns that alone, stopping after the
     last batch-norm of each path. ``"infer"`` returns ``d3``, batch-norm on
-    the running buffers folded into the convs, both views through ``_view``
-    as one batch."""
+    the running buffers folded into the convs. Every mode runs ``_view`` on
+    the left view, then on the right, so batch statistics never mix them."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if left.shape != right.shape:
@@ -453,18 +453,12 @@ def forward(left: Tensor, right: Tensor, p: ModelParams, cfg: NetworkConfig,
     stats = {} if _batch_statistics(mode) else None
     token = _sink.set(stats)
     try:
-        if mode == "infer":
-            # Exact only because eval-mode batch-norm and every contraction
-            # are per sample; batch statistics would mix the two views.
-            b = left.shape[0]
-            edge_prob, fused = _view(ops.concat([left, right], axis=0), p, cfg, mode,
-                                     edge=cfg.use_dedge_spp, head=False)
-            fl, fr = fused[:b], fused[b:]
-        else:
-            edge_prob, fl = _view(left, p, cfg, mode, edge=cfg.use_edge_branch,
-                                  head=mode == "train")
-            _, fr = _view(right, p, cfg, mode, edge=cfg.use_dedge_spp, head=False)
-
+        # With batch statistics the left view's edge branch runs whenever the
+        # network has one: its batch-norms need their moments, and "train"
+        # its head. Otherwise it runs only for pyramid fusion to read.
+        edge = cfg.use_edge_branch if _batch_statistics(mode) else cfg.use_dedge_spp
+        edge_prob, fl = _view(left, p, cfg, mode, edge=edge, head=mode == "train")
+        _, fr = _view(right, p, cfg, mode, edge=cfg.use_dedge_spp, head=False)
         v = pre_stem(fl, fr, p, cfg, mode)
 
         out: Dict[str, object] = {}

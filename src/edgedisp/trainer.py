@@ -519,7 +519,6 @@ def predict(params: ModelParams, cfg: NetworkConfig,
     return predict_batch(params, cfg, [sample])[0]
 
 
-@cpus.one_blas_thread()
 def evaluate_params(params: ModelParams, cfg: NetworkConfig,
                     samples: Sequence[ddata.StereoSample]) -> Dict[str, float]:
     """Aggregate metrics with all valid pixels pooled across the set.

@@ -311,12 +311,29 @@ class TestForward:
                        use_edge_branch=False), 32),
     ])
     def test_infer_equals_views_extracted_apart(self, cfg, hw):
-        # the two views share one extractor batch in "infer" mode
+        # "infer" runs the same per-view stages as the reference, call for call
         rng = np.random.default_rng(16)
         p = init_params(cfg, seed=0)
         left, right = tiny_pair(rng, h=hw, w=hw, batch=2)
         got = forward(left, right, p, cfg, "infer")["d3"].data
         np.testing.assert_array_equal(got, infer_views_apart(left, right, p, cfg).data)
+
+    @pytest.mark.parametrize("mode", network.MODES)
+    def test_no_mode_batches_the_views_together(self, mode, monkeypatch):
+        # the extractor sees each view of a batch-2 pair on its own, left first
+        rng = np.random.default_rng(18)
+        left, right = tiny_pair(rng, h=32, w=32, batch=2)
+        seen = []
+        extract = network.feature_extract
+
+        def spy(image, *args):
+            views = [name for name, view in (("left", left), ("right", right))
+                     if np.array_equal(image.data, view.data)]
+            seen.append(views[0] if views else image.shape)
+            return extract(image, *args)
+        monkeypatch.setattr(network, "feature_extract", spy)
+        forward(left, right, init_params(TINY, seed=0), TINY, mode)
+        assert seen == ["left", "right"]
 
     @pytest.mark.parametrize("cfg", [
         TINY,
