@@ -17,6 +17,10 @@ with one BLAS thread, and saves:
   but no edge-aware fusion and with neither;
 - one ``predict_batch`` of eight 64x64 pairs, an evaluation batch, on
   the default config;
+- the batch-norm moments of one untaped ``"stats"`` forward on a batch-2
+  64x64 pair, on the default config and with the edge branch but no
+  edge-aware fusion, where the left view runs the branch for its moments
+  alone;
 - ``stereo.regress_disparity`` forward and backward over four tiles, at a
   non-integer scale;
 - ``ops.upsample_bilinear`` forward and backward between a few extents,
@@ -47,7 +51,7 @@ import numpy as np  # noqa: E402
 
 from edgedisp import data, network, ops, stereo, trainer  # noqa: E402
 from edgedisp.losses import LossWeights  # noqa: E402
-from edgedisp.tensor import Tensor  # noqa: E402
+from edgedisp.tensor import Tensor, no_grad  # noqa: E402
 
 
 def _pairs(n: int, h: int, w: int, d_max: int, seed: int):
@@ -114,6 +118,18 @@ def _predicts(out: dict) -> None:
     out["predict_batch.eval"] = np.stack(batch)
 
 
+def _stats(out: dict) -> None:
+    for tag, net in (("default", network.NetworkConfig()),
+                     ("branch_only", network.NetworkConfig(use_dedge_spp=False))):
+        params = network.init_params(net, seed=1)
+        left, right, *_ = trainer._batch_arrays(_pairs(2, 64, 64, net.d_max, seed=90), range(2))
+        with no_grad():
+            stats = network.forward(left, right, params, net, "stats")["stats"]
+        for name, moments in stats.items():
+            for i, (mean, var) in enumerate(moments):
+                out[f"stats.{tag}.{name}.{i}.mean"], out[f"stats.{tag}.{name}.{i}.var"] = mean, var
+
+
 def _regression(out: dict) -> None:
     rng = np.random.default_rng(30)
     b, d_max, h, w = 2, 13, 19, 23
@@ -161,7 +177,7 @@ def _stem(out: dict) -> None:
 
 def dump(path: str) -> int:
     out: dict = {}
-    for part in (_train_step, _train_run, _predicts, _regression, _resizes, _stem):
+    for part in (_train_step, _train_run, _predicts, _stats, _regression, _resizes, _stem):
         part(out)
     np.savez(path, **out)
     print(f"{len(out)} arrays written to {path}")

@@ -3,8 +3,9 @@
 Machine-readable results go to stdout, diagnostics to stderr. Exit code
 0 on success; 2 for usage errors and every handled failure (ValueError,
 FileNotFoundError, RuntimeError: bad input, bad config, a non-finite loss
-or disparity); 1 for any other OS error. Flag precedence is defaults <
---config JSON file < explicit flags.
+or disparity; MemoryError: a config or input too large to allocate); 1 for
+any other OS error. Flag precedence is defaults < --config JSON file <
+explicit flags.
 """
 
 from __future__ import annotations
@@ -268,6 +269,9 @@ def main(argv: Optional[list] = None) -> int:
         return args.func(args)
     except (ValueError, FileNotFoundError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -325,13 +325,9 @@ def feature_extract(image: Tensor, p: ModelParams, mode: str) -> Dict[str, Tenso
     return {"shallow": t0, "half": t1, "F_L2": t2, "F_L4": t4}
 
 
-def dedge_branch(taps: Dict[str, Tensor], p: ModelParams, cfg: NetworkConfig,
-                 mode: str, with_head: bool) -> Tuple[Optional[Tensor], Tensor]:
-    """Side features + top features -> (edge probability, 4K-channel map).
-
-    ``with_head`` controls the per-group classifier; inference for
-    disparity alone skips it.
-    """
+def dedge_branch(taps: Dict[str, Tensor], p: ModelParams, mode: str) -> Tensor:
+    """Side features + top features -> the 4K-channel edge map, which
+    pyramid fusion reads and ``edge_head`` classifies."""
     hw = taps["F_L4"].shape[2:]
     sides = []
     for i, key in enumerate(("shallow", "half", "F_L2"), start=1):
@@ -341,20 +337,21 @@ def dedge_branch(taps: Dict[str, Tensor], p: ModelParams, cfg: NetworkConfig,
         sides.append(f)
     f5 = _resblock(p, "edge.l5", taps["F_L4"], mode, dilation=2)
     f5 = _conv_block(p, "edge.l5_top", f5, mode, relu=False)
-    feats = stereo.shared_concat(f5, *sides)
+    return stereo.shared_concat(f5, *sides)
 
-    if not with_head:
-        return None, feats
+
+def edge_head(feats: Tensor, p: ModelParams, mode: str) -> Tensor:
+    """The [B, H, W] depth-edge probability at full resolution: classifier
+    ``edge.cls{k}`` on channels 4k..4k+3 of the edge map, a sigmoid, the
+    max over the K groups, bilinear upsampling by ``DOWNSAMPLE``."""
+    b, c, h, w = feats.shape
     logits = [
         _conv_block(p, f"edge.cls{k}", feats[:, 4 * k:4 * k + 4], mode, relu=False)
-        for k in range(cfg.k_top)
+        for k in range(c // 4)
     ]
-    probs = ops.concat(logits, axis=1).sigmoid()
-    prob = probs.max(axis=1, keepdims=True)
-    full = (hw[0] * DOWNSAMPLE, hw[1] * DOWNSAMPLE)
-    prob = ops.upsample_bilinear(prob, full)
-    b = prob.shape[0]
-    return prob.reshape(b, *full), feats
+    prob = ops.concat(logits, axis=1).sigmoid().max(axis=1, keepdims=True)
+    full = (h * DOWNSAMPLE, w * DOWNSAMPLE)
+    return ops.upsample_bilinear(prob, full).reshape(b, *full)
 
 
 def dedge_spp(f_l2: Tensor, f_l4: Tensor, edge_feats: Optional[Tensor],
@@ -409,29 +406,26 @@ def agm_module(volume: Tensor, p: ModelParams, prefix: str, cfg: NetworkConfig,
     return d2 + volume
 
 
-def output_module(volume: Tensor, p: ModelParams, prefix: str,
-                  out_hw: Tuple[int, int], d_max: int, mode: str) -> Tensor:
-    """Two 3-D convolutions, then trilinear upsampling to ``(d_max,
-    *out_hw)`` and soft-argmin as one op, ``stereo.regress_disparity``,
+def output_module(volume: Tensor, p: ModelParams, prefix: str, mode: str) -> Tensor:
+    """Two 3-D convolutions, then trilinear upsampling by ``DOWNSAMPLE`` to
+    ``(d_max, H, W)`` and soft-argmin as one op, ``stereo.regress_disparity``,
     which works in tiles of output rows and never holds the
     full-resolution cost."""
+    d_max, h, w = (DOWNSAMPLE * n for n in volume.shape[2:])
     y = _conv_block(p, prefix + ".a", volume, mode)
     y = _conv_block(p, prefix + ".b", y, mode, relu=False)
-    return stereo.regress_disparity(y, d_max, tuple(out_hw))
+    return stereo.regress_disparity(y, d_max, (h, w))
 
 
 def _view(image: Tensor, p: ModelParams, cfg: NetworkConfig, mode: str,
-          edge: bool, head: bool) -> Tuple[Optional[Tensor], Tensor]:
-    """Extractor, edge branch when ``edge`` (with its classifier when
-    ``head``) and pyramid fusion for one view of each pair: ``(edge
-    probability or None, fused features)``."""
+          edge: bool) -> Tuple[Optional[Tensor], Tensor]:
+    """Extractor, edge branch when ``edge`` and pyramid fusion for one view
+    of each pair: ``(edge map or None, fused features)``."""
     taps = feature_extract(image, p, mode)
-    edge_prob = feats = None
-    if edge:
-        edge_prob, feats = dedge_branch(taps, p, cfg, mode, with_head=head)
+    feats = dedge_branch(taps, p, mode) if edge else None
     fused = dedge_spp(taps["F_L2"], taps["F_L4"], feats if cfg.use_dedge_spp else None,
                       p, mode)
-    return edge_prob, fused
+    return feats, fused
 
 
 def forward(left: Tensor, right: Tensor, p: ModelParams, cfg: NetworkConfig,
@@ -439,17 +433,18 @@ def forward(left: Tensor, right: Tensor, p: ModelParams, cfg: NetworkConfig,
     """Run the whole pipeline on a rectified pair; no tensor of ``p`` changes.
 
     ``"train"`` returns the disparities ``d1``-``d3`` (one per stage), the
-    edge probability and ``"stats"``: each batch-norm's batch ``(mean, var)``
-    per call (one ``_view`` per view), by layer in call order, for
-    ``update_buffers``. ``"stats"`` returns that alone, stopping after the
-    last batch-norm of each path. ``"infer"`` returns ``d3``, batch-norm on
-    the running buffers folded into the convs. Every mode runs ``_view`` on
-    the left view, then on the right, so batch statistics never mix them."""
+    left view's edge probability (``edge_head``, run in no other mode) and
+    ``"stats"``: each batch-norm's batch ``(mean, var)`` per call (one
+    ``_view`` per view), by layer in call order, for ``update_buffers``.
+    ``"stats"`` returns that alone, stopping after the last batch-norm of
+    each path. ``"infer"`` returns ``d3``, batch-norm on the running
+    buffers folded into the convs. Every mode runs ``_view`` on the left
+    view, then on the right, so batch statistics never mix them."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if left.shape != right.shape:
         raise ShapeError(f"pair shapes differ: {left.shape} vs {right.shape}")
-    out_hw = left.shape[2:]
+    out: Dict[str, object] = {}
     stats = {} if _batch_statistics(mode) else None
     token = _sink.set(stats)
     try:
@@ -457,19 +452,18 @@ def forward(left: Tensor, right: Tensor, p: ModelParams, cfg: NetworkConfig,
         # network has one: its batch-norms need their moments, and "train"
         # its head. Otherwise it runs only for pyramid fusion to read.
         edge = cfg.use_edge_branch if _batch_statistics(mode) else cfg.use_dedge_spp
-        edge_prob, fl = _view(left, p, cfg, mode, edge=edge, head=mode == "train")
-        _, fr = _view(right, p, cfg, mode, edge=cfg.use_dedge_spp, head=False)
+        feats, fl = _view(left, p, cfg, mode, edge=edge)
+        if mode == "train" and feats is not None:
+            out["edge_prob"] = edge_head(feats, p, mode)
+        _, fr = _view(right, p, cfg, mode, edge=cfg.use_dedge_spp)
         v = pre_stem(fl, fr, p, cfg, mode)
 
-        out: Dict[str, object] = {}
         for i in range(STAGES):
             v = agm_module(v, p, f"disp.agm{i}", cfg, mode)
             if mode == "stats":
                 _conv_block(p, f"disp.out{i}.a", v, mode)
             elif mode == "train" or i == STAGES - 1:
-                out[f"d{i + 1}"] = output_module(v, p, f"disp.out{i}", out_hw, cfg.d_max, mode)
+                out[f"d{i + 1}"] = output_module(v, p, f"disp.out{i}", mode)
     finally:
         _sink.reset(token)
-    if edge_prob is not None:
-        out["edge_prob"] = edge_prob
     return out if stats is None else dict(out, stats=stats)

@@ -175,15 +175,14 @@ def infer_views_apart(left, right, p, cfg):
     taps_r = network.feature_extract(right, p, mode)
     feats_l = feats_r = None
     if cfg.use_dedge_spp:
-        _, feats_l = network.dedge_branch(taps_l, p, cfg, mode, with_head=False)
-        _, feats_r = network.dedge_branch(taps_r, p, cfg, mode, with_head=False)
+        feats_l = network.dedge_branch(taps_l, p, mode)
+        feats_r = network.dedge_branch(taps_r, p, mode)
     fl = network.dedge_spp(taps_l["F_L2"], taps_l["F_L4"], feats_l, p, mode)
     fr = network.dedge_spp(taps_r["F_L2"], taps_r["F_L4"], feats_r, p, mode)
     v = network.pre_stem(fl, fr, p, cfg, mode)
     for i in range(network.STAGES):
         v = network.agm_module(v, p, f"disp.agm{i}", cfg, mode)
-    return network.output_module(v, p, f"disp.out{network.STAGES - 1}", left.shape[2:],
-                                 cfg.d_max, mode)
+    return network.output_module(v, p, f"disp.out{network.STAGES - 1}", mode)
 
 
 # -- earlier forms of library code, kept as references -----------------------

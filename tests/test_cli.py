@@ -427,6 +427,22 @@ class TestPipeline:
         assert code == 2
         assert "non-finite" in stderr and "disp.out2.b.b" in stderr and stdout == ""
 
+    def test_infer_out_of_memory_exits_2(self, tmp_path, capsys):
+        # d_max sets no tensor's shape, so the checkpoint loads; its cost
+        # volume asks for 12 PiB, beyond any process's address space
+        net = NetworkConfig(d_max=2 ** 40)
+        ckpt = str(tmp_path / "deep.ckpt")
+        save_checkpoint(init_params(net, seed=0), None, ckpt, net)
+        img = str(tmp_path / "img.pgm")
+        ddata.write_pgm(img, np.zeros((64, 64), dtype=np.int64))
+        out_disp = str(tmp_path / "d.pfm")
+        code, stdout, stderr = run(capsys, "infer", "--ckpt", ckpt, "--left", img,
+                                   "--right", img, "--out-disp", out_disp,
+                                   "--out-vis", str(tmp_path / "d.ppm"))
+        assert code == 2
+        assert stderr.startswith("error: out of memory: ") and "PiB" in stderr
+        assert "Traceback" not in stderr and stdout == "" and not os.path.exists(out_disp)
+
     def test_infer_non_finite_disparity_rejected(self, tmp_path, capsys):
         # Finite weights scaled by 1e30 pass the load-time check but overflow
         # the forward pass to NaN.

@@ -8,7 +8,7 @@ import pytest
 
 from edgedisp import data, network, ops, trainer
 from edgedisp.network import (ModelParams, NetworkConfig, _conv_block, agm_module,
-                              dedge_branch, dedge_spp, feature_extract,
+                              dedge_branch, dedge_spp, edge_head, feature_extract,
                               forward, init_params, output_module, pre_stem)
 from edgedisp.ops import ShapeError
 from edgedisp.stereo import granular_param_count, standard_param_count
@@ -141,39 +141,59 @@ class TestFeatureExtract:
 
 
 class TestEdgeBranch:
-    def _taps(self, seed=0):
+    def _taps(self, seed=0, cfg=TINY):
         rng = np.random.default_rng(seed)
-        p = init_params(TINY, seed=0)
+        p = init_params(cfg, seed=0)
         left, _ = tiny_pair(rng)
         return feature_extract(left, p, "eval"), p
 
+    def _prob(self, taps, p):
+        return edge_head(dedge_branch(taps, p, "eval"), p, "eval")
+
     def test_probability_range_and_extent(self):
         taps, p = self._taps()
-        prob, feats = dedge_branch(taps, p, TINY, "eval", with_head=True)
+        prob = self._prob(taps, p)
         assert prob.shape == (1, 16, 16)
         assert np.all(prob.data > 0.0) and np.all(prob.data < 1.0)
-        assert feats.shape[1] == 4 * TINY.k_top
 
     def test_zero_classifiers_give_half(self):
         taps, p = self._taps()
         for k in range(TINY.k_top):
             p[f"edge.cls{k}.w"].data[:] = 0.0
             p[f"edge.cls{k}.b"].data[:] = 0.0
-        prob, _ = dedge_branch(taps, p, TINY, "eval", with_head=True)
-        np.testing.assert_allclose(prob.data, 0.5, atol=1e-12)
+        np.testing.assert_allclose(self._prob(taps, p).data, 0.5, atol=1e-12)
 
     def test_max_over_groups(self):
         # pushing one classifier's bias high must saturate the output
         taps, p = self._taps()
         p["edge.cls0.b"].data[:] = 50.0
-        prob, _ = dedge_branch(taps, p, TINY, "eval", with_head=True)
-        assert np.all(prob.data > 0.99)
+        assert np.all(self._prob(taps, p).data > 0.99)
 
     def test_headless_returns_features_only(self):
         taps, p = self._taps()
-        prob, feats = dedge_branch(taps, p, TINY, "eval", with_head=False)
-        assert prob is None
-        assert feats.shape[1] == 4 * TINY.k_top
+        feats = dedge_branch(taps, p, "eval")
+        assert feats.shape == (1, 4 * TINY.k_top, 4, 4)
+
+    def test_only_the_head_reads_the_classifiers(self, monkeypatch):
+        # with K = 3 the head reads edge.cls0-cls2, all of them, and nothing
+        # else; the branch reads none of them
+        cfg = NetworkConfig(base_channels=4, d_max=8, groups=2, k_top=3,
+                            dilation_rates=(1, 2))
+        taps, p = self._taps(cfg=cfg)
+        read = []
+
+        def recording(orig):
+            def method(self, name):
+                read.append(name)
+                return orig(self, name)
+            return method
+        for method in ("__getitem__", "__contains__", "get"):
+            monkeypatch.setattr(ModelParams, method, recording(getattr(ModelParams, method)))
+        feats = dedge_branch(taps, p, "eval")
+        assert read and not any(n.startswith("edge.cls") for n in read)
+        read.clear()
+        edge_head(feats, p, "eval")
+        assert {n.rsplit(".", 1)[0] for n in read} == {"edge.cls0", "edge.cls1", "edge.cls2"}
 
 
 class TestSpp:
@@ -182,7 +202,7 @@ class TestSpp:
         p = init_params(TINY, seed=0)
         left, _ = tiny_pair(rng)
         taps = feature_extract(left, p, "eval")
-        _, feats = dedge_branch(taps, p, TINY, "eval", with_head=False)
+        feats = dedge_branch(taps, p, "eval")
         out = dedge_spp(taps["F_L2"], taps["F_L4"], feats, p, "eval")
         assert out.shape == (1, TINY.base_channels, 4, 4)
 
@@ -226,7 +246,7 @@ class TestOutputModule:
         p = init_params(TINY, seed=0)
         c = TINY.base_channels
         v = Tensor(rng.normal(size=(1, c, 2, 4, 4)))
-        d = output_module(v, p, "disp.out0", (16, 16), TINY.d_max, "eval")
+        d = output_module(v, p, "disp.out0", "eval")
         assert d.shape == (1, 16, 16)
         assert d.data.min() >= 0.0
         assert d.data.max() <= TINY.d_max - 1
@@ -237,9 +257,11 @@ class TestOutputModule:
             if n.startswith("disp.out0") and t.requires_grad:
                 t.data[:] = 0.0
         c = TINY.base_channels
-        v = Tensor(np.random.default_rng(7).normal(size=(1, c, 2, 4, 4)))
-        d = output_module(v, p, "disp.out0", (8, 8), TINY.d_max, "eval")
-        np.testing.assert_allclose(d.data, (TINY.d_max - 1) / 2.0, atol=1e-10)
+        # d_max and the extent are DOWNSAMPLE times the volume's: 12 levels, 8x20
+        v = Tensor(np.random.default_rng(7).normal(size=(1, c, 3, 2, 5)))
+        d = output_module(v, p, "disp.out0", "eval")
+        assert d.shape == (1, 8, 20)
+        np.testing.assert_allclose(d.data, (12 - 1) / 2.0, atol=1e-10)
 
 
 class TestForward:
@@ -334,6 +356,28 @@ class TestForward:
         monkeypatch.setattr(network, "feature_extract", spy)
         forward(left, right, init_params(TINY, seed=0), TINY, mode)
         assert seen == ["left", "right"]
+
+    def test_train_edge_prob_is_the_head_over_the_left_branch(self):
+        rng = np.random.default_rng(19)
+        p = init_params(TINY, seed=0)
+        left, right = tiny_pair(rng, h=32, w=32, batch=2)
+        got = forward(left, right, p, TINY, "train")["edge_prob"].data
+        taps = feature_extract(left, p, "train")
+        want = edge_head(dedge_branch(taps, p, "train"), p, "train").data
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("mode, calls", [("train", 1), ("stats", 0), ("infer", 0)])
+    def test_edge_head_runs_only_in_train(self, mode, calls, monkeypatch):
+        seen = []
+        head = network.edge_head
+
+        def spy(feats, *args):
+            seen.append(feats.shape)
+            return head(feats, *args)
+        monkeypatch.setattr(network, "edge_head", spy)
+        left, right = tiny_pair(np.random.default_rng(20), h=32, w=32, batch=2)
+        forward(left, right, init_params(TINY, seed=0), TINY, mode)
+        assert seen == [(2, 4 * TINY.k_top, 8, 8)] * calls
 
     @pytest.mark.parametrize("cfg", [
         TINY,
