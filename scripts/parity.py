@@ -9,6 +9,9 @@ with one BLAS thread, and saves:
 - a default-config batch-4 64x64 ``"train"`` step: ``d1``-``d3``,
   ``edge_prob``, the gradient of every trainable tensor, and the
   parameters and Adam moments after one ``adam_step``;
+- the same outputs and gradients of a batch-2 64x64 step under a 32 KiB
+  work budget, so that most conv passes, forward and backward, run over
+  several blocks of one reused gather buffer;
 - a 6-step, batch-3 ``trainer.train`` on seven 64x64 pairs, validated
   every 3 steps on two: the logged losses and validation EPEs, and every
   tensor of ``best.ckpt`` and ``last.ckpt``;
@@ -59,21 +62,38 @@ def _pairs(n: int, h: int, w: int, d_max: int, seed: int):
     return [data.synth_stereogram(seed + i, cfg) for i in range(n)]
 
 
-def _train_step(out: dict) -> None:
+def _step(out: dict, tag: str, n: int, seed: int):
+    """One default-config batch-``n`` 64x64 ``"train"`` step: saves the
+    outputs and every gradient under ``tag``, returns the parameters."""
     net = network.NetworkConfig()
     params = network.init_params(net, seed=0)
-    samples = _pairs(4, 64, 64, net.d_max, seed=10)
-    left, right, disp, valid, edges = trainer._batch_arrays(samples, range(4))
+    samples = _pairs(n, 64, 64, net.d_max, seed)
+    left, right, disp, valid, edges = trainer._batch_arrays(samples, range(n))
     outputs = network.forward(left, right, params, net, "train")
     for k in ("d1", "d2", "d3", "edge_prob"):
-        out[f"train.{k}"] = outputs[k].data
+        out[f"{tag}.{k}"] = outputs[k].data
     trainer.compute_losses(outputs, disp, valid, edges, LossWeights(), net)["total"].backward()
-    trainable = params.trainable()
-    for name, t in trainable.items():
-        out[f"train.grad.{name}"] = t.grad
+    for name, t in params.trainable().items():
+        out[f"{tag}.grad.{name}"] = t.grad
+    return params
+
+
+def _train_step(out: dict) -> None:
+    params = _step(out, "train", 4, seed=10)
     state = trainer.OptimizerState()
-    trainer.adam_step(trainable, state)
+    trainer.adam_step(params.trainable(), state)
     _save_state(out, "adam", params, state)
+
+
+def _blocked_step(out: dict) -> None:
+    budget = ops._WORK_BUDGET
+    ops._WORK_BUDGET = 32 << 10     # most passes, forward and backward, in several blocks
+    ops._plan.cache_clear()         # plans do not key on the budget
+    try:
+        _step(out, "blocked", 2, seed=100)
+    finally:
+        ops._WORK_BUDGET = budget
+        ops._plan.cache_clear()
 
 
 def _save_state(out: dict, tag: str, params, state) -> None:
@@ -177,7 +197,8 @@ def _stem(out: dict) -> None:
 
 def dump(path: str) -> int:
     out: dict = {}
-    for part in (_train_step, _train_run, _predicts, _stats, _regression, _resizes, _stem):
+    for part in (_train_step, _blocked_step, _train_run, _predicts, _stats, _regression,
+                 _resizes, _stem):
         part(out)
     np.savez(path, **out)
     print(f"{len(out)} arrays written to {path}")

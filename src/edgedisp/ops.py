@@ -23,13 +23,16 @@ the others. A pass's working memory is one block, not the whole
 channels too, for the stacked layout below.
 
 Gather (every pass): per sample, then per block, the block's kept taps
-are copied from an array into its column matrix. One buffer per call,
-zeroed once, serves every block and sample; before a block is refilled
-over another block's columns, the rows its taps skip are zeroed again, so
-the columns of taps that read padding stay zero. The forward pass runs one
-GEMM ``[Cout, Cin*K] x [Cin*K, N_block]`` per sample and block, written
-into the block's rows; the weight gradient adds ``gy_block [Cout,
-N_block] x cols_blockᵀ`` in batch, then block order.
+are copied from an array into its column matrix, the leading ``N_block``
+columns of every row of one ``[Cin*K, N_max]`` buffer per call, zeroed
+once; a column keeps its place whatever the block. No block writes the
+columns of taps that read padding on the axes after the first, so they
+stay zero; before a block that did not fill the buffer last, its rows
+outside ``landed`` (those every kept first-axis tap lands in) are zeroed.
+The forward pass runs one GEMM ``[Cout, Cin*K] x [Cin*K, N_block]`` per
+sample and block, written into the block's rows; the weight gradient
+adds ``gy_block [Cout, N_block] x cols_blockᵀ`` in batch, then block
+order.
 
 Stacked layout (forward passes, and so each phase of
 ``conv3d_transposed``'s forward): im2col copies each input row once per
@@ -182,7 +185,7 @@ class _Block(NamedTuple):
     rows: slice                # output rows of the block, on the first spatial axis
     out: Tuple[int, ...]       # the block's output extents: its rows, then out[1:]
     moves: tuple               # (input index, column index) per tap landing in the block
-    clear: tuple               # column indices of rows a kept first-axis tap skips
+    landed: slice              # the block's rows that every kept first-axis tap lands in
     adds: tuple = ()           # stacked layout: (tap, block positions, output positions)
 
 
@@ -206,9 +209,9 @@ def _block(taps, lands, rows, out) -> _Block:
     order, that reads input on every axis for some output of the block, a
     move pairs the index of what it reads in one sample ``[Cin,
     *in_spatial]`` with the index of its columns in the block's ``[Cin,
-    *kept, r1 - r0, *out[1:]]``. ``clear`` lists, for each kept tap of the
-    first axis, the rows of the block it does not land in, whose columns a
-    reused buffer must zero again."""
+    *kept, r1 - r0, *out[1:]]``. ``landed`` is the run of the block's rows
+    that every kept tap of the first axis lands in: every row when the
+    axis keeps none, none when a kept tap lands nowhere in the block."""
     moves = []
     for tap in itertools.product(*(range(t.start, t.stop) for t in taps)):
         pick = [a.get(t) for a, t in zip(lands, tap)]
@@ -216,15 +219,12 @@ def _block(taps, lands, rows, out) -> _Block:
             kept = tuple(t - r.start for t, r in zip(tap, taps))
             moves.append(((slice(None),) + tuple(i for i, _ in pick),
                           (slice(None),) + kept + tuple(o for _, o in pick)))
-    lead = (slice(None),) * (len(taps) - 1)
     r0, r1 = rows
-    n, first = r1 - r0, taps[0]
-    clear = []
-    for t in range(first.start, first.stop):
-        o = lands[0][t][1] if t in lands[0] else slice(n, n)
-        clear += [(slice(None), t - first.start) + lead + (slice(lo, hi),)
-                  for lo, hi in ((0, o.start), (o.stop, n)) if lo < hi]
-    return _Block(slice(r0, r1), (n,) + out[1:], tuple(moves), tuple(clear))
+    lo, hi = 0, r1 - r0
+    for t in range(taps[0].start, taps[0].stop):
+        o = lands[0][t][1] if t in lands[0] else slice(0, 0)
+        lo, hi = max(lo, o.start), min(hi, o.stop)
+    return _Block(slice(r0, r1), (r1 - r0,) + out[1:], tuple(moves), slice(lo, max(lo, hi)))
 
 
 def _blocks(geom, lands, taps, out, row: int) -> Tuple[_Block, ...]:
@@ -343,28 +343,26 @@ def _kept_weight(w: np.ndarray, plan: _Plan) -> np.ndarray:
 
 def _gather(x: np.ndarray, plan: _Plan):
     """Per sample in batch order, then per block of ``plan``: the sample
-    index, the block, and its ``[Cin*K, N_block]`` column matrix, in one
-    buffer, zeroed once, that the next block overwrites. Refilling the
-    block that filled it last rewrites the same positions; before another
-    block of the same extents the rows its taps skip are zeroed, before a
-    block of other extents the whole matrix."""
+    index, the block, and its ``[Cin*K, N_block]`` column matrix, the
+    leading ``N_block`` columns of every row of one buffer. Stale columns
+    can lie only in rows that one of the block's kept first-axis taps
+    skips: its rows outside ``landed``, zeroed unless the block filled
+    the buffer last."""
     cin, k = x.shape[1], math.prod(plan.kept)
-    buf = np.zeros(cin * k * max(math.prod(blk.out) for blk in plan.blocks))
+    buf = np.zeros((cin * k, max(math.prod(blk.out) for blk in plan.blocks)))
+    lead = (slice(None),) * (1 + len(plan.kept))
     last = None
     for b, xb in enumerate(x):
         for blk in plan.blocks:
-            n = math.prod(blk.out)
-            cols = buf[:cin * k * n].reshape((cin,) + plan.kept + blk.out)
+            mat = buf[:, :math.prod(blk.out)]
+            cols = mat.reshape((cin,) + plan.kept + blk.out)
             if last is not None and last is not blk:
-                if last.out != blk.out:
-                    cols.fill(0.0)
-                else:
-                    for c in blk.clear:
-                        cols[c] = 0.0
+                cols[lead + (slice(None, blk.landed.start),)] = 0.0
+                cols[lead + (slice(blk.landed.stop, None),)] = 0.0
             for src, dst in blk.moves:
                 cols[dst] = xb[src]
             last = blk
-            yield b, blk, cols.reshape(cin * k, n)
+            yield b, blk, mat
 
 
 def _rows(a: np.ndarray, b: int, blk: _Block) -> np.ndarray:

@@ -367,6 +367,37 @@ _BLOCKED_CASES = [
 ]
 
 
+def _geometries(test):
+    """Draws conv geometries for the plan's blocks: the rank ``nd``, then
+    stride, dilation, padding, extent and kernel per axis (the first
+    ``nd`` of each list), then the work budget in bytes."""
+    # stride 2 over one input row: first-axis tap 1 of 3 lands nowhere
+    test = example(2, [2, 1, 1], [1, 1, 1], [2, 0, 0], [1, 4, 1], [3, 1, 1], 1)(test)
+    return given(st.integers(2, 3),
+                 st.lists(st.integers(1, 3), min_size=3, max_size=3),
+                 st.lists(st.integers(1, 5), min_size=3, max_size=3),
+                 st.lists(st.integers(0, 6), min_size=3, max_size=3),
+                 st.lists(st.integers(1, 9), min_size=3, max_size=3),
+                 st.lists(st.integers(1, 3), min_size=3, max_size=3),
+                 st.integers(1, 3000))(test)
+
+
+def _geometry(nd, stride, dilation, padding, extent, kernel):
+    """The per-axis ``(extent, kernel, stride, dilation, padding)`` of a
+    drawn geometry, and its output extents; geometries with no output are
+    rejected."""
+    geom = tuple(tuple(a[:nd]) for a in (extent, kernel, stride, dilation, padding))
+    assume(all(n + 2 * p - d * (k - 1) - 1 >= 0 for n, k, _, d, p in zip(*geom)))
+    return geom, tuple(ops.conv_out_extent(*a) for a in zip(*geom))
+
+
+def _budget_plan(budget, geom, out):
+    """The uncached plan of a 2-channel pass under ``budget`` bytes: the
+    plan cache does not key on the budget."""
+    with mock.patch.object(ops, "_WORK_BUDGET", budget):
+        return ops._plan.__wrapped__(2, *geom, out)
+
+
 def _backward_blocks(x_shape, w_shape, spec):
     """The blocks over which a conv's backward gathers its cotangent: those
     of each phase of the input gradient, phase after phase."""
@@ -437,32 +468,18 @@ class TestBlockedPasses:
         for a, b in zip(passes(), one):
             np.testing.assert_array_equal(a, b)
 
-    @given(st.integers(2, 3),
-           st.lists(st.integers(1, 3), min_size=3, max_size=3),
-           st.lists(st.integers(1, 5), min_size=3, max_size=3),
-           st.lists(st.integers(0, 6), min_size=3, max_size=3),
-           st.lists(st.integers(1, 9), min_size=3, max_size=3),
-           st.lists(st.integers(1, 3), min_size=3, max_size=3),
-           st.integers(1, 3000))
-    # stride 2 over one input row: first-axis tap 1 of 3 lands nowhere
-    @example(2, [2, 1, 1], [1, 1, 1], [2, 0, 0], [1, 4, 1], [3, 1, 1], 1)
+    @_geometries
     @settings(max_examples=100, deadline=None)
     def test_block_moves_join_into_the_whole_output(self, nd, stride, dilation, padding,
                                                     extent, kernel, budget):
         """Per kept tap, the blocks' moves, output rows shifted by the
         block's first row, join in block order into the move of one block
         over every row; each block lists its taps in the same order; and
-        ``clear`` covers exactly the rows a kept first-axis tap skips in
-        the block."""
-        geom = tuple(tuple(a[:nd]) for a in (extent, kernel, stride, dilation, padding))
-        assume(all(n + 2 * p - d * (k - 1) - 1 >= 0 for n, k, _, d, p in zip(*geom)))
-        # uncached: the plan cache does not key on the budget
-        build = ops._plan.__wrapped__
-        out = tuple(ops.conv_out_extent(*a) for a in zip(*geom))
-        with mock.patch.object(ops, "_WORK_BUDGET", budget):
-            plan = build(2, *geom, out)
-        with mock.patch.object(ops, "_WORK_BUDGET", 1 << 62):
-            whole, = build(2, *geom, out).blocks
+        ``landed`` is exactly the rows of the block that every kept
+        first-axis tap lands in."""
+        geom, out = _geometry(nd, stride, dilation, padding, extent, kernel)
+        plan = _budget_plan(budget, geom, out)
+        whole, = _budget_plan(1 << 62, geom, out).blocks
         blocks = plan.blocks
         order = {dst[1:1 + nd]: i for i, (_, dst) in enumerate(whole.moves)}
         joined = {tap: ([], []) for tap in order}
@@ -481,15 +498,28 @@ class TestBlockedPasses:
                 joined[tap][0].extend(rows(src[1], geom[0][0]))
                 joined[tap][1].extend(o + r0 for o in rows(dst[1 + nd], n))
                 landed[tap[0]].update(rows(dst[1 + nd], n))
-            if math.prod(plan.kept):   # otherwise the block has no columns to clear
-                cleared = {k: set() for k in landed}
-                for c in blk.clear:
-                    assert len(c) == 2 + nd
-                    cleared[c[1]].update(rows(c[1 + nd], n))
-                assert cleared == {k: set(range(n)) - v for k, v in landed.items()}
+            if math.prod(plan.kept):   # otherwise the block has no columns
+                assert rows(blk.landed, n) == sorted(set.intersection(*landed.values()))
         for src, dst in whole.moves:
             assert joined[dst[1:1 + nd]] == (rows(src[1], geom[0][0]),
                                              rows(dst[1 + nd], plan.out[0]))
+
+    @_geometries
+    @settings(max_examples=100, deadline=None)
+    def test_each_gathered_block_equals_a_fresh_gather(self, nd, stride, dilation, padding,
+                                                       extent, kernel, budget):
+        """Whatever blocks filled the reused buffer before, each block's
+        columns equal those of the block gathered alone into a fresh one:
+        no stale value survives from another block or sample."""
+        geom, out = _geometry(nd, stride, dilation, padding, extent, kernel)
+        plan = _budget_plan(budget, geom, out)
+        x = np.random.default_rng(35).normal(size=(3, 2) + geom[0])
+        order = []
+        for b, blk, cols in ops._gather(x, plan):
+            order.append((b, blk))
+            (_, _, fresh), = ops._gather(x[b:b + 1], plan._replace(blocks=(blk,)))
+            np.testing.assert_array_equal(cols.copy(), fresh)
+        assert order == [(b, blk) for b in range(3) for blk in plan.blocks]
 
     def test_default_budget_bounds_working_memory(self):
         """One conv3d of the cost-volume stem at 128x256, d_max 32, peaks
